@@ -3,7 +3,8 @@
 Three modes: ``decide`` a formula, decide whether a type is ``inhabit``-ed,
 and ``normalize`` a context written in the debug syntax.  The verdict doubles
 as the exit status so shell harnesses need no output parsing: 0 derivable,
-1 not derivable, 2 usage or input errors, 3 timeout, 4 oracle disagreement.
+1 not derivable, 2 usage or input errors, 3 timeout, 4 oracle disagreement,
+5 internal error (an unexpected exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def _stats_lines(stats: SearchStats) -> list[str]:
         f"visited: {stats.visited}",
         f"max seen set: {stats.max_seen}",
         f"max bracket depth: {stats.max_depth}",
+        f"loop-check prunes: {stats.prunes}",
         f"elapsed: {stats.elapsed * 1000:.2f} ms",
     ]
 
@@ -156,6 +158,14 @@ def _run_normalize(config: RunConfig, text: str) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one query and return the process exit status."""
+    try:
+        return _run(config)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
+
+
+def _run(config: RunConfig) -> int:
     try:
         text = _load_input(config)
     except (ValueError, OSError) as exc:

@@ -22,38 +22,62 @@ search never re-cleans a context from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .syntax import _TokenStream, _parse_formula, Formula, free_vars, print_formula
+from .syntax import Formula, _NO_VARS, _TokenStream, _parse_formula, print_formula
+from .syntax import _rebuild, _store, _stored_hash, _union_all
 
 
 @dataclass(frozen=True)
 class Item:
-    pass
+    __slots__ = ("_hash", "fv", "key")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormulaItem(Item):
     formula: Formula
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        # Formula items sort before bracket items.  The printed form of a
+        # formula is injective (it round-trips), so on clean contexts key
+        # equality is item equality.
+        _store(self, hash((0, self.formula._hash)), self.formula.fv)
+        object.__setattr__(self, "key", (0, print_formula(self.formula)))
 
     def __str__(self) -> str:
         return print_formula(self.formula)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BracketItem(Item):
     content: "Context"
     bound: frozenset[str]
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        items, bound = self.content.items, self.bound
+        fv = _union_all(items)
+        fv = (fv - bound or _NO_VARS) if fv & bound else fv
+        _store(self, hash((self.content._hash, bound)), fv)
+        object.__setattr__(self, "key", (1, tuple(sorted(bound)), tuple(i.key for i in items)))
 
     def __str__(self) -> str:
         return f"[{self.content}]_{{{','.join(sorted(self.bound))}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     items: tuple[Item, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.items))
+        nested = [i.content.depth for i in self.items if isinstance(i, BracketItem)]
+        object.__setattr__(self, "depth", 1 + max(nested) if nested else 0)
 
     def __str__(self) -> str:
         return ", ".join(str(item) for item in self.items)
@@ -68,17 +92,9 @@ class Context:
         return bool(self.items)
 
 
-@lru_cache(maxsize=None)
 def free_vars_ctx(x: Context | Item) -> frozenset[str]:
     """Free variables of a context or item; a bracket subtracts its bound set."""
-    if isinstance(x, Context):
-        out: frozenset[str] = frozenset()
-        for item in x.items:
-            out |= free_vars_ctx(item)
-        return out
-    if isinstance(x, FormulaItem):
-        return free_vars(x.formula)
-    return free_vars_ctx(x.content) - x.bound
+    return _union_all(x.items) if isinstance(x, Context) else x.fv
 
 
 def measure(x: Context | Item) -> int:
@@ -93,25 +109,11 @@ def measure(x: Context | Item) -> int:
 
 def depth(x: Context | Item) -> int:
     """Maximum bracket nesting."""
-    if isinstance(x, Context):
-        return max((depth(item) for item in x.items), default=0)
-    if isinstance(x, FormulaItem):
-        return 0
-    return 1 + depth(x.content)
-
-
-@lru_cache(maxsize=None)
-def _item_key(item: Item):
-    # Formula items sort before bracket items.  The printed form of a formula
-    # is injective (it round-trips), so on clean contexts key equality is
-    # item equality.
-    if isinstance(item, FormulaItem):
-        return (0, print_formula(item.formula))
-    return (1, tuple(sorted(item.bound)), tuple(_item_key(i) for i in item.content.items))
+    return x.depth if isinstance(x, Context) else Context((x,)).depth
 
 
 def _canonical(items: Iterable[Item]) -> Context:
-    ordered = sorted(items, key=_item_key)
+    ordered = sorted(items, key=lambda i: i.key)
     unique: list[Item] = []
     for item in ordered:
         if not unique or item != unique[-1]:
@@ -123,8 +125,8 @@ def _norm_item(item: Item) -> list[Item]:
     if isinstance(item, FormulaItem):
         return [item]
     inner = normalize(item.content)
-    kept = tuple(i for i in inner.items if free_vars_ctx(i) & item.bound)
-    out = [i for i in inner.items if not free_vars_ctx(i) & item.bound]
+    kept = tuple(i for i in inner.items if i.fv & item.bound)
+    out = [i for i in inner.items if not i.fv & item.bound]
     if kept:
         out.append(BracketItem(Context(kept), item.bound))
     return out
@@ -152,10 +154,10 @@ def is_clean(c: Context | Item) -> bool:
     if isinstance(c, BracketItem):
         if not c.content.items:
             return False
-        if any(not (free_vars_ctx(i) & c.bound) for i in c.content.items):
+        if any(not (i.fv & c.bound) for i in c.content.items):
             return False
         return is_clean(c.content)
-    keys = [_item_key(i) for i in c.items]
+    keys = [i.key for i in c.items]
     if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
         return False
     return all(is_clean(i) for i in c.items)
@@ -171,7 +173,7 @@ def fuse(a: Context, b: Context) -> Context:
     out: list[Item] = []
     i = j = 0
     while i < len(ia) and j < len(ib):
-        ka, kb = _item_key(ia[i]), _item_key(ib[j])
+        ka, kb = ia[i].key, ib[j].key
         if ka == kb:
             out.append(ia[i])
             i += 1
@@ -196,10 +198,10 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
     created at all.
     """
     v = frozenset(bound)
-    inside = tuple(i for i in c.items if free_vars_ctx(i) & v)
+    inside = tuple(i for i in c.items if i.fv & v)
     if not inside:
         return c
-    outside = tuple(i for i in c.items if not free_vars_ctx(i) & v)
+    outside = tuple(i for i in c.items if not i.fv & v)
     return fuse(Context(outside), Context((BracketItem(Context(inside), v),)))
 
 

@@ -15,16 +15,9 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .context import (
-    BracketItem,
-    Context,
-    FormulaItem,
-    bracket,
-    depth,
-    fuse,
-)
+from .context import BracketItem, Context, FormulaItem, bracket, fuse
 from .syntax import (
     Atom,
     Forall,
@@ -35,12 +28,12 @@ from .syntax import (
     barendregt_rename,
     bound_vars,
     decompose,
-    free_vars,
     pieces,
     polarity,
     print_formula,
     scope_table,
 )
+from .syntax import _rebuild, _stored_hash
 
 
 class NotPositive(ValueError):
@@ -56,38 +49,24 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     context: Context
     goal: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.context._hash, self.goal._hash)))
 
     def __str__(self) -> str:
         ctx = str(self.context)
         return f"{ctx} |- {self.goal}" if ctx else f"|- {self.goal}"
 
 
-class SeenSet:
-    """Branch-local collection of canonical sequents.
-
-    ``add`` returns a new value, so sibling branches never observe each
-    other's extensions.
-    """
-
-    __slots__ = ("_members",)
-
-    def __init__(self, members: Iterable[Sequent] = ()):
-        self._members = frozenset(members)
-
-    def __contains__(self, s: Sequent) -> bool:
-        return s in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def add(self, s: Sequent) -> "SeenSet":
-        new = SeenSet()
-        new._members = self._members | {s}
-        return new
+class SeenSet(set):
+    """The sequents on the current branch: the search adds a sequent on entry
+    and discards it on return, so sibling branches never see each other's."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +99,7 @@ class SearchStats:
     visited: int = 0
     max_seen: int = 0
     max_depth: int = 0
+    prunes: int = 0
     elapsed: float = 0.0
     audit_violations: list[str] = field(default_factory=list)
 
@@ -143,37 +123,40 @@ class _Search:
         self.on_visit = on_visit
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
+        stats = self.stats
         if seq in seen:
+            stats.prunes += 1
             return None
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"no verdict for {seq} before the deadline")
-        seen = seen.add(seq)
-        stats = self.stats
-        stats.visited += 1
-        if len(seen) > stats.max_seen:
-            stats.max_seen = len(seen)
-        d = depth(seq.context)
-        if d > stats.max_depth:
-            stats.max_depth = d
-        if self.auditor is not None:
-            stats.audit_violations.extend(self.auditor(seq))
-        if self.on_visit is not None:
-            self.on_visit(seq)
+        seen.add(seq)
+        try:
+            stats.visited += 1
+            if len(seen) > stats.max_seen:
+                stats.max_seen = len(seen)
+            if seq.context.depth > stats.max_depth:
+                stats.max_depth = seq.context.depth
+            if self.auditor is not None:
+                stats.audit_violations.extend(self.auditor(seq))
+            if self.on_visit is not None:
+                self.on_visit(seq)
 
-        goal = seq.goal
-        if isinstance(goal, Imp):
-            premise = Sequent(
-                fuse(seq.context, Context((FormulaItem(goal.left),))), goal.right
-            )
-            sub = self.search(seen, premise)
-            return None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
-        if isinstance(goal, Forall):
-            premise = Sequent(
-                bracket(seq.context, frozenset(bound_vars(goal))), goal.body
-            )
-            sub = self.search(seen, premise)
-            return None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
-        return self.select_head(seen, seq)
+            goal = seq.goal
+            if isinstance(goal, Imp):
+                premise = Sequent(
+                    fuse(seq.context, Context((FormulaItem(goal.left),))), goal.right
+                )
+                sub = self.search(seen, premise)
+                return None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
+            if isinstance(goal, Forall):
+                premise = Sequent(
+                    bracket(seq.context, frozenset(bound_vars(goal))), goal.body
+                )
+                sub = self.search(seen, premise)
+                return None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
+            return self.select_head(seen, seq)
+        finally:
+            seen.discard(seq)
 
     def select_head(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         """Try every reachable head for an atomic goal, first success wins.
@@ -185,7 +168,7 @@ class _Search:
         see the rotated context.
         """
         goal = seq.goal
-        goal_fv = free_vars(goal)
+        goal_fv = goal.fv
 
         def try_level(
             level: Context, outside: Context, path: tuple[BracketItem, ...]
@@ -225,9 +208,9 @@ class _Search:
 
 
 def search(seen: SeenSet, seq: Sequent) -> tuple[bool, Optional[Derivation]]:
-    """Decide one canonical sequent under an existing seen set."""
+    """Decide one canonical sequent under a seen set, leaving the set unchanged."""
     engine = _Search(SearchStats())
-    d = engine.search(seen, seq)
+    d = engine.search(SeenSet(seen), seq)
     return d is not None, d
 
 
@@ -239,7 +222,7 @@ def select_head(
     if not isinstance(goal, Atom):
         raise ValueError(f"goal is not atomic: {print_formula(goal)}")
     engine = _Search(SearchStats())
-    d = engine.select_head(seen, Sequent(context, goal))
+    d = engine.select_head(SeenSet(seen), Sequent(context, goal))
     return d is not None, d
 
 
@@ -262,6 +245,8 @@ def derivable(
     if ``timeout`` seconds elapse, which termination makes a safety rail
     rather than an expected outcome.
     """
+    if sys.getrecursionlimit() < 20000:
+        sys.setrecursionlimit(20000)
     pol = polarity(f)
     if pol not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
@@ -280,8 +265,6 @@ def derivable(
         retain_opened=retain_opened,
         on_visit=on_visit,
     )
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(Context(), renamed))

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from typing import Mapping
 
 
@@ -33,26 +32,60 @@ class NotBarendregt(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax
+# Abstract syntax: immutable slotted nodes, each storing its hash and free
+# variables, computed once from its children's.
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _union_all(nodes) -> frozenset[str]:
+    """The union of the nodes' free variables, sharing a node's set if it is that."""
+    fv = _NO_VARS
+    for n in nodes:
+        if not fv >= n.fv:
+            fv = n.fv if n.fv >= fv else fv | n.fv
+    return fv
+
+
+def _store(node, h: int, fv: frozenset[str]) -> None:
+    object.__setattr__(node, "_hash", h)
+    object.__setattr__(node, "fv", fv)
+
+
+def _stored_hash(node) -> int:
+    return node._hash
+
+
+def _rebuild(node):
+    """Copy and pickle through the constructor, which stores everything again."""
+    return type(node), tuple(getattr(node, f.name) for f in fields(node) if f.init)
 
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    __slots__ = ("_hash", "fv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        _store(self, hash(("v", self.name)), frozenset((self.name,)))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func(Term):
     name: str
     args: tuple[Term, ...]
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        _store(self, hash((self.name, self.args)), _union_all(self.args))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(map(str, self.args))})"
@@ -60,26 +93,43 @@ class Func(Term):
 
 @dataclass(frozen=True)
 class Formula:
+    __slots__ = ("_hash", "fv")
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     pred: str
     terms: tuple[Term, ...] = ()
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        _store(self, hash((self.pred, self.terms)), _union_all(self.terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imp(Formula):
     left: Formula
     right: Formula
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        h = hash((self.left._hash, self.right._hash))
+        _store(self, h, _union_all((self.left, self.right)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: str
     body: Formula
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
+    def __post_init__(self) -> None:
+        fv = self.body.fv
+        fv = (fv - {self.var} or _NO_VARS) if self.var in fv else fv
+        _store(self, hash((self.var, "all", self.body._hash)), fv)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +143,6 @@ class Polarity(Enum):
     NEITHER = "neither"
 
 
-@lru_cache(maxsize=None)
 def _pos_neg(f: Formula) -> tuple[bool, bool]:
     if isinstance(f, Atom):
         return True, True
@@ -126,23 +175,11 @@ def polarity(f: Formula) -> Polarity:
 # Variable analyses
 
 
-@lru_cache(maxsize=None)
 def free_vars(x: Term | Formula) -> frozenset[str]:
     """Free variables of a term or formula."""
-    if isinstance(x, Var):
-        return frozenset((x.name,))
-    if isinstance(x, Func):
-        return frozenset().union(*map(free_vars, x.args)) if x.args else frozenset()
-    if isinstance(x, Atom):
-        return frozenset().union(*map(free_vars, x.terms)) if x.terms else frozenset()
-    if isinstance(x, Imp):
-        return free_vars(x.left) | free_vars(x.right)
-    if isinstance(x, Forall):
-        return free_vars(x.body) - {x.var}
-    raise TypeError(f"not a term or formula: {x!r}")
+    return x.fv
 
 
-@lru_cache(maxsize=None)
 def bound_vars(f: Formula) -> tuple[str, ...]:
     """All variables bound anywhere in ``f``, in left-to-right binder order.
 
@@ -155,7 +192,6 @@ def bound_vars(f: Formula) -> tuple[str, ...]:
     return (f.var,) + bound_vars(f.body)
 
 
-@lru_cache(maxsize=None)
 def decompose(f: Formula) -> tuple[Atom, tuple[Formula, ...]]:
     """Split ``A1 -> ... -> An -> P`` into ``(P, (A1, ..., An))``, P atomic.
 
@@ -171,7 +207,6 @@ def decompose(f: Formula) -> tuple[Atom, tuple[Formula, ...]]:
     raise NotNegative(f"quantifier on the implication spine: {print_formula(f)}")
 
 
-@lru_cache(maxsize=None)
 def pieces(f: Formula) -> frozenset[Formula]:
     """The formulas sitting at the positions of the tree of ``f``, verbatim.
 
@@ -369,7 +404,6 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-@lru_cache(maxsize=None)
 def print_formula(f: Formula) -> str:
     """Canonical text form of a formula; ``parse_formula`` inverts it."""
     if isinstance(f, Atom):

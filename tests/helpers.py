@@ -182,6 +182,67 @@ def _replay(d: Derivation, above: frozenset) -> None:
 
 
 # ---------------------------------------------------------------------------
+# From-scratch analyses of nodes, ignoring everything the nodes store
+
+
+def reference_free_vars(x) -> frozenset[str]:
+    """Free variables of a term, formula, item or context by plain recursion."""
+    if isinstance(x, Var):
+        return frozenset((x.name,))
+    if isinstance(x, (Func, Atom, Context)):
+        parts = x.args if isinstance(x, Func) else x.terms if isinstance(x, Atom) else x.items
+        return frozenset().union(*map(reference_free_vars, parts))
+    if isinstance(x, Imp):
+        return reference_free_vars(x.left) | reference_free_vars(x.right)
+    if isinstance(x, Forall):
+        return reference_free_vars(x.body) - {x.var}
+    if isinstance(x, FormulaItem):
+        return reference_free_vars(x.formula)
+    return reference_free_vars(x.content) - x.bound
+
+
+def reference_item_key(item: Item):
+    """The canonical sort key: formulas by printed form before brackets by
+    sorted bound set, then by their content's keys."""
+    if isinstance(item, FormulaItem):
+        return (0, str(item.formula))
+    return (
+        1,
+        tuple(sorted(item.bound)),
+        tuple(reference_item_key(i) for i in item.content.items),
+    )
+
+
+def reference_depth(c: Context) -> int:
+    """Maximum bracket nesting by plain recursion."""
+    return max(
+        (1 + reference_depth(i.content) for i in c.items if isinstance(i, BracketItem)),
+        default=0,
+    )
+
+
+def subnodes(x):
+    """``x`` and every term, formula, item and context below it."""
+    yield x
+    if isinstance(x, Sequent):
+        children = (x.context, x.goal)
+    elif isinstance(x, Context):
+        children = x.items
+    elif isinstance(x, FormulaItem):
+        children = (x.formula,)
+    elif isinstance(x, BracketItem):
+        children = (x.content,)
+    elif isinstance(x, Imp):
+        children = (x.left, x.right)
+    elif isinstance(x, Forall):
+        children = (x.body,)
+    else:
+        children = x.args if isinstance(x, Func) else getattr(x, "terms", ())
+    for child in children:
+        yield from subnodes(child)
+
+
+# ---------------------------------------------------------------------------
 # Independent scope oracle: explicit quantifier-ancestor scan
 
 

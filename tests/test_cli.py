@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import minpl
 from minpl.cli import RunConfig, main, run
 
 INTRO = "((((P -> Q) -> P) -> P) -> Q) -> Q"
@@ -70,6 +77,13 @@ def test_stats_lines(capsys):
     assert run(decide(INTRO, stats=True)) == 0
     out = capsys.readouterr().out
     assert "visited:" in out and "max bracket depth:" in out
+    assert "loop-check prunes:" in out
+
+
+def test_stats_report_loop_check_prunes(capsys):
+    # {Q -> Q} |- Q selects the head Q -> Q, whose premise repeats the sequent
+    assert run(decide("(Q -> Q) -> Q", stats=True)) == 1
+    assert "loop-check prunes: 1" in capsys.readouterr().out.splitlines()
 
 
 def test_parse_error_exit_two(capsys):
@@ -154,3 +168,61 @@ def test_main_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate", "P"]) == 2
     assert main(["normalize", "P", "--oracle-check", "3"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Deep inputs, each in a fresh interpreter so no earlier query has raised the
+# recursion limit
+
+
+def fresh_python(*args, **kw) -> subprocess.CompletedProcess:
+    src = str(Path(minpl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kw
+    )
+
+
+def chain(n: int) -> str:
+    return " -> ".join(["Q"] * n)
+
+
+@pytest.mark.parametrize("n", [501, 600])
+def test_long_chain_decided_by_cli(tmp_path, n):
+    path = tmp_path / "chain.txt"
+    path.write_text(chain(n), encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "derivable"
+
+
+@pytest.mark.parametrize("n", [501, 600])
+def test_long_chain_decided_as_first_query(n):
+    code = (
+        "import sys, minpl\n"
+        "verdict, _, _ = minpl.derivable(minpl.parse_formula(sys.stdin.read()))\n"
+        "print(verdict)"
+    )
+    child = fresh_python("-c", code, input=chain(n))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"
+
+
+def test_unexpected_exception_is_internal_error_not_a_verdict(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_text(chain(1000), encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode in (0, 5), child.stderr
+    if child.returncode == 0:
+        assert child.stdout.strip() == "derivable"
+    else:
+        assert child.stderr.startswith("internal error: ")
+
+
+def test_internal_error_status_in_process(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("minpl.cli.derivable", broken)
+    assert run(decide(INTRO)) == 5
+    assert "internal error: KeyError" in capsys.readouterr().err

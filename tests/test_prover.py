@@ -88,6 +88,14 @@ def test_search_prunes_sequent_already_seen():
     assert verdict and derivation is not None
 
 
+def test_public_search_leaves_the_callers_seen_set_unchanged():
+    s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
+    seen = SeenSet([s])
+    assert search(seen, t) == (False, None)
+    assert select_head(seen, t.context, t.goal) == (False, None)
+    assert seen == {s}
+
+
 def test_search_atom_with_empty_context_fails():
     assert search(SeenSet(), Sequent(Context(), parse_formula("P"))) == (False, None)
 
