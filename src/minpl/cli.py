@@ -134,6 +134,7 @@ def _stats_lines(stats: SearchStats) -> list[str]:
         f"max seen set: {stats.max_seen}",
         f"max bracket depth: {stats.max_depth}",
         f"loop-check prunes: {stats.prunes}",
+        f"memo hits: {stats.memo_hits}",
         f"elapsed: {stats.elapsed * 1000:.2f} ms",
     ]
 

@@ -167,9 +167,12 @@ def fuse(a: Context, b: Context) -> Context:
     """Canonical form of the union of two clean contexts.
 
     A sorted merge in which duplicates collapse; equals ``normalize`` of the
-    multiset union, without the re-cleaning.
+    multiset union, without the re-cleaning.  An empty operand returns the
+    other one itself.
     """
     ia, ib = a.items, b.items
+    if not ia or not ib:
+        return a if ia else b
     out: list[Item] = []
     i = j = 0
     while i < len(ia) and j < len(ib):

@@ -8,6 +8,12 @@ brackets so the head surfaces while everything that used to be outside them
 moves inside.  Contexts stay canonical throughout, so pruning any branch that
 repeats a sequent is a plain membership test, and that pruning alone makes
 the search terminate.
+
+Within a query a success is stored when no prune in its subtree hit an
+ancestor: it is then what the search finds from an empty branch, and by
+monotonicity of the loop check the same search reproduces it under any branch
+holding none of its sequents, which is when it is reused.  Verdicts and
+derivations are those of the plain search; only the visits drop.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse
@@ -84,6 +91,16 @@ class Derivation:
     head: Optional[Formula] = None
     path: tuple[BracketItem, ...] = ()
 
+    @cached_property
+    def sequents(self) -> frozenset[Sequent]:
+        """Every conclusion in the derivation, collected on first use."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append(node.conclusion)
+            stack.extend(node.premises)
+        return frozenset(out)
+
 
 def derivation_to_json(d: Derivation) -> dict:
     """Stable trace encoding: rule, printed sequent, head if any, premises."""
@@ -100,12 +117,15 @@ class SearchStats:
     max_seen: int = 0
     max_depth: int = 0
     prunes: int = 0
+    memo_hits: int = 0
     elapsed: float = 0.0
     audit_violations: list[str] = field(default_factory=list)
 
 
 class _Search:
-    """Search state: statistics, optional auditing, deadline, rotation mode."""
+    """Search state: statistics, auditing, deadline and the success cache.
+    ``position`` gives each sequent's depth on the branch (-1 for a caller's
+    seen set); ``low`` is the shallowest one a prune hit in the current subtree."""
 
     def __init__(
         self,
@@ -113,23 +133,32 @@ class _Search:
         *,
         deadline: float | None = None,
         auditor: Callable[[Sequent], list[str]] | None = None,
-        retain_opened: bool = False,
         on_visit: Callable[[Sequent], None] | None = None,
     ):
         self.stats = stats
         self.deadline = deadline
         self.auditor = auditor
-        self.retain_opened = retain_opened
         self.on_visit = on_visit
+        self.position: dict[Sequent, int] = {}
+        self.low = 0
+        self.memo: dict[Sequent, Derivation] = {}
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         stats = self.stats
         if seq in seen:
             stats.prunes += 1
+            self.low = min(self.low, self.position.get(seq, -1))
             return None
+        stored = self.memo.get(seq)
+        if stored is not None and seen.isdisjoint(stored.sequents):
+            stats.memo_hits += 1
+            return stored
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"no verdict for {seq} before the deadline")
+        here = len(self.position)
+        outer_low, self.low = self.low, here
         seen.add(seq)
+        self.position[seq] = here
         try:
             stats.visited += 1
             if len(seen) > stats.max_seen:
@@ -147,16 +176,22 @@ class _Search:
                     fuse(seq.context, Context((FormulaItem(goal.left),))), goal.right
                 )
                 sub = self.search(seen, premise)
-                return None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
-            if isinstance(goal, Forall):
+                found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
+            elif isinstance(goal, Forall):
                 premise = Sequent(
                     bracket(seq.context, frozenset(bound_vars(goal))), goal.body
                 )
                 sub = self.search(seen, premise)
-                return None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
-            return self.select_head(seen, seq)
+                found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
+            else:
+                found = self.select_head(seen, seq)
+            if found is not None and self.low >= here:
+                self.memo[seq] = found
+            return found
         finally:
             seen.discard(seq)
+            del self.position[seq]
+            self.low = min(self.low, outer_low)
 
     def select_head(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         """Try every reachable head for an atomic goal, first success wins.
@@ -192,12 +227,7 @@ class _Search:
                 else:
                     if goal_fv & item.bound:
                         continue
-                    if self.retain_opened:
-                        siblings = level
-                    else:
-                        siblings = Context(
-                            tuple(i for i in level.items if i != item)
-                        )
+                    siblings = Context(tuple(i for i in level.items if i != item))
                     rotated = bracket(fuse(outside, siblings), item.bound)
                     found = try_level(item.content, rotated, path + (item,))
                     if found is not None:
@@ -231,24 +261,20 @@ def derivable(
     *,
     audit: bool = False,
     timeout: float | None = None,
-    retain_opened: bool = False,
     on_visit: Callable[[Sequent], None] | None = None,
 ) -> tuple[bool, SearchStats, Optional[Derivation]]:
     """Decide whether the positive formula ``f`` is derivable.
 
     The input is renamed so binders are distinct before the search starts.
     ``audit`` turns on per-sequent invariant checking (violations are
-    collected in the returned stats and never change the verdict).
-    ``retain_opened`` switches to an alternate head rotation that keeps a
-    bracketed copy of an opened bracket; it exists for differential testing
-    only.  Raises NotPositive outside the positive fragment and SearchTimeout
-    if ``timeout`` seconds elapse, which termination makes a safety rail
-    rather than an expected outcome.
+    collected in the returned stats and never change the verdict).  Raises
+    NotPositive outside the positive fragment and SearchTimeout if ``timeout``
+    seconds elapse, which termination makes a safety rail rather than an
+    expected outcome.
     """
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
-    pol = polarity(f)
-    if pol not in (Polarity.POSITIVE, Polarity.BOTH):
+    if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
     stats = SearchStats()
@@ -258,13 +284,7 @@ def derivable(
         piece_set = pieces(renamed)
         auditor = lambda s: _audit(s, table, piece_set)
     deadline = None if timeout is None else time.monotonic() + timeout
-    engine = _Search(
-        stats,
-        deadline=deadline,
-        auditor=auditor,
-        retain_opened=retain_opened,
-        on_visit=on_visit,
-    )
+    engine = _Search(stats, deadline=deadline, auditor=auditor, on_visit=on_visit)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(Context(), renamed))

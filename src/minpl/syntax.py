@@ -353,16 +353,22 @@ class _TokenStream:
 
 
 def _parse_formula(ts: _TokenStream) -> Formula:
-    if ts.peek() == "forall":
+    # loop along the spine of binders and antecedents, then fold from the right
+    spine: list[str | Formula] = []
+    while True:
+        if ts.peek() == "forall":
+            ts.advance()
+            spine.append(ts.ident())
+            ts.expect(".")
+            continue
+        f = _parse_atomterm(ts)
+        if ts.peek() != "->":
+            break
         ts.advance()
-        var = ts.ident()
-        ts.expect(".")
-        return Forall(var, _parse_formula(ts))
-    left = _parse_atomterm(ts)
-    if ts.peek() == "->":
-        ts.advance()
-        return Imp(left, _parse_formula(ts))
-    return left
+        spine.append(f)
+    for step in reversed(spine):
+        f = Forall(step, f) if isinstance(step, str) else Imp(step, f)
+    return f
 
 
 def _parse_atomterm(ts: _TokenStream) -> Formula:

@@ -32,6 +32,7 @@ from minpl.syntax import (
     Imp,
     Term,
     Var,
+    barendregt_rename,
     bound_vars,
     decompose,
     free_vars,
@@ -179,6 +180,74 @@ def _replay(d: Derivation, above: frozenset) -> None:
             assert child.conclusion == Sequent(premise_ctx, arg)
     for child in d.premises:
         _replay(child, above)
+
+
+# ---------------------------------------------------------------------------
+# Reference search: the plain depth-first search with a loop check, no cache
+
+
+def _open_levels(ctx: Context, goal_fv: frozenset[str], retain_opened: bool):
+    """Every level whose formulas may serve as heads, with the context rotated
+    outside it and the brackets opened to reach it, in the order heads are
+    tried: a level's formulas, then each openable bracket in item order."""
+    stack = [(ctx, Context(), ())]
+    while stack:
+        level, outside, path = stack.pop()
+        yield level, outside, path
+        below = []
+        for b in level.items:
+            if isinstance(b, BracketItem) and not goal_fv & b.bound:
+                siblings = level if retain_opened else Context(
+                    tuple(i for i in level.items if i != b)
+                )
+                below.append((b.content, bracket(fuse(outside, siblings), b.bound), path + (b,)))
+        stack.extend(reversed(below))
+
+
+def reference_derivable(f: Formula, retain_opened: bool = False):
+    """``(verdict, visited, derivation)`` of the plain search on the renamed
+    ``f``: every sequent is searched afresh, the loop check prunes a sequent
+    already on its branch (kept as a persistent frozenset).  With
+    ``retain_opened`` an opened bracket also stays among the rotated
+    siblings, an alternate rotation with the same verdicts."""
+    visited = 0
+
+    def search(seq: Sequent, above: frozenset) -> Derivation | None:
+        nonlocal visited
+        if seq in above:
+            return None
+        visited += 1
+        above = above | {seq}
+        ctx, goal = seq.context, seq.goal
+        if isinstance(goal, (Imp, Forall)):
+            if isinstance(goal, Imp):
+                rule = RULE_RIMP
+                premise = Sequent(fuse(ctx, Context((FormulaItem(goal.left),))), goal.right)
+            else:
+                rule = RULE_RFORALL
+                premise = Sequent(bracket(ctx, frozenset(bound_vars(goal))), goal.body)
+            sub = search(premise, above)
+            return None if sub is None else Derivation(rule, seq, (sub,))
+        for level, outside, path in _open_levels(ctx, free_vars(goal), retain_opened):
+            for item in level.items:
+                if not isinstance(item, FormulaItem):
+                    continue
+                head, args = decompose(item.formula)
+                if head != goal:
+                    continue
+                premise_ctx = fuse(level, outside)
+                subs = []
+                for arg in args:
+                    sub = search(Sequent(premise_ctx, arg), above)
+                    if sub is None:
+                        break
+                    subs.append(sub)
+                else:
+                    return Derivation(RULE_LIMP, seq, tuple(subs), head=item.formula, path=path)
+        return None
+
+    d = search(Sequent(Context(), barendregt_rename(f)), frozenset())
+    return d is not None, visited, d
 
 
 # ---------------------------------------------------------------------------

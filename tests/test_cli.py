@@ -86,6 +86,13 @@ def test_stats_report_loop_check_prunes(capsys):
     assert "loop-check prunes: 1" in capsys.readouterr().out.splitlines()
 
 
+def test_stats_report_memo_hits(capsys):
+    # {R -> R -> Q, R} |- Q reuses the proof of its first premise R for the second
+    assert run(decide("(R -> R -> Q) -> R -> Q", stats=True)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "memo hits: 1" in lines and "visited: 4" in lines
+
+
 def test_parse_error_exit_two(capsys):
     assert run(decide("P -> ")) == 2
     assert "parse error" in capsys.readouterr().err
@@ -187,7 +194,7 @@ def chain(n: int) -> str:
     return " -> ".join(["Q"] * n)
 
 
-@pytest.mark.parametrize("n", [501, 600])
+@pytest.mark.parametrize("n", [501, 600, 1000, 2000])
 def test_long_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"
     path.write_text(chain(n), encoding="utf-8")

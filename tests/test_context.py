@@ -97,6 +97,12 @@ def test_fuse_identity():
     assert fuse(b, Context()) == b
 
 
+def test_fuse_with_empty_returns_the_other_operand():
+    c = ctx("P, [P(x)]_{x}")
+    assert fuse(c, Context()) is c
+    assert fuse(Context(), c) is c
+
+
 def test_fuse_collapses_duplicates():
     a = ctx("Q")
     assert fuse(a, a) == a
