@@ -9,6 +9,8 @@ explicit eigenvariables serves as an independent cross-check, and a System F
 front-end decides inhabitation of positive types by translation.
 """
 
+from importlib import import_module
+
 from .context import (
     BracketItem,
     Context,
@@ -21,14 +23,6 @@ from .context import (
     measure,
     normalize,
     parse_context,
-)
-from .oracle import (
-    FlatSequent,
-    FreshNames,
-    first_provable_depth,
-    flatten,
-    generate_positive,
-    ljplus_prove,
 )
 from .prover import (
     Derivation,
@@ -66,17 +60,22 @@ from .syntax import (
     print_formula,
     scope_table,
 )
-from .systemf import (
-    FType,
-    TArrow,
-    TForall,
-    TVar,
-    inhabited,
-    parse_type,
-    phi,
-    print_type,
-    type_polarity,
-)
+# The reference prover and System F load on first use (PEP 562), so that
+# ``import minpl`` and a ``decide`` query do without them.
+_LAZY = {
+    "oracle": "FlatSequent FreshNames first_provable_depth flatten generate_positive ljplus_prove",
+    "systemf": "FType TArrow TForall TVar inhabited parse_type phi print_type type_polarity",
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names.split():
+            value = getattr(import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom",

@@ -4,7 +4,8 @@ Three modes: ``decide`` a formula, decide whether a type is ``inhabit``-ed,
 and ``normalize`` a context written in the debug syntax.  The verdict doubles
 as the exit status so shell harnesses need no output parsing: 0 derivable,
 1 not derivable, 2 usage or input errors, 3 timeout, 4 oracle disagreement,
-5 internal error (an unexpected exception, reported on stderr).
+5 internal error (an unexpected exception, reported on stderr).  The
+reference prover and System F are imported only by the queries that use them.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import systemf
 from .context import measure, normalize, parse_context
-from .oracle import FlatSequent, first_provable_depth
 from .prover import (
     Derivation,
     NotPositive,
@@ -27,6 +25,7 @@ from .prover import (
     derivation_to_json,
 )
 from .syntax import (
+    Node,
     NotBarendregt,
     NotNegative,
     ParseError,
@@ -35,17 +34,21 @@ from .syntax import (
 )
 
 
-@dataclass
 class RunConfig:
-    mode: str
-    text: Optional[str] = None
-    file: Optional[str] = None
-    trace: bool = False
-    json_out: bool = False
-    stats: bool = False
-    audit: bool = False
-    oracle_check: Optional[int] = None
-    timeout: Optional[float] = None
+    """One CLI query: the mode, the input and the flags."""
+
+    __slots__ = _fields = (
+        "mode", "text", "file", "trace", "json_out", "stats", "audit", "oracle_check", "timeout"
+    )
+    __repr__ = Node.__repr__
+
+    def __init__(self, mode: str, text: Optional[str] = None, file: Optional[str] = None,
+                 trace: bool = False, json_out: bool = False, stats: bool = False,
+                 audit: bool = False, oracle_check: Optional[int] = None,
+                 timeout: Optional[float] = None) -> None:
+        self.mode, self.text, self.file, self.trace = mode, text, file, trace
+        self.json_out, self.stats, self.audit = json_out, stats, audit
+        self.oracle_check, self.timeout = oracle_check, timeout
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,6 +185,7 @@ def _run(config: RunConfig) -> int:
             f = parse_formula(text)
             render_seq, render_formula = str, str
         else:
+            from . import systemf
             t = systemf.parse_type(text)
             f = systemf.phi(t)
             render_seq, render_formula = systemf.render_sequent, systemf.compact_eps
@@ -213,6 +217,7 @@ def _run(config: RunConfig) -> int:
 
     oracle_agrees: Optional[bool] = None
     if config.oracle_check is not None:
+        from .oracle import FlatSequent, first_provable_depth
         found = first_provable_depth(FlatSequent((), f), config.oracle_check)
         oracle_agrees = (found is not None) == verdict
 

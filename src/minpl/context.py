@@ -22,62 +22,55 @@ search never re-cleans a context from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .syntax import Formula, _NO_VARS, _TokenStream, _parse_formula, print_formula
-from .syntax import _rebuild, _store, _stored_hash, _union_all
+from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula, print_formula
+from .syntax import _set, _store, _union_all
 
 
-@dataclass(frozen=True)
-class Item:
-    __slots__ = ("_hash", "fv", "key")
+class Item(Node):
+    __slots__ = ("fv", "key")
 
 
-@dataclass(frozen=True, slots=True)
 class FormulaItem(Item):
-    formula: Formula
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("formula",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, formula: Formula) -> None:
         # Formula items sort before bracket items.  The printed form of a
         # formula is injective (it round-trips), so on clean contexts key
         # equality is item equality.
-        _store(self, hash((0, self.formula._hash)), self.formula.fv)
-        object.__setattr__(self, "key", (0, print_formula(self.formula)))
+        _set(self, "formula", formula)
+        _store(self, hash((0, formula._hash)), formula.fv)
+        _set(self, "key", (0, print_formula(formula)))
 
     def __str__(self) -> str:
         return print_formula(self.formula)
 
 
-@dataclass(frozen=True, slots=True)
 class BracketItem(Item):
-    content: "Context"
-    bound: frozenset[str]
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("content", "bound")
 
-    def __post_init__(self) -> None:
-        items, bound = self.content.items, self.bound
-        fv = _union_all(items)
+    def __init__(self, content: "Context", bound: frozenset[str]) -> None:
+        _set(self, "content", content)
+        _set(self, "bound", bound)
+        fv = _union_all(content.items)
         fv = (fv - bound or _NO_VARS) if fv & bound else fv
-        _store(self, hash((self.content._hash, bound)), fv)
-        object.__setattr__(self, "key", (1, tuple(sorted(bound)), tuple(i.key for i in items)))
+        _store(self, hash((content._hash, bound)), fv)
+        _set(self, "key", (1, tuple(sorted(bound)), tuple(i.key for i in content.items)))
 
     def __str__(self) -> str:
         return f"[{self.content}]_{{{','.join(sorted(self.bound))}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
-    items: tuple[Item, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
-    __hash__, __reduce__ = _stored_hash, _rebuild
+class Context(Node):
+    __slots__ = ("items", "depth")
+    _fields = ("items",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.items))
-        nested = [i.content.depth for i in self.items if isinstance(i, BracketItem)]
-        object.__setattr__(self, "depth", 1 + max(nested) if nested else 0)
+    def __init__(self, items: tuple[Item, ...] = ()) -> None:
+        _set(self, "items", items)
+        _set(self, "_hash", hash(items))
+        nested = [i.content.depth for i in items if isinstance(i, BracketItem)]
+        _set(self, "depth", 1 + max(nested) if nested else 0)
 
     def __str__(self) -> str:
         return ", ".join(str(item) for item in self.items)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .context import Context, FormulaItem
@@ -27,20 +26,25 @@ from .syntax import (
     Forall,
     Formula,
     Imp,
+    Node,
     Var,
     _rename_term,
+    _set,
     decompose,
     free_vars,
     print_formula,
 )
 
 
-@dataclass(frozen=True)
-class FlatSequent:
+class FlatSequent(Node):
     """A bracket-free sequent: hypotheses (a multiset) and a goal."""
 
-    context: tuple[Formula, ...]
-    goal: Formula
+    __slots__ = _fields = ("context", "goal")
+
+    def __init__(self, context: tuple[Formula, ...], goal: Formula) -> None:
+        _set(self, "context", context)
+        _set(self, "goal", goal)
+        _set(self, "_hash", hash((context, goal)))
 
     def __str__(self) -> str:
         ctx = ", ".join(map(print_formula, self.context))

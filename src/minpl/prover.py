@@ -30,6 +30,7 @@ from .syntax import (
     Forall,
     Formula,
     Imp,
+    Node,
     Polarity,
     ScopeTable,
     barendregt_rename,
@@ -40,7 +41,6 @@ from .syntax import (
     print_formula,
     scope_table,
 )
-from .syntax import _rebuild, _stored_hash
 
 
 class NotPositive(ValueError):
@@ -61,7 +61,8 @@ class Sequent:
     context: Context
     goal: Formula
     _hash: int = field(init=False, repr=False, compare=False)
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    _fields = ("context", "goal")
+    __hash__, __reduce__ = Node.__hash__, Node.__reduce__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.context._hash, self.goal._hash)))
@@ -111,15 +112,18 @@ def derivation_to_json(d: Derivation) -> dict:
     return node
 
 
-@dataclass
 class SearchStats:
-    visited: int = 0
-    max_seen: int = 0
-    max_depth: int = 0
-    prunes: int = 0
-    memo_hits: int = 0
-    elapsed: float = 0.0
-    audit_violations: list[str] = field(default_factory=list)
+    """Counters of one search; ``elapsed`` is in seconds."""
+
+    __slots__ = _fields = (
+        "visited", "max_seen", "max_depth", "prunes", "memo_hits", "elapsed", "audit_violations"
+    )
+    __repr__ = Node.__repr__
+
+    def __init__(self) -> None:
+        self.visited = self.max_seen = self.max_depth = self.prunes = self.memo_hits = 0
+        self.elapsed = 0.0
+        self.audit_violations: list[str] = []
 
 
 class _Search:

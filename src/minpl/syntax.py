@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping
 
 
@@ -36,6 +36,7 @@ class NotBarendregt(ValueError):
 # variables, computed once from its children's.
 
 _NO_VARS: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
 def _union_all(nodes) -> frozenset[str]:
@@ -48,88 +49,104 @@ def _union_all(nodes) -> frozenset[str]:
 
 
 def _store(node, h: int, fv: frozenset[str]) -> None:
-    object.__setattr__(node, "_hash", h)
-    object.__setattr__(node, "fv", fv)
+    _set(node, "_hash", h)
+    _set(node, "fv", fv)
 
 
-def _stored_hash(node) -> int:
-    return node._hash
+class Node:
+    """An immutable value with slots: the constructor sets the slots named in
+    ``_fields`` and stores ``_hash``; equality compares the type, the stored
+    hash, then the fields.  Copies and pickles go through the constructor,
+    which stores everything again."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
-def _rebuild(node):
-    """Copy and pickle through the constructor, which stores everything again."""
-    return type(node), tuple(getattr(node, f.name) for f in fields(node) if f.init)
+class Term(Node):
+    __slots__ = ("fv",)
 
 
-@dataclass(frozen=True)
-class Term:
-    __slots__ = ("_hash", "fv")
-
-
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        _store(self, hash(("v", self.name)), frozenset((self.name,)))
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _store(self, hash(("v", name)), frozenset((name,)))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Func(Term):
-    name: str
-    args: tuple[Term, ...]
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("name", "args")
 
-    def __post_init__(self) -> None:
-        _store(self, hash((self.name, self.args)), _union_all(self.args))
+    def __init__(self, name: str, args: tuple[Term, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _store(self, hash((name, args)), _union_all(args))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class Formula:
-    __slots__ = ("_hash", "fv")
+class Formula(Node):
+    __slots__ = ("fv",)
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    pred: str
-    terms: tuple[Term, ...] = ()
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("pred", "terms")
 
-    def __post_init__(self) -> None:
-        _store(self, hash((self.pred, self.terms)), _union_all(self.terms))
+    def __init__(self, pred: str, terms: tuple[Term, ...] = ()) -> None:
+        _set(self, "pred", pred)
+        _set(self, "terms", terms)
+        _store(self, hash((pred, terms)), _union_all(terms))
 
 
-@dataclass(frozen=True, slots=True)
 class Imp(Formula):
-    left: Formula
-    right: Formula
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self) -> None:
-        h = hash((self.left._hash, self.right._hash))
-        _store(self, h, _union_all((self.left, self.right)))
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _store(self, hash((left._hash, right._hash)), _union_all((left, right)))
 
 
-@dataclass(frozen=True, slots=True)
 class Forall(Formula):
-    var: str
-    body: Formula
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    __slots__ = _fields = ("var", "body")
 
-    def __post_init__(self) -> None:
-        fv = self.body.fv
-        fv = (fv - {self.var} or _NO_VARS) if self.var in fv else fv
-        _store(self, hash((self.var, "all", self.body._hash)), fv)
+    def __init__(self, var: str, body: Formula) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        fv = (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv
+        _store(self, hash((var, "all", body._hash)), fv)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +161,20 @@ class Polarity(Enum):
 
 
 def _pos_neg(f: Formula) -> tuple[bool, bool]:
-    if isinstance(f, Atom):
-        return True, True
-    if isinstance(f, Imp):
-        lpos, lneg = _pos_neg(f.left)
-        rpos, rneg = _pos_neg(f.right)
-        return lneg and rpos, lpos and rneg
-    # a universally quantified formula is never negative
-    bpos, _ = _pos_neg(f.body)
-    return bpos, False
+    # loop down the right spine; only antecedents recurse
+    spine = []
+    while not isinstance(f, Atom):
+        spine.append(f)
+        f = f.right if isinstance(f, Imp) else f.body
+    pos = neg = True
+    for g in reversed(spine):
+        if isinstance(g, Imp):
+            lpos, lneg = _pos_neg(g.left)
+            pos, neg = lneg and pos, lpos and neg
+        else:
+            # a universally quantified formula is never negative
+            neg = False
+    return pos, neg
 
 
 def polarity(f: Formula) -> Polarity:
@@ -261,8 +283,7 @@ def barendregt_rename(f: Formula) -> Formula:
     return go(f, {})
 
 
-@dataclass(frozen=True)
-class ScopeTable:
+class ScopeTable(Node):
     """Binder scope sets of a formula plus its maximum binder nesting depth.
 
     ``scopes[x]`` is the set of variables bound inside the subtree rooted at
@@ -270,8 +291,12 @@ class ScopeTable:
     binders on the deepest root-to-leaf chain.
     """
 
-    scopes: Mapping[str, frozenset[str]]
-    depth: int
+    __slots__ = _fields = ("scopes", "depth")
+
+    def __init__(self, scopes: Mapping[str, frozenset[str]], depth: int) -> None:
+        _set(self, "scopes", scopes)
+        _set(self, "depth", depth)
+        _set(self, "_hash", hash(depth))  # a mapping has no hash; equal tables share depths
 
 
 def scope_table(f: Formula) -> ScopeTable:
@@ -352,31 +377,41 @@ class _TokenStream:
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
 
 
-def _parse_formula(ts: _TokenStream) -> Formula:
-    # loop along the spine of binders and antecedents, then fold from the right
-    spine: list[str | Formula] = []
+def _parse_spine(ts: _TokenStream, atom, quantifier, arrow):
+    """The ``formula`` rule of the grammar above, over the given atoms and
+    constructors, without recursion: the binders and antecedents of the
+    current spine wait on ``spine``, every open parenthesis keeps the spine
+    it interrupted on ``stack``, and a finished spine folds from the right."""
+    stack: list[list] = []
+    spine: list = []
     while True:
         if ts.peek() == "forall":
             ts.advance()
             spine.append(ts.ident())
             ts.expect(".")
             continue
-        f = _parse_atomterm(ts)
-        if ts.peek() != "->":
-            break
+        if ts.peek() == "(":
+            ts.advance()
+            stack.append(spine)
+            spine = []
+            continue
+        x = atom(ts)
+        while ts.peek() != "->":
+            for step in reversed(spine):
+                x = quantifier(step, x) if isinstance(step, str) else arrow(step, x)
+            if not stack:
+                return x
+            ts.expect(")")
+            spine = stack.pop()
         ts.advance()
-        spine.append(f)
-    for step in reversed(spine):
-        f = Forall(step, f) if isinstance(step, str) else Imp(step, f)
-    return f
+        spine.append(x)
 
 
-def _parse_atomterm(ts: _TokenStream) -> Formula:
-    if ts.peek() == "(":
-        ts.advance()
-        inner = _parse_formula(ts)
-        ts.expect(")")
-        return inner
+def _parse_formula(ts: _TokenStream) -> Formula:
+    return _parse_spine(ts, _parse_atom, Forall, Imp)
+
+
+def _parse_atom(ts: _TokenStream) -> Atom:
     pred = ts.ident()
     if ts.peek() != "(":
         return Atom(pred)

@@ -11,7 +11,6 @@ refused rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .context import BracketItem, Context, FormulaItem
@@ -21,70 +20,68 @@ from .syntax import (
     Forall,
     Formula,
     Imp,
+    Node,
     Polarity,
     Var,
     _TokenStream,
+    _parse_spine,
+    _set,
+    polarity,
+    print_formula,
 )
 
 EPS = "eps"
 
 
-@dataclass(frozen=True)
-class FType:
+class FType(Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_type(self)
 
 
-@dataclass(frozen=True)
 class TVar(FType):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash(("tv", name)))
 
 
-@dataclass(frozen=True)
 class TArrow(FType):
-    domain: FType
-    codomain: FType
+    __slots__ = _fields = ("domain", "codomain")
+
+    def __init__(self, domain: FType, codomain: FType) -> None:
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "_hash", hash((domain._hash, "->", codomain._hash)))
 
 
-@dataclass(frozen=True)
 class TForall(FType):
-    var: str
-    body: FType
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: FType) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((var, "all", body._hash)))
 
 
 def phi(t: FType) -> Formula:
     """Translate a type to a formula over the unary predicate ``eps``."""
-    if isinstance(t, TVar):
-        return Atom(EPS, (Var(t.name),))
-    if isinstance(t, TArrow):
-        return Imp(phi(t.domain), phi(t.codomain))
-    return Forall(t.var, phi(t.body))
+    spine = []
+    while not isinstance(t, TVar):
+        spine.append(t)
+        t = t.codomain if isinstance(t, TArrow) else t.body
+    f: Formula = Atom(EPS, (Var(t.name),))
+    for s in reversed(spine):
+        f = Imp(phi(s.domain), f) if isinstance(s, TArrow) else Forall(s.var, f)
+    return f
 
 
 def type_polarity(t: FType) -> Polarity:
-    """Polarity of a type, by the same induction as on formulas.
-
-    Agrees with ``polarity(phi(t))`` for every type.
-    """
-    pos, neg = _pos_neg(t)
-    if pos and neg:
-        return Polarity.BOTH
-    if pos:
-        return Polarity.POSITIVE
-    if neg:
-        return Polarity.NEGATIVE
-    return Polarity.NEITHER
-
-
-def _pos_neg(t: FType) -> tuple[bool, bool]:
-    if isinstance(t, TVar):
-        return True, True
-    if isinstance(t, TArrow):
-        lpos, lneg = _pos_neg(t.domain)
-        rpos, rneg = _pos_neg(t.codomain)
-        return lneg and rpos, lpos and rneg
-    bpos, _ = _pos_neg(t.body)
-    return bpos, False
+    """Polarity of a type: that of its translation, which maps arrows to
+    implications and quantifiers to quantifiers."""
+    return polarity(phi(t))
 
 
 def inhabited(
@@ -95,9 +92,10 @@ def inhabited(
     Keyword options are passed through to ``derivable``.  Raises NotPositive
     for types outside the positive fragment.
     """
-    if type_polarity(t) not in (Polarity.POSITIVE, Polarity.BOTH):
+    f = phi(t)
+    if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive type: {print_type(t)}")
-    return derivable(phi(t), **search_options)
+    return derivable(f, **search_options)
 
 
 # ---------------------------------------------------------------------------
@@ -108,31 +106,9 @@ def inhabited(
 #   atomt := IDENT | "(" type ")"
 
 
-def _parse_type(ts: _TokenStream) -> FType:
-    if ts.peek() == "forall":
-        ts.advance()
-        var = ts.ident()
-        ts.expect(".")
-        return TForall(var, _parse_type(ts))
-    left = _parse_atomt(ts)
-    if ts.peek() == "->":
-        ts.advance()
-        return TArrow(left, _parse_type(ts))
-    return left
-
-
-def _parse_atomt(ts: _TokenStream) -> FType:
-    if ts.peek() == "(":
-        ts.advance()
-        inner = _parse_type(ts)
-        ts.expect(")")
-        return inner
-    return TVar(ts.ident())
-
-
 def parse_type(text: str) -> FType:
     ts = _TokenStream(text)
-    t = _parse_type(ts)
+    t = _parse_spine(ts, lambda ts: TVar(ts.ident()), TForall, TArrow)
     ts.finish()
     return t
 
@@ -158,37 +134,30 @@ def print_type(t: FType) -> str:
 # it stays parseable.
 
 
-def compact_eps(f: Formula) -> str:
+def _elide(f: Formula) -> Formula:
+    """``f`` with every ``eps(X)`` turned into the nullary atom ``X``."""
     if isinstance(f, Atom):
         if f.pred == EPS and len(f.terms) == 1 and isinstance(f.terms[0], Var):
-            return f.terms[0].name
-        if not f.terms:
-            return f.pred
-        return f"{f.pred}({', '.join(map(str, f.terms))})"
+            return Atom(f.terms[0].name)
+        return f
     if isinstance(f, Imp):
-        left = compact_eps(f.left)
-        if not isinstance(f.left, Atom):
-            left = f"({left})"
-        return f"{left} -> {compact_eps(f.right)}"
-    body = compact_eps(f.body)
-    if isinstance(f.body, Imp):
-        body = f"({body})"
-    return f"forall {f.var}. {body}"
+        return Imp(_elide(f.left), _elide(f.right))
+    return Forall(f.var, _elide(f.body))
 
 
-def _compact_ctx(ctx: Context) -> str:
-    parts = []
-    for item in ctx.items:
-        if isinstance(item, FormulaItem):
-            parts.append(compact_eps(item.formula))
-        else:
-            assert isinstance(item, BracketItem)
-            parts.append(f"[{_compact_ctx(item.content)}]_{{{','.join(sorted(item.bound))}}}")
-    return ", ".join(parts)
+def _elide_ctx(c: Context) -> Context:
+    # Context() keeps the given order, so the items print where they stood
+    return Context(tuple(
+        FormulaItem(_elide(i.formula)) if isinstance(i, FormulaItem)
+        else BracketItem(_elide_ctx(i.content), i.bound)
+        for i in c.items
+    ))
+
+
+def compact_eps(f: Formula) -> str:
+    return print_formula(_elide(f))
 
 
 def render_sequent(seq: Sequent) -> str:
     """Sequent rendering for inhabitation traces, with ``eps`` elided."""
-    ctx = _compact_ctx(seq.context)
-    goal = compact_eps(seq.goal)
-    return f"{ctx} |- {goal}" if ctx else f"|- {goal}"
+    return str(Sequent(_elide_ctx(seq.context), _elide(seq.goal)))

@@ -30,8 +30,11 @@ from minpl.syntax import (
     Formula,
     Func,
     Imp,
+    Polarity,
     Term,
     Var,
+    _TokenStream,
+    _parse_atom,
     barendregt_rename,
     bound_vars,
     decompose,
@@ -444,6 +447,59 @@ def random_type(rng: random.Random, size: int, scope: tuple[str, ...] = ("X", "Y
         return TForall(rng.choice(("X", "Y", "Z", "W")), random_type(rng, size - 1, scope))
     left = rng.randint(0, size - 1)
     return TArrow(random_type(rng, left, scope), random_type(rng, size - 1 - left, scope))
+
+
+# ---------------------------------------------------------------------------
+# Recursive references for the spine-iterative parsers and polarity
+
+
+def _reference_spine(ts: _TokenStream, atom, quantifier, arrow):
+    """Recursive descent, one call per binder, arrow and parenthesis."""
+    if ts.peek() == "forall":
+        ts.advance()
+        var = ts.ident()
+        ts.expect(".")
+        return quantifier(var, _reference_spine(ts, atom, quantifier, arrow))
+    if ts.peek() == "(":
+        ts.advance()
+        left = _reference_spine(ts, atom, quantifier, arrow)
+        ts.expect(")")
+    else:
+        left = atom(ts)
+    if ts.peek() == "->":
+        ts.advance()
+        return arrow(left, _reference_spine(ts, atom, quantifier, arrow))
+    return left
+
+
+def reference_parse(text: str, kind: str) -> Formula | FType:
+    """Parse a formula or (``kind == "type"``) a type recursively."""
+    ts = _TokenStream(text)
+    if kind == "type":
+        out = _reference_spine(ts, lambda ts: TVar(ts.ident()), TForall, TArrow)
+    else:
+        out = _reference_spine(ts, _parse_atom, Forall, Imp)
+    ts.finish()
+    return out
+
+
+def reference_polarity(x: Formula | FType) -> Polarity:
+    """Polarity by the plain recursive induction, on formulas and on types."""
+
+    def pos_neg(y) -> tuple[bool, bool]:
+        if isinstance(y, (Imp, TArrow)):
+            left, right = (y.left, y.right) if isinstance(y, Imp) else (y.domain, y.codomain)
+            lpos, lneg = pos_neg(left)
+            rpos, rneg = pos_neg(right)
+            return lneg and rpos, lpos and rneg
+        if isinstance(y, (Forall, TForall)):
+            return pos_neg(y.body)[0], False
+        return True, True
+
+    pos, neg = pos_neg(x)
+    if pos and neg:
+        return Polarity.BOTH
+    return Polarity.POSITIVE if pos else Polarity.NEGATIVE if neg else Polarity.NEITHER
 
 
 # ---------------------------------------------------------------------------

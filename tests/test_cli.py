@@ -203,6 +203,30 @@ def test_long_chain_decided_by_cli(tmp_path, n):
     assert child.stdout.strip() == "derivable"
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_long_type_chain_decided_by_cli(tmp_path, n):
+    path = tmp_path / "chain.txt"
+    path.write_text("forall X. " + " -> ".join(["X"] * n), encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "inhabit", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "inhabited"
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deep_parentheses_decided_by_cli(tmp_path, depth):
+    path = tmp_path / "nested.txt"
+    path.write_text("(" * depth + "Q -> Q" + ")" * depth, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "derivable"
+    path.write_text("(" * depth + "Q -> Q" + ")" * (depth - 1), encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode == 2
+    assert child.stderr.strip() == (
+        f"parse error: expected ')', found end of input (at position {2 * depth + 5})"
+    )
+
+
 @pytest.mark.parametrize("n", [501, 600])
 def test_long_chain_decided_as_first_query(n):
     code = (
@@ -233,3 +257,52 @@ def test_internal_error_status_in_process(monkeypatch, capsys):
     monkeypatch.setattr("minpl.cli.derivable", broken)
     assert run(decide(INTRO)) == 5
     assert "internal error: KeyError" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Start-up: the reference prover and System F load only when used
+
+
+def test_decide_loads_neither_oracle_nor_systemf():
+    code = (
+        "import sys, minpl.cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('minpl.oracle', 'minpl.systemf') if m in sys.modules]\n"
+        "print(minpl.cli.main(['decide', 'Q -> Q', '--json', '--trace', '--stats']), loaded())\n"
+        "print(minpl.cli.main(['decide', 'Q -> Q', '--oracle-check', '3']), loaded())\n"
+        "print(minpl.cli.main(['inhabit', 'forall X. X -> X', '--trace']), loaded())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[1] == "0 []"
+    assert lines[-1] == "0 ['minpl.oracle', 'minpl.systemf']"
+    assert "0 ['minpl.oracle']" in lines and "oracle agrees: yes" in lines
+
+
+def test_package_names_work_on_first_access():
+    code = (
+        "import sys, minpl\n"
+        "assert not {'minpl.oracle', 'minpl.systemf'} & set(sys.modules)\n"
+        "flat = minpl.FlatSequent((), minpl.parse_formula('Q -> Q'))\n"
+        "assert minpl.first_provable_depth(flat, 3) is not None\n"
+        "assert 'minpl.systemf' not in sys.modules\n"
+        "assert minpl.inhabited(minpl.parse_type('forall X. X -> X'))[0]\n"
+        "assert not hasattr(minpl, 'no_such_name')\n"
+        "print('ok')\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "ok"
+
+
+def test_star_import_binds_every_exported_name():
+    code = (
+        "from minpl import *\n"
+        "import minpl\n"
+        "missing = [n for n in minpl.__all__ if globals().get(n) is not getattr(minpl, n)]\n"
+        "print(len(minpl.__all__), missing)\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == f"{len(minpl.__all__)} []"

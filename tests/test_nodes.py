@@ -1,17 +1,31 @@
 """Stored node analyses against from-scratch recomputation, hashes along
-different construction routes, and no nodes retained after a query."""
+different construction routes, no nodes retained after a query, and the
+value behaviour of the plain slotted nodes: representation, equality,
+immutability, copies."""
 
 import copy
 import gc
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from minpl.context import Context, FormulaItem, Item, bracket, fuse, normalize, parse_context
-from minpl.prover import Sequent, derivable
-from minpl.syntax import Formula, Term, parse_formula, print_formula
-from minpl.systemf import parse_type, phi
+from minpl.cli import RunConfig
+from minpl.context import (
+    BracketItem,
+    Context,
+    FormulaItem,
+    Item,
+    bracket,
+    fuse,
+    normalize,
+    parse_context,
+)
+from minpl.oracle import FlatSequent
+from minpl.prover import SearchStats, Sequent, derivable
+from minpl.syntax import Atom, Formula, Func, Term, Var, parse_formula, print_formula, scope_table
+from minpl.systemf import TVar, parse_type, phi
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -113,3 +127,146 @@ def test_copies_and_pickles_restore_the_stored_fields():
         assert again.context.depth == c.depth == 1
         assert [i.key for i in again.context.items] == [i.key for i in c.items]
         assert again.goal.fv == frozenset()
+
+
+def test_types_copy_and_pickle_with_equal_hashes():
+    t = parse_type("forall X. ((X -> Y) -> X) -> X")
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+
+
+# ---------------------------------------------------------------------------
+# What the dataclass decorators used to provide, recorded before they went
+
+Q_REPR = "Atom(pred='Q', terms=())"
+PX_REPR = "Atom(pred='P', terms=(Var(name='x'),))"
+
+REPRS = [
+    (lambda: parse_formula("Q"), Q_REPR),
+    (
+        lambda: parse_formula("P(f(x, y)) -> Q"),
+        "Imp(left=Atom(pred='P', terms=(Func(name='f', args=(Var(name='x'), Var(name='y'))),)),"
+        f" right={Q_REPR})",
+    ),
+    (
+        lambda: parse_formula("forall x. (P(x) -> Q)"),
+        f"Forall(var='x', body=Imp(left={PX_REPR}, right={Q_REPR}))",
+    ),
+    (
+        lambda: parse_context("[Q, P(x)]_{x}, [P(x)]_{x}").items[0],
+        f"BracketItem(content=Context(items=(FormulaItem(formula={Q_REPR}),"
+        f" FormulaItem(formula={PX_REPR}))), bound=frozenset({{'x'}}))",
+    ),
+    (
+        lambda: normalize(parse_context("[Q, P(x)]_{x}, [P(x)]_{x}")),
+        f"Context(items=(FormulaItem(formula={Q_REPR}), BracketItem(content=Context(items="
+        f"(FormulaItem(formula={PX_REPR}),)), bound=frozenset({{'x'}}))))",
+    ),
+    (lambda: Context(), "Context(items=())"),
+    (lambda: parse_type("X"), "TVar(name='X')"),
+    (
+        lambda: parse_type("forall X. (X -> Y) -> X"),
+        "TForall(var='X', body=TArrow(domain=TArrow(domain=TVar(name='X'),"
+        " codomain=TVar(name='Y')), codomain=TVar(name='X')))",
+    ),
+    (
+        lambda: FlatSequent((parse_formula("Q"),), parse_formula("Q")),
+        f"FlatSequent(context=({Q_REPR},), goal={Q_REPR})",
+    ),
+    (
+        lambda: scope_table(parse_formula("forall x. P(x)")),
+        "ScopeTable(scopes={'x': frozenset({'x'})}, depth=1)",
+    ),
+    (
+        lambda: Sequent(parse_context("Q"), parse_formula("Q")),
+        f"Sequent(context=Context(items=(FormulaItem(formula={Q_REPR}),)), goal={Q_REPR})",
+    ),
+    (
+        SearchStats,
+        "SearchStats(visited=0, max_seen=0, max_depth=0, prunes=0, memo_hits=0,"
+        " elapsed=0.0, audit_violations=[])",
+    ),
+    (
+        lambda: RunConfig(mode="decide", text="Q", trace=True),
+        "RunConfig(mode='decide', text='Q', file=None, trace=True, json_out=False,"
+        " stats=False, audit=False, oracle_check=None, timeout=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, expected", REPRS)
+def test_repr_is_unchanged(make, expected):
+    assert repr(make()) == expected
+
+
+def test_equality_between_node_types_is_false():
+    x = Var("x")
+    nodes = [
+        x,
+        Func("x", ()),
+        Atom("x"),
+        FormulaItem(Atom("x")),
+        Context(),
+        Context((FormulaItem(Atom("x")),)),
+        TVar("x"),
+        FlatSequent((), Atom("x")),
+    ]
+    for a in nodes:
+        for b in nodes:
+            assert (a == b) is (a is b), (a, b)
+            assert (a != b) is (a is not b), (a, b)
+    assert x == Var("x") and Atom("x") == Atom("x") and TVar("x") == TVar("x")
+    assert Atom("x") != "x" and Var("x") != ("x",)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    f = parse_formula("forall x. (P(f(x)) -> Q)")
+    bracket_item = parse_context("[P(x)]_{x}").items[0]
+    t = parse_type("forall X. X -> X")
+    cases = [
+        (f, "var"),
+        (f.body, "left"),
+        (f.body.left, "terms"),
+        (f.body.left.terms[0], "args"),
+        (f.body.left.terms[0].args[0], "name"),
+        (FormulaItem(f), "formula"),
+        (bracket_item, "bound"),
+        (bracket_item.content, "items"),
+        (t, "body"),
+        (t.body, "domain"),
+        (t.body.domain, "name"),
+        (FlatSequent((), f), "goal"),
+        (scope_table(f), "depth"),
+    ]
+    for node, field in cases:
+        before = repr(node)
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert repr(node) == before
+    seq = Sequent(Context(), f)
+    with pytest.raises(AttributeError):
+        seq.goal = None
+
+
+def test_search_stats_defaults_are_fresh_and_mutable():
+    a, b = SearchStats(), SearchStats()
+    assert (a.visited, a.max_seen, a.max_depth, a.prunes, a.memo_hits) == (0, 0, 0, 0, 0)
+    assert a.elapsed == 0.0 and a.audit_violations == []
+    a.visited += 3
+    a.audit_violations.append("x")
+    assert b.visited == 0 and b.audit_violations == []
+
+
+def test_run_config_takes_keywords_with_defaults():
+    config = RunConfig(mode="inhabit", file="t.txt", json_out=True, oracle_check=7, timeout=2.5)
+    assert (config.mode, config.text, config.file) == ("inhabit", None, "t.txt")
+    flags = (config.trace, config.json_out, config.stats, config.audit)
+    assert flags == (False, True, False, False)
+    assert (config.oracle_check, config.timeout) == (7, 2.5)
+    assert RunConfig("decide", "Q").text == "Q"
+    with pytest.raises(TypeError):
+        RunConfig(mode="decide", colour=True)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -21,8 +23,17 @@ from minpl.syntax import (
     print_formula,
     scope_table,
 )
+from minpl.systemf import parse_type, type_polarity
 
-from helpers import debruijn, formulas, position_formulas, scope_table_bruteforce
+from helpers import (
+    debruijn,
+    formulas,
+    ftypes,
+    position_formulas,
+    reference_parse,
+    reference_polarity,
+    scope_table_bruteforce,
+)
 
 P_OF_X = Atom("P", (Var("x"),))
 Q = Atom("Q")
@@ -70,6 +81,67 @@ def test_parse_errors_carry_positions(text):
 def test_forall_is_reserved():
     with pytest.raises(ParseError):
         parse_formula("forall -> Q")
+
+
+_ATOMS = {"formula": ("Q", "P(x)", "P(f(x), y)"), "type": ("X", "Y")}
+_NOISE = ("forall", "x", "X", "P", "f", "(", ")", ",", ".", "->", "[", "@")
+
+
+def near_grammatical(rng: random.Random, kind: str, depth: int = 0) -> list[str]:
+    """Tokens of a random formula or type with nested parentheses, sometimes
+    with a token dropped, added or replaced."""
+    r = rng.random()
+    if depth > 5 or r < 0.3:
+        out = [rng.choice(_ATOMS[kind])]
+    elif r < 0.45:
+        out = ["forall", rng.choice("xyXY"), "."] + near_grammatical(rng, kind, depth + 1)
+    elif r < 0.7:
+        out = ["("] + near_grammatical(rng, kind, depth + 1) + [")"]
+    else:
+        left = near_grammatical(rng, kind, depth + 1)
+        out = left + ["->"] + near_grammatical(rng, kind, depth + 1)
+    if depth == 0:
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(out) + 1)
+            edit = rng.random()
+            if edit < 0.4 and i < len(out):
+                del out[i]
+            elif edit < 0.7 or i == len(out):
+                out.insert(i, rng.choice(_NOISE))
+            else:
+                out[i] = rng.choice(_NOISE)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["formula", "type"])
+def test_spine_parser_matches_recursive_reference(kind):
+    parse = parse_formula if kind == "formula" else parse_type
+    rng = random.Random(kind)
+    parsed = failed = 0
+    for _ in range(20_000):
+        text = " ".join(near_grammatical(rng, kind))
+        try:
+            expected = reference_parse(text, kind)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position), text
+            failed += 1
+            continue
+        got = parse(text)
+        assert got == expected and repr(got) == repr(expected), text
+        parsed += 1
+    assert parsed > 5000 and failed > 2000, (parsed, failed)
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deeply_parenthesized_input_parses(depth):
+    text = "(" * depth + "Q -> Q" + ")" * depth
+    assert parse_formula(text) == Imp(Q, Q)
+    assert parse_type(text.replace("Q", "X")) == parse_type("X -> X")
+    with pytest.raises(ParseError) as err:
+        parse_formula(text[:-1])
+    assert str(err.value) == f"expected ')', found end of input (at position {len(text) - 1})"
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +216,12 @@ def test_polarity_universal_never_negative():
 
 def test_polarity_atom_is_both():
     assert polarity(Atom("P")) is Polarity.BOTH
+
+
+@given(formulas, ftypes)
+def test_polarity_matches_recursive_reference(f, t):
+    assert polarity(f) == reference_polarity(f)
+    assert type_polarity(t) == reference_polarity(t)
 
 
 def test_polarity_neither():

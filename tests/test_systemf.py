@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 
+from minpl.oracle import generate_positive
 from minpl.prover import NotPositive
-from minpl.syntax import ParseError, parse_formula, polarity
+from minpl.syntax import Atom, Imp, ParseError, parse_formula, polarity
 from minpl.systemf import (
     TArrow,
     TForall,
@@ -17,6 +20,8 @@ from minpl.systemf import (
 )
 
 from helpers import (
+    DERIVABLE_FALSE,
+    DERIVABLE_TRUE,
     INHABITED_FALSE,
     INHABITED_TRUE,
     connectives,
@@ -130,3 +135,28 @@ def test_render_sequent_compacts_contexts():
 def test_compact_eps_keeps_other_atoms_intact():
     f = parse_formula("eps(f(x)) -> P(x)")
     assert compact_eps(f) == "eps(f(x)) -> P(x)"
+
+
+def as_type(f):
+    """A formula read as a type: ``P(x)`` becomes ``x``, a nullary ``Q`` becomes ``Q``."""
+    if isinstance(f, Atom):
+        return TVar(f.terms[0].name if f.terms else f.pred)
+    if isinstance(f, Imp):
+        return TArrow(as_type(f.left), as_type(f.right))
+    return TForall(f.var, as_type(f.body))
+
+
+def test_rendering_is_the_printer_with_eps_elided_as_text():
+    types = [parse_type(text) for text in INHABITED_TRUE + INHABITED_FALSE]
+    types += [as_type(parse_formula(text)) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    types += [as_type(generate_positive(seed, 14, 2)) for seed in range(300)]
+    elide = re.compile(r"\beps\(([A-Za-z_][A-Za-z0-9_']*)\)")
+    brackets = 0
+    for t in types:
+        visited = []
+        inhabited(t, on_visit=visited.append)
+        for seq in visited:
+            assert render_sequent(seq) == elide.sub(r"\1", str(seq))
+            assert compact_eps(seq.goal) == elide.sub(r"\1", str(seq.goal))
+            brackets += str(seq).count("[")
+    assert brackets > 20, brackets
