@@ -34,8 +34,6 @@ from .prover import (
     audit,
     derivable,
     derivation_to_json,
-    search,
-    select_head,
 )
 from .syntax import (
     Atom,
@@ -133,7 +131,5 @@ __all__ = [
     "print_formula",
     "print_type",
     "scope_table",
-    "search",
-    "select_head",
     "type_polarity",
 ]

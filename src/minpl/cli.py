@@ -60,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", help="input text")
+        p.add_argument("text", nargs="?", metavar="input", help="input text")
         p.add_argument("--file", metavar="PATH", help="read the input from a file")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--json", dest="json_out", action="store_true", help="emit a JSON report")
         p.add_argument("--stats", action="store_true", help="report search statistics")
 
     decide = sub.add_parser("decide", help="decide derivability of a formula")
@@ -90,21 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("normalize", help="clean a context written as [G]_{x,y} items")
     add_common(norm)
+    norm.set_defaults(trace=False, audit=False, oracle_check=None, timeout=None)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        text=args.input,
-        file=args.file,
-        trace=getattr(args, "trace", False),
-        json_out=args.json,
-        stats=args.stats,
-        audit=getattr(args, "audit", False),
-        oracle_check=getattr(args, "oracle_check", None),
-        timeout=getattr(args, "timeout", None),
-    )
 
 
 def _load_input(config: RunConfig) -> str:
@@ -262,7 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return run(_config_from_args(args))
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ search never re-cleans a context from scratch.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula, print_formula
-from .syntax import _set, _store, _union_all
+from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula, _parse_list
+from .syntax import _set, _store, _union_all, print_formula
 
 
 class Item(Node):
@@ -75,15 +75,6 @@ class Context(Node):
     def __str__(self) -> str:
         return ", ".join(str(item) for item in self.items)
 
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
 
 def free_vars_ctx(x: Context | Item) -> frozenset[str]:
     """Free variables of a context or item; a bracket subtracts its bound set."""
@@ -98,11 +89,6 @@ def measure(x: Context | Item) -> int:
     if isinstance(x, FormulaItem):
         return 1
     return 1 + 2 * measure(x.content)
-
-
-def depth(x: Context | Item) -> int:
-    """Maximum bracket nesting."""
-    return x.depth if isinstance(x, Context) else Context((x,)).depth
 
 
 def _canonical(items: Iterable[Item]) -> Context:
@@ -209,21 +195,13 @@ def _parse_item(ts: _TokenStream) -> Item:
     if ts.peek() != "[":
         return FormulaItem(_parse_formula(ts))
     ts.advance()
-    inner: list[Item] = []
-    if ts.peek() != "]":
-        inner.append(_parse_item(ts))
-        while ts.peek() == ",":
-            ts.advance()
-            inner.append(_parse_item(ts))
+    inner = _parse_list(ts, _parse_item) if ts.peek() != "]" else ()
     ts.expect("]")
     ts.expect("_")
     ts.expect("{")
-    names = [ts.ident()]
-    while ts.peek() == ",":
-        ts.advance()
-        names.append(ts.ident())
+    names = _parse_list(ts, _TokenStream.ident)
     ts.expect("}")
-    return BracketItem(Context(tuple(inner)), frozenset(names))
+    return BracketItem(Context(inner), frozenset(names))
 
 
 def parse_context(text: str) -> Context:
@@ -234,11 +212,6 @@ def parse_context(text: str) -> Context:
     ``normalize`` to clean it.
     """
     ts = _TokenStream(text)
-    items: list[Item] = []
-    if ts.peek() is not None:
-        items.append(_parse_item(ts))
-        while ts.peek() == ",":
-            ts.advance()
-            items.append(_parse_item(ts))
+    items = _parse_list(ts, _parse_item) if ts.peek() is not None else ()
     ts.finish()
-    return Context(tuple(items))
+    return Context(items)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse
 from .syntax import (
-    Atom,
     Forall,
     Formula,
     Imp,
@@ -56,11 +55,11 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Sequent:
+    __slots__ = ("context", "goal", "_hash")
     context: Context
     goal: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
     _fields = ("context", "goal")
     __hash__, __reduce__ = Node.__hash__, Node.__reduce__
 
@@ -72,9 +71,10 @@ class Sequent:
         return f"{ctx} |- {self.goal}" if ctx else f"|- {self.goal}"
 
 
-class SeenSet(set):
-    """The sequents on the current branch: the search adds a sequent on entry
-    and discards it on return, so sibling branches never see each other's."""
+class SeenSet(dict):
+    """The sequents on the current branch, each mapped to its depth there (-1
+    for a caller's): the search adds a sequent on entry and deletes it on
+    return, so sibling branches never see each other's."""
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,19 @@ class SearchStats:
 
 
 class _Search:
-    """Search state: statistics, auditing, deadline and the success cache.
-    ``position`` gives each sequent's depth on the branch (-1 for a caller's
-    seen set); ``low`` is the shallowest one a prune hit in the current subtree."""
+    """Search state: statistics, deadline and the success cache.  ``low`` is
+    the shallowest branch depth a prune hit in the current subtree."""
 
     def __init__(
         self,
         stats: SearchStats,
         *,
         deadline: float | None = None,
-        auditor: Callable[[Sequent], list[str]] | None = None,
         on_visit: Callable[[Sequent], None] | None = None,
     ):
         self.stats = stats
         self.deadline = deadline
-        self.auditor = auditor
         self.on_visit = on_visit
-        self.position: dict[Sequent, int] = {}
         self.low = 0
         self.memo: dict[Sequent, Derivation] = {}
 
@@ -151,26 +147,23 @@ class _Search:
         stats = self.stats
         if seq in seen:
             stats.prunes += 1
-            self.low = min(self.low, self.position.get(seq, -1))
+            self.low = min(self.low, seen[seq])
             return None
         stored = self.memo.get(seq)
-        if stored is not None and seen.isdisjoint(stored.sequents):
+        if stored is not None and seen.keys().isdisjoint(stored.sequents):
             stats.memo_hits += 1
             return stored
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"no verdict for {seq} before the deadline")
-        here = len(self.position)
+        here = len(seen)
         outer_low, self.low = self.low, here
-        seen.add(seq)
-        self.position[seq] = here
+        seen[seq] = here
         try:
             stats.visited += 1
             if len(seen) > stats.max_seen:
                 stats.max_seen = len(seen)
             if seq.context.depth > stats.max_depth:
                 stats.max_depth = seq.context.depth
-            if self.auditor is not None:
-                stats.audit_violations.extend(self.auditor(seq))
             if self.on_visit is not None:
                 self.on_visit(seq)
 
@@ -193,8 +186,7 @@ class _Search:
                 self.memo[seq] = found
             return found
         finally:
-            seen.discard(seq)
-            del self.position[seq]
+            del seen[seq]
             self.low = min(self.low, outer_low)
 
     def select_head(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
@@ -241,25 +233,6 @@ class _Search:
         return try_level(seq.context, Context(), ())
 
 
-def search(seen: SeenSet, seq: Sequent) -> tuple[bool, Optional[Derivation]]:
-    """Decide one canonical sequent under a seen set, leaving the set unchanged."""
-    engine = _Search(SearchStats())
-    d = engine.search(SeenSet(seen), seq)
-    return d is not None, d
-
-
-def select_head(
-    seen: SeenSet, context: Context, goal: Formula
-) -> tuple[bool, Optional[Derivation]]:
-    """Head selection for an atomic goal; ``seen`` must already contain the
-    conclusion sequent's extension (as ``search`` arranges)."""
-    if not isinstance(goal, Atom):
-        raise ValueError(f"goal is not atomic: {print_formula(goal)}")
-    engine = _Search(SearchStats())
-    d = engine.select_head(SeenSet(seen), Sequent(context, goal))
-    return d is not None, d
-
-
 def derivable(
     f: Formula,
     *,
@@ -282,13 +255,16 @@ def derivable(
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
     stats = SearchStats()
-    auditor = None
     if audit:
-        table = scope_table(renamed)
-        piece_set = pieces(renamed)
-        auditor = lambda s: _audit(s, table, piece_set)
+        table, piece_set, hook = scope_table(renamed), pieces(renamed), on_visit
+
+        def on_visit(s: Sequent) -> None:
+            stats.audit_violations.extend(_audit(s, table, piece_set))
+            if hook is not None:
+                hook(s)
+
     deadline = None if timeout is None else time.monotonic() + timeout
-    engine = _Search(stats, deadline=deadline, auditor=auditor, on_visit=on_visit)
+    engine = _Search(stats, deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(Context(), renamed))

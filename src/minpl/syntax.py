@@ -12,7 +12,7 @@ import itertools
 import re
 from enum import Enum
 from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 class ParseError(ValueError):
@@ -283,7 +283,7 @@ def barendregt_rename(f: Formula) -> Formula:
     return go(f, {})
 
 
-class ScopeTable(Node):
+class ScopeTable(NamedTuple):
     """Binder scope sets of a formula plus its maximum binder nesting depth.
 
     ``scopes[x]`` is the set of variables bound inside the subtree rooted at
@@ -291,12 +291,8 @@ class ScopeTable(Node):
     binders on the deepest root-to-leaf chain.
     """
 
-    __slots__ = _fields = ("scopes", "depth")
-
-    def __init__(self, scopes: Mapping[str, frozenset[str]], depth: int) -> None:
-        _set(self, "scopes", scopes)
-        _set(self, "depth", depth)
-        _set(self, "_hash", hash(depth))  # a mapping has no hash; equal tables share depths
+    scopes: Mapping[str, frozenset[str]]
+    depth: int
 
 
 def scope_table(f: Formula) -> ScopeTable:
@@ -411,30 +407,30 @@ def _parse_formula(ts: _TokenStream) -> Formula:
     return _parse_spine(ts, _parse_atom, Forall, Imp)
 
 
-def _parse_atom(ts: _TokenStream) -> Atom:
-    pred = ts.ident()
-    if ts.peek() != "(":
-        return Atom(pred)
-    ts.advance()
-    args = [_parse_term(ts)]
+def _parse_list(ts: _TokenStream, item) -> tuple:
+    """``item ("," item)*``, each ``item`` parsed by the function ``item``."""
+    out = [item(ts)]
     while ts.peek() == ",":
         ts.advance()
-        args.append(_parse_term(ts))
+        out.append(item(ts))
+    return tuple(out)
+
+
+def _parse_args(ts: _TokenStream) -> tuple[Term, ...]:
+    ts.advance()
+    args = _parse_list(ts, _parse_term)
     ts.expect(")")
-    return Atom(pred, tuple(args))
+    return args
+
+
+def _parse_atom(ts: _TokenStream) -> Atom:
+    pred = ts.ident()
+    return Atom(pred, _parse_args(ts)) if ts.peek() == "(" else Atom(pred)
 
 
 def _parse_term(ts: _TokenStream) -> Term:
     name = ts.ident()
-    if ts.peek() != "(":
-        return Var(name)
-    ts.advance()
-    args = [_parse_term(ts)]
-    while ts.peek() == ",":
-        ts.advance()
-        args.append(_parse_term(ts))
-    ts.expect(")")
-    return Func(name, tuple(args))
+    return Func(name, _parse_args(ts)) if ts.peek() == "(" else Var(name)
 
 
 def parse_formula(text: str) -> Formula:

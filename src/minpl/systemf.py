@@ -114,18 +114,10 @@ def parse_type(text: str) -> FType:
 
 
 def print_type(t: FType) -> str:
-    """Canonical text form of a type; ``parse_type`` inverts it."""
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TArrow):
-        left = print_type(t.domain)
-        if not isinstance(t.domain, TVar):
-            left = f"({left})"
-        return f"{left} -> {print_type(t.codomain)}"
-    body = print_type(t.body)
-    if isinstance(t.body, TArrow):
-        body = f"({body})"
-    return f"forall {t.var}. {body}"
+    """Canonical text form of a type; ``parse_type`` inverts it.  It is the
+    printed translation with ``eps(X)`` shown as ``X``: ``phi`` keeps the
+    shape, so the formula printer places the same parentheses."""
+    return compact_eps(phi(t))
 
 
 # ---------------------------------------------------------------------------

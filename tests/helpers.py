@@ -450,7 +450,7 @@ def random_type(rng: random.Random, size: int, scope: tuple[str, ...] = ("X", "Y
 
 
 # ---------------------------------------------------------------------------
-# Recursive references for the spine-iterative parsers and polarity
+# Recursive references for the spine-iterative parsers, polarity and the type printer
 
 
 def _reference_spine(ts: _TokenStream, atom, quantifier, arrow):
@@ -481,6 +481,21 @@ def reference_parse(text: str, kind: str) -> Formula | FType:
         out = _reference_spine(ts, _parse_atom, Forall, Imp)
     ts.finish()
     return out
+
+
+def reference_print_type(t: FType) -> str:
+    """The recursive type printer that ``print_type`` replaced."""
+    if isinstance(t, TVar):
+        return t.name
+    if isinstance(t, TArrow):
+        left = reference_print_type(t.domain)
+        if not isinstance(t.domain, TVar):
+            left = f"({left})"
+        return f"{left} -> {reference_print_type(t.codomain)}"
+    body = reference_print_type(t.body)
+    if isinstance(t.body, TArrow):
+        body = f"({body})"
+    return f"forall {t.var}. {body}"
 
 
 def reference_polarity(x: Formula | FType) -> Polarity:

@@ -171,6 +171,37 @@ def test_main_end_to_end():
     assert main(["normalize", "[Q]_{x}"]) == 0
 
 
+def test_main_builds_the_config_from_every_flag(monkeypatch):
+    configs = []
+    monkeypatch.setattr(minpl.cli, "run", lambda config: configs.append(config) or 0)
+    flags = ["--json", "--stats", "--trace", "--audit", "--oracle-check", "3", "--timeout", "2.5"]
+    assert main(["decide", "Q -> Q", *flags]) == 0
+    assert main(["inhabit", "--file", "t.txt", *flags]) == 0
+    assert main(["normalize", "[Q]_{x}", "--json", "--stats"]) == 0
+    assert main(["normalize", "--file", "c.txt"]) == 0
+    common = "json_out=True, stats=True, audit=True, oracle_check=3, timeout=2.5)"
+    assert [repr(c) for c in configs] == [
+        f"RunConfig(mode='decide', text='Q -> Q', file=None, trace=True, {common}",
+        f"RunConfig(mode='inhabit', text=None, file='t.txt', trace=True, {common}",
+        "RunConfig(mode='normalize', text='[Q]_{x}', file=None, trace=False, json_out=True,"
+        " stats=True, audit=False, oracle_check=None, timeout=None)",
+        "RunConfig(mode='normalize', text=None, file='c.txt', trace=False, json_out=False,"
+        " stats=False, audit=False, oracle_check=None, timeout=None)",
+    ]
+
+
+def test_main_with_every_flag(capsys):
+    flags = ["--json", "--stats", "--trace", "--audit", "--oracle-check", "3", "--timeout", "10"]
+    for argv in (["decide", "Q -> Q"], ["inhabit", "forall X. X -> X"]):
+        assert main(argv + flags) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["derivable"] is True and payload["oracle_agrees"] is True
+        assert payload["derivation"]["rule"] in ("Rimp", "Rforall")
+        assert payload["warnings"] == []
+    assert main(["normalize", "[Q]_{x}, P", "--stats"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["P, Q", "measure: 4 -> 2"]
+
+
 def test_main_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate", "P"]) == 2

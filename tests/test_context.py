@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from minpl.context import (
@@ -7,7 +8,6 @@ from minpl.context import (
     Context,
     FormulaItem,
     bracket,
-    depth,
     free_vars_ctx,
     fuse,
     is_clean,
@@ -15,7 +15,7 @@ from minpl.context import (
     normalize,
     parse_context,
 )
-from minpl.syntax import parse_formula
+from minpl.syntax import ParseError, parse_formula
 
 from helpers import random_context, rewrite_steps
 
@@ -111,7 +111,7 @@ def test_fuse_collapses_duplicates():
 def test_fuse_disjoint_items_merge_in_order():
     merged = fuse(ctx("P"), ctx("[P(x)]_{x}"))
     assert merged == ctx("P, [P(x)]_{x}")
-    assert [str(i) for i in merged] == ["P", "[P(x)]_{x}"]
+    assert [str(i) for i in merged.items] == ["P", "[P(x)]_{x}"]
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -207,8 +207,8 @@ def test_every_rewrite_step_strictly_decreases_measure(seed):
 
 
 def test_depth_counts_nesting():
-    assert depth(ctx("Q")) == 0
-    assert depth(parse_context("[[P(x)]_{x}, P(y)]_{x,y}")) == 2
+    assert ctx("Q").depth == 0
+    assert parse_context("[[P(x)]_{x}, P(y)]_{x,y}").depth == 2
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +228,26 @@ def test_bracket_serialization_sorts_bound_set():
 def test_parse_context_empty():
     assert parse_context("") == Context()
     assert parse_context("   ") == Context()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[P", "expected ']', found end of input (at position 2)"),
+        ("[P]_{}", "expected an identifier, found '}' (at position 5)"),
+        ("P,", "expected an identifier, found end of input (at position 2)"),
+        ("[P]_{x,}", "expected an identifier, found '}' (at position 7)"),
+        ("[P,]_{x}", "expected an identifier, found ']' (at position 3)"),
+        (",", "expected an identifier, found ',' (at position 0)"),
+        ("[P]_{x y}", "expected '}', found 'y' (at position 7)"),
+        ("[[P]_{x}", "expected ']', found end of input (at position 8)"),
+        ("[P]_{x}]", "unexpected trailing input ']' (at position 7)"),
+        ("[P]_{forall}", "expected an identifier, found 'forall' (at position 5)"),
+        ("P(x,)", "expected an identifier, found ')' (at position 4)"),
+        ("P, [Q(x), ]_{x}", "expected an identifier, found ']' (at position 10)"),
+    ],
+)
+def test_parse_context_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_context(text)
+    assert str(err.value) == message

@@ -250,6 +250,10 @@ def test_fields_cannot_be_assigned_or_deleted():
     seq = Sequent(Context(), f)
     with pytest.raises(AttributeError):
         seq.goal = None
+    with pytest.raises(AttributeError):
+        seq.extra = 1
+    with pytest.raises(AttributeError):
+        del seq.goal
 
 
 def test_search_stats_defaults_are_fresh_and_mutable():

@@ -1,6 +1,6 @@
 import pytest
 
-from minpl.context import Context, FormulaItem, depth, normalize, parse_context
+from minpl.context import Context, FormulaItem, normalize, parse_context
 from minpl.prover import (
     NotPositive,
     SearchStats,
@@ -11,8 +11,6 @@ from minpl.prover import (
     audit,
     derivable,
     derivation_to_json,
-    search,
-    select_head,
 )
 from minpl.syntax import (
     Polarity,
@@ -82,23 +80,26 @@ def test_search_right_rules_reach_expected_sequent():
     assert visited[2] == seq(f"{a}, P(x)", "Q")
 
 
+def search(seen: SeenSet, s: Sequent):
+    return _Search(SearchStats()).search(seen, s)
+
+
 def test_search_prunes_sequent_already_seen():
     s = seq("Q", "Q")
-    assert search(SeenSet([s]), s) == (False, None)
-    verdict, derivation = search(SeenSet(), s)
-    assert verdict and derivation is not None
+    assert search(SeenSet({s: -1}), s) is None
+    assert search(SeenSet(), s) is not None
 
 
-def test_public_search_leaves_the_callers_seen_set_unchanged():
+def test_search_leaves_the_callers_seen_set_unchanged():
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
-    seen = SeenSet([s])
-    assert search(seen, t) == (False, None)
-    assert select_head(seen, t.context, t.goal) == (False, None)
-    assert seen == {s}
+    seen = SeenSet({s: -1})
+    assert search(seen, t) is None
+    assert _Search(SearchStats()).select_head(seen, t) is None
+    assert seen == {s: -1}
 
 
 def test_search_atom_with_empty_context_fails():
-    assert search(SeenSet(), Sequent(Context(), parse_formula("P"))) == (False, None)
+    assert search(SeenSet(), Sequent(Context(), parse_formula("P"))) is None
 
 
 A2 = "(forall x. ((P(x) -> Q) -> Q)) -> Q"
@@ -142,16 +143,9 @@ def test_select_head_rotation_keeps_occurrences_separated():
     assert visited == [seq("[Q(x)]_{x}, Q(x) -> P", "Q(x)")]
 
 
-def test_select_head_public_wrapper_requires_atomic_goal():
-    with pytest.raises(ValueError):
-        select_head(SeenSet(), Context(), parse_formula("P -> Q"))
-
-
 def test_select_head_finds_zero_premise_head():
-    verdict, derivation = select_head(
-        SeenSet(), normalize(parse_context("P")), parse_formula("P")
-    )
-    assert verdict
+    derivation = _Search(SearchStats()).select_head(SeenSet(), seq("P", "P"))
+    assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
     assert derivation.head == parse_formula("P")
@@ -204,7 +198,7 @@ def test_observed_bracket_depth_on_quantified_type_search():
     t = parse_type(INHABITED_FALSE[0])
     f = phi(t)
     depths = []
-    verdict, stats, _ = derivable(f, on_visit=lambda s: depths.append(depth(s.context)))
+    verdict, stats, _ = derivable(f, on_visit=lambda s: depths.append(s.context.depth))
     assert not verdict
     assert max(depths) <= 2
     assert stats.max_depth == max(depths)

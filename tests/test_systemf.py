@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -26,6 +27,8 @@ from helpers import (
     INHABITED_TRUE,
     connectives,
     ftypes,
+    random_type,
+    reference_print_type,
     type_connectives,
 )
 
@@ -105,6 +108,36 @@ def test_inhabited_refuses_non_positive_types():
 @given(ftypes)
 def test_type_print_parse_round_trip(t):
     assert parse_type(print_type(t)) == t
+
+
+X, Y = TVar("X"), TVar("Y")
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (TArrow(TArrow(TArrow(X, Y), X), Y), "((X -> Y) -> X) -> Y"),
+        (TArrow(TForall("X", TArrow(X, X)), Y), "(forall X. (X -> X)) -> Y"),
+        (TForall("X", TForall("Y", X)), "forall X. forall Y. X"),
+        (TArrow(X, TForall("Y", TArrow(Y, X))), "X -> forall Y. (Y -> X)"),
+        (TForall("X", TArrow(TForall("Y", Y), X)), "forall X. ((forall Y. Y) -> X)"),
+    ],
+)
+def test_print_type_examples(t, text):
+    assert print_type(t) == reference_print_type(t) == text
+
+
+@given(ftypes)
+def test_print_type_matches_the_recursive_printer(t):
+    assert print_type(t) == reference_print_type(t)
+
+
+def test_print_type_matches_the_recursive_printer_on_large_types():
+    rng = random.Random(6)
+    for size in range(1, 40):
+        for _ in range(10):
+            t = random_type(rng, size)
+            assert print_type(t) == reference_print_type(t)
 
 
 def test_parse_type_rejects_applications():
