@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula, _parse_list
+from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula
 from .syntax import _set, _store, _union_all, print_formula
 
 
@@ -191,10 +191,19 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
 # Debug syntax: the inverse of ``str`` on contexts, used by the CLI
 
 
+def _parse_list(ts: _TokenStream, item) -> tuple:
+    """``item ("," item)*``, each ``item`` parsed by the function ``item``."""
+    out = [item(ts)]
+    while ts.peek() == ",":
+        ts.index += 1
+        out.append(item(ts))
+    return tuple(out)
+
+
 def _parse_item(ts: _TokenStream) -> Item:
     if ts.peek() != "[":
         return FormulaItem(_parse_formula(ts))
-    ts.advance()
+    ts.index += 1
     inner = _parse_list(ts, _parse_item) if ts.peek() != "]" else ()
     ts.expect("]")
     ts.expect("_")

@@ -245,8 +245,10 @@ def pieces(f: Formula) -> frozenset[Formula]:
 
 
 def _rename_term(t: Term, env: Mapping[str, str]) -> Term:
+    if t.fv.isdisjoint(env):
+        return t
     if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
+        return Var(env[t.name])
     return Func(t.name, tuple(_rename_term(a, env) for a in t.args))
 
 
@@ -255,28 +257,26 @@ def barendregt_rename(f: Formula) -> Formula:
 
     Deterministic: binders are visited leftmost-outermost and a clashing
     binder ``x`` becomes ``x_N`` for the next value ``N`` of one counter
-    shared by the whole traversal.  Free variables are never touched.
+    shared by the whole traversal.  Free variables are never touched.  Every
+    subtree with nothing renamed in it is returned as it is, so ``f`` itself
+    comes back when its binders are already apart.
     """
     used = set(free_vars(f))
     counter = itertools.count(1)
 
-    def freshen(name: str) -> str:
-        while True:
-            candidate = f"{name}_{next(counter)}"
-            if candidate not in used:
-                return candidate
-
     def go(g: Formula, env: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
-            if not env:
+            if g.fv.isdisjoint(env):
                 return g
             return Atom(g.pred, tuple(_rename_term(t, env) for t in g.terms))
         if isinstance(g, Imp):
-            return Imp(go(g.left, env), go(g.right, env))
+            left, right = go(g.left, env), go(g.right, env)
+            return g if left is g.left and right is g.right else Imp(left, right)
         if g.var not in used:
             used.add(g.var)
-            return Forall(g.var, go(g.body, env))
-        name = freshen(g.var)
+            body = go(g.body, env)
+            return g if body is g.body else Forall(g.var, body)
+        name = next(c for c in (f"{g.var}_{n}" for n in counter) if c not in used)
         used.add(name)
         return Forall(name, go(g.body, {**env, g.var: name}))
 
@@ -324,34 +324,31 @@ def scope_table(f: Formula) -> ScopeTable:
 #   IDENT   := [A-Za-z_][A-Za-z0-9_']*
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|[(),.\[\]{}]|\S")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
-_KEYWORDS = frozenset({"forall"})
+# a token is an identifier exactly when its first character is one of these
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class _TokenStream:
-    """Token cursor shared by the formula, type and context grammars."""
+    """Token cursor shared by the formula, type and context grammars: token
+    strings ended by ``None``.  Loops read them directly and raise an error
+    through ``at(i)`` and the method that checks token ``i``; only then is a
+    character position needed, and ``position`` scans the text again for it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.tokens: list = _TOKEN.findall(text) + [None]
         self.index = 0
 
+    def at(self, index: int) -> _TokenStream:
+        self.index = index
+        return self
+
     def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
+        return self.tokens[self.index]
 
     def position(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def advance(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.position())
-        self.index += 1
-        return tok
+        found = next(itertools.islice(_TOKEN.finditer(self.text), self.index, None), None)
+        return len(self.text) if found is None else found.start()
 
     def expect(self, token: str) -> None:
         got = self.peek()
@@ -362,7 +359,7 @@ class _TokenStream:
 
     def ident(self) -> str:
         got = self.peek()
-        if got is None or got in _KEYWORDS or not _IDENT.match(got):
+        if got is None or got[0] not in _IDENT_START or got == "forall":
             found = "end of input" if got is None else repr(got)
             raise ParseError(f"expected an identifier, found {found}", self.position())
         self.index += 1
@@ -377,29 +374,41 @@ def _parse_spine(ts: _TokenStream, atom, quantifier, arrow):
     """The ``formula`` rule of the grammar above, over the given atoms and
     constructors, without recursion: the binders and antecedents of the
     current spine wait on ``spine``, every open parenthesis keeps the spine
-    it interrupted on ``stack``, and a finished spine folds from the right."""
-    stack: list[list] = []
-    spine: list = []
+    it interrupted on ``stack``, and a finished spine folds from the right.
+    ``atom(ts, name, i)`` reads the rest of an atom whose identifier ``name``
+    ends before token ``i`` and returns it with the index after it."""
+    toks, i = ts.tokens, ts.index
+    stack, spine = [], []
     while True:
-        if ts.peek() == "forall":
-            ts.advance()
-            spine.append(ts.ident())
-            ts.expect(".")
+        tok = toks[i]
+        if tok == "forall":
+            var = toks[i + 1]
+            if var is None or var[0] not in _IDENT_START or var == "forall":
+                ts.at(i + 1).ident()
+            if toks[i + 2] != ".":
+                ts.at(i + 2).expect(".")
+            spine.append(var)
+            i += 3
             continue
-        if ts.peek() == "(":
-            ts.advance()
+        if tok == "(":
             stack.append(spine)
             spine = []
+            i += 1
             continue
-        x = atom(ts)
-        while ts.peek() != "->":
+        if tok is None or tok[0] not in _IDENT_START:
+            ts.at(i).ident()
+        x, i = atom(ts, tok, i + 1)
+        while toks[i] != "->":
             for step in reversed(spine):
                 x = quantifier(step, x) if isinstance(step, str) else arrow(step, x)
             if not stack:
+                ts.index = i
                 return x
-            ts.expect(")")
+            if toks[i] != ")":
+                ts.at(i).expect(")")
+            i += 1
             spine = stack.pop()
-        ts.advance()
+        i += 1
         spine.append(x)
 
 
@@ -407,30 +416,34 @@ def _parse_formula(ts: _TokenStream) -> Formula:
     return _parse_spine(ts, _parse_atom, Forall, Imp)
 
 
-def _parse_list(ts: _TokenStream, item) -> tuple:
-    """``item ("," item)*``, each ``item`` parsed by the function ``item``."""
-    out = [item(ts)]
-    while ts.peek() == ",":
-        ts.advance()
-        out.append(item(ts))
-    return tuple(out)
-
-
-def _parse_args(ts: _TokenStream) -> tuple[Term, ...]:
-    ts.advance()
-    args = _parse_list(ts, _parse_term)
-    ts.expect(")")
-    return args
-
-
-def _parse_atom(ts: _TokenStream) -> Atom:
-    pred = ts.ident()
-    return Atom(pred, _parse_args(ts)) if ts.peek() == "(" else Atom(pred)
-
-
-def _parse_term(ts: _TokenStream) -> Term:
-    name = ts.ident()
-    return Func(name, _parse_args(ts)) if ts.peek() == "(" else Var(name)
+def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
+    """The atom ``pred``, whose argument list opens at token ``i`` if it has
+    one, and the index after it; each open application waits on ``stack``."""
+    toks = ts.tokens
+    if toks[i] != "(":
+        return Atom(pred), i
+    stack, name, args = [], pred, []
+    while True:  # token i is the "(" or "," before the next term
+        tok = toks[i + 1]
+        if tok is None or tok[0] not in _IDENT_START or tok == "forall":
+            ts.at(i + 1).ident()
+        i += 2
+        if toks[i] == "(":
+            stack.append((name, args))
+            name, args = tok, []
+            continue
+        x: Term = Var(tok)
+        while True:
+            args.append(x)
+            if toks[i] == ",":
+                break
+            if toks[i] != ")":
+                ts.at(i).expect(")")
+            i += 1
+            if not stack:
+                return Atom(name, tuple(args)), i
+            x = Func(name, tuple(args))
+            name, args = stack.pop()
 
 
 def parse_formula(text: str) -> Formula:

@@ -92,10 +92,10 @@ def inhabited(
     Keyword options are passed through to ``derivable``.  Raises NotPositive
     for types outside the positive fragment.
     """
-    f = phi(t)
-    if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
-        raise NotPositive(f"not a positive type: {print_type(t)}")
-    return derivable(f, **search_options)
+    try:
+        return derivable(phi(t), **search_options)
+    except NotPositive:
+        raise NotPositive(f"not a positive type: {print_type(t)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def inhabited(
 
 def parse_type(text: str) -> FType:
     ts = _TokenStream(text)
-    t = _parse_spine(ts, lambda ts: TVar(ts.ident()), TForall, TArrow)
+    t = _parse_spine(ts, lambda ts, name, i: (TVar(name), i), TForall, TArrow)
     ts.finish()
     return t
 

@@ -9,7 +9,9 @@ quantifier ancestors explicitly.
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 from hypothesis import strategies as st
 
@@ -30,11 +32,10 @@ from minpl.syntax import (
     Formula,
     Func,
     Imp,
+    ParseError,
     Polarity,
     Term,
     Var,
-    _TokenStream,
-    _parse_atom,
     barendregt_rename,
     bound_vars,
     decompose,
@@ -453,7 +454,56 @@ def random_type(rng: random.Random, size: int, scope: tuple[str, ...] = ("X", "Y
 # Recursive references for the spine-iterative parsers, polarity and the type printer
 
 
-def _reference_spine(ts: _TokenStream, atom, quantifier, arrow):
+class _ReferenceTokens:
+    """The token cursor as first written: ``(text, position)`` pairs from
+    ``finditer``, identifiers checked against a regular expression."""
+
+    TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|[(),.\[\]{}]|\S")
+    IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = [(m.group(), m.start()) for m in self.TOKEN.finditer(text)]
+        self.index = 0
+
+    def peek(self) -> str | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][0]
+        return None
+
+    def position(self) -> int:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][1]
+        return len(self.text)
+
+    def advance(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.position())
+        self.index += 1
+        return tok
+
+    def expect(self, token: str) -> None:
+        got = self.peek()
+        if got != token:
+            found = "end of input" if got is None else repr(got)
+            raise ParseError(f"expected {token!r}, found {found}", self.position())
+        self.index += 1
+
+    def ident(self) -> str:
+        got = self.peek()
+        if got is None or got == "forall" or not self.IDENT.match(got):
+            found = "end of input" if got is None else repr(got)
+            raise ParseError(f"expected an identifier, found {found}", self.position())
+        self.index += 1
+        return got
+
+    def finish(self) -> None:
+        if self.peek() is not None:
+            raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
+
+
+def _reference_spine(ts: _ReferenceTokens, atom, quantifier, arrow):
     """Recursive descent, one call per binder, arrow and parenthesis."""
     if ts.peek() == "forall":
         ts.advance()
@@ -472,15 +522,63 @@ def _reference_spine(ts: _TokenStream, atom, quantifier, arrow):
     return left
 
 
+def _reference_args(ts: _ReferenceTokens) -> tuple[Term, ...]:
+    ts.advance()
+    args = [_reference_term(ts)]
+    while ts.peek() == ",":
+        ts.advance()
+        args.append(_reference_term(ts))
+    ts.expect(")")
+    return tuple(args)
+
+
+def _reference_atom(ts: _ReferenceTokens) -> Atom:
+    pred = ts.ident()
+    return Atom(pred, _reference_args(ts)) if ts.peek() == "(" else Atom(pred)
+
+
+def _reference_term(ts: _ReferenceTokens) -> Term:
+    name = ts.ident()
+    return Func(name, _reference_args(ts)) if ts.peek() == "(" else Var(name)
+
+
 def reference_parse(text: str, kind: str) -> Formula | FType:
     """Parse a formula or (``kind == "type"``) a type recursively."""
-    ts = _TokenStream(text)
+    ts = _ReferenceTokens(text)
     if kind == "type":
         out = _reference_spine(ts, lambda ts: TVar(ts.ident()), TForall, TArrow)
     else:
-        out = _reference_spine(ts, _parse_atom, Forall, Imp)
+        out = _reference_spine(ts, _reference_atom, Forall, Imp)
     ts.finish()
     return out
+
+
+def reference_rename(f: Formula) -> Formula:
+    """Barendregt renaming as first written: every ``Imp`` and ``Forall``
+    rebuilt, and every atom under a renamed binder."""
+    used = set(f.fv)
+    counter = itertools.count(1)
+
+    def term(t: Term, env: dict[str, str]) -> Term:
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name))
+        return Func(t.name, tuple(term(a, env) for a in t.args))
+
+    def go(g: Formula, env: dict[str, str]) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(term(t, env) for t in g.terms)) if env else g
+        if isinstance(g, Imp):
+            return Imp(go(g.left, env), go(g.right, env))
+        if g.var not in used:
+            used.add(g.var)
+            return Forall(g.var, go(g.body, env))
+        name = f"{g.var}_{next(counter)}"
+        while name in used:
+            name = f"{g.var}_{next(counter)}"
+        used.add(name)
+        return Forall(name, go(g.body, {**env, g.var: name}))
+
+    return go(f, {})
 
 
 def reference_print_type(t: FType) -> str:

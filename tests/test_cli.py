@@ -258,6 +258,24 @@ def test_deep_parentheses_decided_by_cli(tmp_path, depth):
     )
 
 
+def test_deeply_nested_terms_decided_by_cli(tmp_path):
+    atom = "P(" + "f(" * 1000 + "x" + ")" * 1001
+    path = tmp_path / "nested.txt"
+    path.write_text(f"{atom} -> {atom}", encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "derivable"
+
+
+def test_long_non_positive_type_refused_by_cli(tmp_path):
+    text = "(forall Y. Y) -> " + " -> ".join(["X"] * 2000)
+    path = tmp_path / "type.txt"
+    path.write_text(text, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "inhabit", "--file", str(path))
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.strip() == f"error: not a positive type: {text}"
+
+
 @pytest.mark.parametrize("n", [501, 600])
 def test_long_chain_decided_as_first_query(n):
     code = (

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from minpl.syntax import (
     Atom,
@@ -32,6 +33,7 @@ from helpers import (
     position_formulas,
     reference_parse,
     reference_polarity,
+    reference_rename,
     scope_table_bruteforce,
 )
 
@@ -139,6 +141,19 @@ def test_deeply_parenthesized_input_parses(depth):
     text = "(" * depth + "Q -> Q" + ")" * depth
     assert parse_formula(text) == Imp(Q, Q)
     assert parse_type(text.replace("Q", "X")) == parse_type("X -> X")
+    with pytest.raises(ParseError) as err:
+        parse_formula(text[:-1])
+    assert str(err.value) == f"expected ')', found end of input (at position {len(text) - 1})"
+
+
+@pytest.mark.parametrize("depth", [1000, 5000])
+def test_deeply_nested_terms_parse(depth):
+    text = "P(" + "f(" * depth + "x, y" + ")" * (depth + 1)
+    t = parse_formula(text).terms[0]
+    for _ in range(depth - 1):
+        assert isinstance(t, Func) and t.name == "f" and len(t.args) == 1
+        t = t.args[0]
+    assert t == Func("f", (Var("x"), Var("y")))
     with pytest.raises(ParseError) as err:
         parse_formula(text[:-1])
     assert str(err.value) == f"expected ')', found end of input (at position {len(text) - 1})"
@@ -297,6 +312,65 @@ def test_rename_establishes_barendregt_condition(f):
     # alpha-equivalent to the input and free variables untouched
     assert debruijn(renamed) == debruijn(f)
     assert free_vars(renamed) == free_vars(f)
+
+
+clashing_names = st.sampled_from(("x", "x_1", "x_2", "y"))
+clashing_formulas = st.recursive(
+    st.builds(
+        Atom,
+        st.sampled_from(("P", "Q")),
+        st.just(()) | st.tuples(st.builds(Var, clashing_names)),
+    ),
+    lambda kids: st.builds(Imp, kids, kids) | st.builds(Forall, clashing_names, kids),
+    max_leaves=12,
+)
+
+
+@given(formulas | clashing_formulas)
+def test_rename_matches_the_rebuilding_reference(f):
+    renamed, expected = barendregt_rename(f), reference_rename(f)
+    assert renamed == expected and repr(renamed) == repr(expected)
+
+
+def _shares_what_it_keeps(new, old) -> None:
+    """Wherever the renamed subtree equals the input's at the same
+    position, it is the input's own object."""
+    stack = [(new, old)]
+    while stack:
+        a, b = stack.pop()
+        if a == b:
+            assert a is b, a
+        elif isinstance(a, Imp):
+            stack += [(a.left, b.left), (a.right, b.right)]
+        elif isinstance(a, Forall):
+            stack.append((a.body, b.body))
+        elif isinstance(a, Atom):
+            stack += zip(a.terms, b.terms)
+        elif isinstance(a, Func):
+            stack += zip(a.args, b.args)
+
+
+@given(formulas | clashing_formulas)
+def test_rename_shares_untouched_subtrees(f):
+    renamed = barendregt_rename(f)
+    _shares_what_it_keeps(renamed, f)
+    bound = bound_vars(f)
+    if len(bound) == len(set(bound)) and not set(bound) & free_vars(f):
+        assert renamed is f
+
+
+def test_rename_returns_apart_input_itself():
+    f = parse_formula("forall x. (forall y. P(x, f(y))) -> Q(z)")
+    assert barendregt_rename(f) is f
+
+
+def test_rename_keeps_untouched_subtrees():
+    f = parse_formula("(forall x. P(x)) -> (forall x. Q(x, g(y))) -> R(y)")
+    renamed = barendregt_rename(f)
+    assert renamed == parse_formula("(forall x. P(x)) -> (forall x_1. Q(x_1, g(y))) -> R(y)")
+    assert renamed.left is f.left
+    assert renamed.right.right is f.right.right
+    assert renamed.right.left.body.terms[1] is f.right.left.body.terms[1]
 
 
 # ---------------------------------------------------------------------------

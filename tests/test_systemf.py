@@ -101,6 +101,23 @@ def test_inhabited_refuses_non_positive_types():
         inhabited(parse_type("(forall X. X) -> Y"))
 
 
+@pytest.mark.parametrize("text", ["forall X. X -> X", "(forall X. X) -> Y"])
+def test_inhabited_runs_polarity_once(monkeypatch, text):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return polarity(f)
+
+    monkeypatch.setattr("minpl.prover.polarity", counting)
+    monkeypatch.setattr("minpl.systemf.polarity", counting)
+    try:
+        inhabited(parse_type(text))
+    except NotPositive as exc:
+        assert str(exc) == f"not a positive type: {text}"
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
