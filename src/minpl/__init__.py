@@ -17,7 +17,6 @@ from .context import (
     FormulaItem,
     Item,
     bracket,
-    free_vars_ctx,
     fuse,
     is_clean,
     measure,
@@ -114,7 +113,6 @@ __all__ = [
     "first_provable_depth",
     "flatten",
     "free_vars",
-    "free_vars_ctx",
     "fuse",
     "generate_positive",
     "inhabited",

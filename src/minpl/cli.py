@@ -51,6 +51,16 @@ class RunConfig:
         self.oracle_check, self.timeout = oracle_check, timeout
 
 
+def _at_least(convert, least: int, name: str):
+    """An argparse ``type=`` for a number ``convert(text) >= least``."""
+    def check(text: str):
+        if not convert(text) >= least:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"{name} must be at least {least}, not {text}")
+        return convert(text)
+    check.__name__ = convert.__name__  # argparse names it when a non-number fails
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minpl",
@@ -77,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--oracle-check",
-            type=int,
+            type=_at_least(int, 1, "N"),
             metavar="N",
             help="cross-check with the reference prover, deepening to N",
         )
         p.add_argument(
             "--timeout",
-            type=float,
+            type=_at_least(float, 0, "SECONDS"),
             metavar="SECONDS",
             help="abort the search after this many seconds",
         )

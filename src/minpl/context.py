@@ -76,11 +76,6 @@ class Context(Node):
         return ", ".join(str(item) for item in self.items)
 
 
-def free_vars_ctx(x: Context | Item) -> frozenset[str]:
-    """Free variables of a context or item; a bracket subtracts its bound set."""
-    return _union_all(x.items) if isinstance(x, Context) else x.fv
-
-
 def measure(x: Context | Item) -> int:
     """Termination measure of cleaning: a formula weighs 1, a bracket weighs
     one plus twice its content, a context the sum of its items."""
@@ -100,28 +95,21 @@ def _canonical(items: Iterable[Item]) -> Context:
     return Context(tuple(unique))
 
 
-def _norm_item(item: Item) -> list[Item]:
-    if isinstance(item, FormulaItem):
-        return [item]
-    inner = normalize(item.content)
-    kept = tuple(i for i in inner.items if i.fv & item.bound)
-    out = [i for i in inner.items if not i.fv & item.bound]
-    if kept:
-        out.append(BracketItem(Context(kept), item.bound))
-    return out
-
-
 def normalize(c: Context) -> Context:
     """Clean a context with a fixed strategy.
 
-    Bracket contents are cleaned innermost first, items with no free variable
-    in the bound set are hoisted out, empty brackets are dropped, and every
-    level is sorted and deduplicated.  Deterministic and idempotent; the
-    result is reachable from ``c`` by the three cleaning rules.
+    Bracket contents are cleaned innermost first and put back with
+    ``bracket``, which hoists the items with no free variable in the bound set
+    and drops an empty bracket; every level is then sorted and deduplicated.
+    Deterministic and idempotent; the result is reachable from ``c`` by the
+    three cleaning rules.
     """
     flat: list[Item] = []
     for item in c.items:
-        flat.extend(_norm_item(item))
+        if isinstance(item, FormulaItem):
+            flat.append(item)
+        else:
+            flat.extend(bracket(normalize(item.content), item.bound).items)
     return _canonical(flat)
 
 

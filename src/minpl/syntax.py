@@ -207,11 +207,18 @@ def bound_vars(f: Formula) -> tuple[str, ...]:
 
     Duplicate-free exactly when ``f`` satisfies the Barendregt condition.
     """
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, Imp):
-        return bound_vars(f.left) + bound_vars(f.right)
-    return (f.var,) + bound_vars(f.body)
+    # loop down left spines and binder prefixes; right operands wait on a stack
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        while not isinstance(g, Atom):
+            if isinstance(g, Imp):
+                stack.append(g.right)
+                g = g.left
+            else:
+                out.append(g.var)
+                g = g.body
+    return tuple(out)
 
 
 def decompose(f: Formula) -> tuple[Atom, tuple[Formula, ...]]:

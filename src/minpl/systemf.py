@@ -11,9 +11,9 @@ refused rather than guessed at.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from .context import BracketItem, Context, FormulaItem
 from .prover import Derivation, NotPositive, SearchStats, Sequent, derivable
 from .syntax import (
     Atom,
@@ -115,41 +115,24 @@ def parse_type(text: str) -> FType:
 
 def print_type(t: FType) -> str:
     """Canonical text form of a type; ``parse_type`` inverts it.  It is the
-    printed translation with ``eps(X)`` shown as ``X``: ``phi`` keeps the
-    shape, so the formula printer places the same parentheses."""
+    printed translation with ``eps(X)`` shown as ``X``."""
     return compact_eps(phi(t))
 
 
 # ---------------------------------------------------------------------------
-# Readable rendering of translated formulas: ``eps(X)`` shown as ``X``.
-# Only for human-facing traces; machine output keeps the full form so that
-# it stays parseable.
+# Readable rendering of translated types, ``eps(X)`` shown as ``X``: an edit of
+# the printed text, as both are atoms and so get the same parentheses.  Only
+# for human-facing traces; machine output keeps the full, parseable form.
 
-
-def _elide(f: Formula) -> Formula:
-    """``f`` with every ``eps(X)`` turned into the nullary atom ``X``."""
-    if isinstance(f, Atom):
-        if f.pred == EPS and len(f.terms) == 1 and isinstance(f.terms[0], Var):
-            return Atom(f.terms[0].name)
-        return f
-    if isinstance(f, Imp):
-        return Imp(_elide(f.left), _elide(f.right))
-    return Forall(f.var, _elide(f.body))
-
-
-def _elide_ctx(c: Context) -> Context:
-    # Context() keeps the given order, so the items print where they stood
-    return Context(tuple(
-        FormulaItem(_elide(i.formula)) if isinstance(i, FormulaItem)
-        else BracketItem(_elide_ctx(i.content), i.bound)
-        for i in c.items
-    ))
+_EPS_VAR = re.compile(rf"\b{EPS}\(([A-Za-z_][A-Za-z0-9_']*)\)")
 
 
 def compact_eps(f: Formula) -> str:
-    return print_formula(_elide(f))
+    """The printed translation of a type with ``eps`` elided (as it would be
+    in a term ``eps(x)`` inside another atom, which no translation has)."""
+    return _EPS_VAR.sub(r"\1", print_formula(f))
 
 
 def render_sequent(seq: Sequent) -> str:
-    """Sequent rendering for inhabitation traces, with ``eps`` elided."""
-    return str(Sequent(_elide_ctx(seq.context), _elide(seq.goal)))
+    """A sequent of translations of types, printed with ``eps`` elided."""
+    return _EPS_VAR.sub(r"\1", str(seq))

@@ -21,7 +21,6 @@ from minpl.context import (
     FormulaItem,
     Item,
     bracket,
-    free_vars_ctx,
     fuse,
 )
 from minpl.oracle import generate_positive
@@ -42,7 +41,7 @@ from minpl.syntax import (
     free_vars,
     parse_formula,
 )
-from minpl.systemf import FType, TArrow, TForall, TVar
+from minpl.systemf import EPS, FType, TArrow, TForall, TVar
 
 # ---------------------------------------------------------------------------
 # Reported verdicts shared by the prover tests and the acceptance gate
@@ -70,6 +69,15 @@ INHABITED_TRUE = (
 INHABITED_FALSE = (
     "forall X. (((forall Y. forall Z. (((Y -> X) -> Z) -> ((Y -> Z) -> Z))) -> X) -> X)",
 )
+
+# Derivable only by head rotation: the inner frame's goal ``R`` needs ``E(x)``
+# of an older ``x``, which only a bracketed frame holds.  Kept apart from the
+# published verdicts above, which define the golden traces.
+ROTATION_WITNESSES = {
+    "formula": "((forall x. (E(x) -> R) -> ((E(x) -> Q) -> K) -> K) -> Q) -> (R -> K) -> Q",
+    "type": "forall Q. forall R. forall K. "
+    "((forall X. (X -> R) -> ((X -> Q) -> K) -> K) -> Q) -> (R -> K) -> Q",
+}
 
 # ---------------------------------------------------------------------------
 # Seeded corpus
@@ -131,7 +139,7 @@ def rewrite_steps(c: Context) -> list[Context]:
             out.append(Context(items[:i] + items[i + 1 :]))
         inner = item.content.items
         for k, sub in enumerate(inner):
-            if free_vars_ctx(sub) & item.bound:
+            if reference_free_vars(sub) & item.bound:
                 continue
             rest = BracketItem(Context(inner[:k] + inner[k + 1 :]), item.bound)
             out.append(Context(items[:i] + (sub, rest) + items[i + 1 :]))
@@ -140,6 +148,23 @@ def rewrite_steps(c: Context) -> list[Context]:
                 Context(items[:i] + (BracketItem(rewritten, item.bound),) + items[i + 1 :])
             )
     return out
+
+
+def reference_normalize(c: Context) -> Context:
+    """The cleaner ``normalize`` had before it called ``bracket``: clean a
+    bracket's content, hoist what does not mention its bound set, keep the
+    rest under it if anything, then sort and deduplicate every level."""
+    flat: list[Item] = []
+    for item in c.items:
+        if isinstance(item, FormulaItem):
+            flat.append(item)
+            continue
+        inner = reference_normalize(item.content)
+        kept = tuple(i for i in inner.items if i.fv & item.bound)
+        flat.extend(i for i in inner.items if not i.fv & item.bound)
+        if kept:
+            flat.append(BracketItem(Context(kept), item.bound))
+    return Context(tuple(sorted(set(flat), key=reference_item_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +638,40 @@ def reference_polarity(x: Formula | FType) -> Polarity:
     if pos and neg:
         return Polarity.BOTH
     return Polarity.POSITIVE if pos else Polarity.NEGATIVE if neg else Polarity.NEITHER
+
+
+def reference_bound_vars(f: Formula) -> tuple[str, ...]:
+    """Binders in left-to-right order, by the recursion ``bound_vars`` replaced."""
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, Imp):
+        return reference_bound_vars(f.left) + reference_bound_vars(f.right)
+    return (f.var,) + reference_bound_vars(f.body)
+
+
+def reference_elide(f: Formula) -> Formula:
+    """``f`` rebuilt with every ``eps(X)`` turned into the nullary atom ``X``,
+    the structural route that ``compact_eps`` replaced by a text edit."""
+    if isinstance(f, Atom):
+        if f.pred == EPS and len(f.terms) == 1 and isinstance(f.terms[0], Var):
+            return Atom(f.terms[0].name)
+        return f
+    if isinstance(f, Imp):
+        return Imp(reference_elide(f.left), reference_elide(f.right))
+    return Forall(f.var, reference_elide(f.body))
+
+
+def reference_elide_ctx(c: Context) -> Context:
+    # Context() keeps the given order, so the items print where they stood
+    return Context(tuple(
+        FormulaItem(reference_elide(i.formula)) if isinstance(i, FormulaItem)
+        else BracketItem(reference_elide_ctx(i.content), i.bound)
+        for i in c.items
+    ))
+
+
+def reference_render_sequent(seq: Sequent) -> str:
+    return str(Sequent(reference_elide_ctx(seq.context), reference_elide(seq.goal)))
 
 
 # ---------------------------------------------------------------------------

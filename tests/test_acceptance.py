@@ -7,7 +7,7 @@ report.  The corpus fixtures are shared with the unit suites (see conftest).
 import random
 import time
 
-from minpl.context import free_vars_ctx, is_clean, measure, normalize
+from minpl.context import is_clean, measure, normalize
 from minpl.oracle import FlatSequent, first_provable_depth, ljplus_prove
 from minpl.prover import derivable
 from minpl.syntax import parse_formula, polarity
@@ -20,6 +20,7 @@ from helpers import (
     INHABITED_TRUE,
     random_context,
     random_type,
+    reference_free_vars,
     replay,
     rewrite_steps,
 )
@@ -80,7 +81,7 @@ def test_criterion_3_cleaning_suite():
         normal = normalize(c)
         assert is_clean(normal)
         assert normalize(normal) == normal
-        assert free_vars_ctx(normal) == free_vars_ctx(c)
+        assert reference_free_vars(normal) == reference_free_vars(c)
         contexts += 1
     _report(
         3,

@@ -208,6 +208,29 @@ def test_main_usage_errors(capsys):
     assert main(["normalize", "P", "--oracle-check", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--oracle-check", "0", "N must be at least 1, not 0"),
+        ("--oracle-check", "-2", "N must be at least 1, not -2"),
+        ("--oracle-check", "x", "invalid int value: 'x'"),
+        ("--timeout", "-1", "SECONDS must be at least 0, not -1"),
+        ("--timeout", "nan", "SECONDS must be at least 0, not nan"),
+        ("--timeout", "abc", "invalid float value: 'abc'"),
+    ],
+)
+@pytest.mark.parametrize("mode, text", [("decide", "Q -> Q"), ("inhabit", "forall X. X -> X")])
+def test_bad_flag_values_are_usage_errors(capsys, mode, text, flag, value, message):
+    assert main([mode, text, f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_zero_timeout_through_main_is_exit_three(capsys):
+    assert main(["decide", "Q -> Q", "--timeout", "0"]) == 3
+    assert "timeout" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Deep inputs, each in a fresh interpreter so no earlier query has raised the
 # recursion limit
@@ -232,6 +255,18 @@ def test_long_chain_decided_by_cli(tmp_path, n):
     child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "derivable"
+
+
+def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():
+    code = (
+        "import sys\n"
+        "from minpl import bound_vars, parse_formula\n"
+        "f = parse_formula(''.join(f'forall x{i}. ' for i in range(3000)) + 'Q -> Q')\n"
+        "print(len(bound_vars(f)), sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["3000", "1000"]
 
 
 @pytest.mark.parametrize("n", [1000, 2000])

@@ -8,7 +8,6 @@ from minpl.context import (
     Context,
     FormulaItem,
     bracket,
-    free_vars_ctx,
     fuse,
     is_clean,
     measure,
@@ -17,7 +16,7 @@ from minpl.context import (
 )
 from minpl.syntax import ParseError, parse_formula
 
-from helpers import random_context, rewrite_steps
+from helpers import random_context, reference_free_vars, reference_normalize, rewrite_steps
 
 
 def ctx(text: str) -> Context:
@@ -34,16 +33,16 @@ def item(text: str) -> FormulaItem:
 
 def test_free_vars_of_fully_bracketed_context():
     c = parse_context("[P(x) -> P(y)]_{x,y}, [P(x)]_{x}")
-    assert free_vars_ctx(c) == frozenset()
+    assert reference_free_vars(c) == frozenset()
 
 
 def test_free_vars_of_formula_item():
-    assert free_vars_ctx(item("P(x) -> Q")) == {"x"}
+    assert reference_free_vars(item("P(x) -> Q")) == {"x"}
 
 
 def test_free_vars_bracket_subtracts_bound():
     c = parse_context("[P(x) -> Q(z)]_{x}")
-    assert free_vars_ctx(c) == {"z"}
+    assert reference_free_vars(c) == {"z"}
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +113,24 @@ def test_fuse_disjoint_items_merge_in_order():
     assert [str(i) for i in merged.items] == ["P", "[P(x)]_{x}"]
 
 
+# ``fuse`` is checked against the cleaner that does not call ``bracket``, since
+# ``bracket`` itself is built on ``fuse``
+
+
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_fuse_equals_normalize_of_union_and_commutes(seed_a, seed_b):
-    a = normalize(random_context(random.Random(seed_a)))
-    b = normalize(random_context(random.Random(seed_b)))
+    a = reference_normalize(random_context(random.Random(seed_a)))
+    b = reference_normalize(random_context(random.Random(seed_b)))
     union = Context(a.items + b.items)
-    assert fuse(a, b) == normalize(union)
+    assert fuse(a, b) == reference_normalize(union)
     assert fuse(a, b) == fuse(b, a)
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
 def test_fuse_associative(sa, sb, sc):
-    a = normalize(random_context(random.Random(sa)))
-    b = normalize(random_context(random.Random(sb)))
-    c = normalize(random_context(random.Random(sc)))
+    a = reference_normalize(random_context(random.Random(sa)))
+    b = reference_normalize(random_context(random.Random(sb)))
+    c = reference_normalize(random_context(random.Random(sc)))
     assert fuse(fuse(a, b), c) == fuse(a, fuse(b, c))
 
 
@@ -162,13 +165,13 @@ def test_bracket_output_split_and_cleanliness(seed, bound):
     assert is_clean(out)
     # every item left at the outer level is variable-disjoint from v
     for i in out.items:
-        assert not (free_vars_ctx(i) & v)
+        assert not (reference_free_vars(i) & v)
     # a freshly created bracket holds exactly the items that intersect v
     for i in out.items:
         if isinstance(i, BracketItem) and i.bound == v and i not in c.items:
             for inner in i.content.items:
-                assert free_vars_ctx(inner) & v
-    assert free_vars_ctx(out) == free_vars_ctx(c) - v
+                assert reference_free_vars(inner) & v
+    assert reference_free_vars(out) == reference_free_vars(c) - v
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,14 @@ def test_normalize_properties(seed):
     assert is_clean(normal)
     assert normalize(normal) == normal
     assert measure(normal) <= measure(c)
-    assert free_vars_ctx(normal) == free_vars_ctx(c)
+    assert reference_free_vars(normal) == reference_free_vars(c)
+
+
+def test_normalize_equals_the_cleaner_without_bracket():
+    for seed in range(3_000):
+        c = random_context(random.Random(seed))
+        normal, reference = normalize(c), reference_normalize(c)
+        assert normal == reference and str(normal) == str(reference), seed
 
 
 @given(st.integers(0, 50_000))

@@ -31,6 +31,7 @@ from helpers import (
     formulas,
     ftypes,
     position_formulas,
+    reference_bound_vars,
     reference_parse,
     reference_polarity,
     reference_rename,
@@ -212,6 +213,18 @@ def test_bound_vars_left_to_right():
 
 def test_bound_vars_none():
     assert bound_vars(parse_formula("P -> Q")) == ()
+
+
+@given(formulas)
+def test_bound_vars_matches_the_recursive_reference(f):
+    assert bound_vars(f) == reference_bound_vars(f)
+
+
+def test_bound_vars_on_long_prefixes_and_left_nesting():
+    f = parse_formula("".join(f"forall x{i}. " for i in range(3000)) + "(Q -> Q)")
+    assert bound_vars(f) == tuple(f"x{i}" for i in range(3000))
+    g = parse_formula("(" * 2000 + "forall y. Q" + ") -> forall y. Q" * 2000)
+    assert bound_vars(g) == ("y",) * 2001
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 
 from minpl.oracle import generate_positive
 from minpl.prover import NotPositive
-from minpl.syntax import Atom, Imp, ParseError, parse_formula, polarity
+from minpl.syntax import Atom, Imp, ParseError, Polarity, parse_formula, polarity, print_formula
 from minpl.systemf import (
     TArrow,
     TForall,
@@ -25,10 +25,14 @@ from helpers import (
     DERIVABLE_TRUE,
     INHABITED_FALSE,
     INHABITED_TRUE,
+    ROTATION_WITNESSES,
     connectives,
+    context_formulas,
     ftypes,
     random_type,
+    reference_elide,
     reference_print_type,
+    reference_render_sequent,
     type_connectives,
 )
 
@@ -208,5 +212,27 @@ def test_rendering_is_the_printer_with_eps_elided_as_text():
         for seq in visited:
             assert render_sequent(seq) == elide.sub(r"\1", str(seq))
             assert compact_eps(seq.goal) == elide.sub(r"\1", str(seq.goal))
+            brackets += str(seq).count("[")
+    assert brackets > 20, brackets
+
+
+def test_rendering_equals_the_structural_elision():
+    types = [parse_type(text) for text in INHABITED_TRUE + INHABITED_FALSE]
+    types.append(parse_type(ROTATION_WITNESSES["type"]))
+    types += [as_type(generate_positive(seed, 14, 2)) for seed in range(300)]
+    rng, randoms = random.Random(8), []
+    while len(randoms) < 300:
+        t = random_type(rng, rng.randint(5, 25))
+        if type_polarity(t) in (Polarity.POSITIVE, Polarity.BOTH):
+            randoms.append(t)
+    brackets = 0
+    for t in types + randoms:
+        assert print_type(t) == print_formula(reference_elide(phi(t)))
+        visited = []
+        inhabited(t, on_visit=visited.append)
+        for seq in visited:
+            assert render_sequent(seq) == reference_render_sequent(seq)
+            for f in context_formulas(seq.context) + [seq.goal]:
+                assert compact_eps(f) == print_formula(reference_elide(f))
             brackets += str(seq).count("[")
     assert brackets > 20, brackets
