@@ -11,52 +11,10 @@ front-end decides inhabitation of positive types by translation.
 
 from importlib import import_module
 
-from .context import (
-    BracketItem,
-    Context,
-    FormulaItem,
-    Item,
-    bracket,
-    fuse,
-    is_clean,
-    measure,
-    normalize,
-    parse_context,
-)
-from .prover import (
-    Derivation,
-    NotPositive,
-    SearchStats,
-    SearchTimeout,
-    SeenSet,
-    Sequent,
-    audit,
-    derivable,
-    derivation_to_json,
-)
-from .syntax import (
-    Atom,
-    Forall,
-    Formula,
-    Func,
-    Imp,
-    NotBarendregt,
-    NotNegative,
-    ParseError,
-    Polarity,
-    ScopeTable,
-    Term,
-    Var,
-    barendregt_rename,
-    bound_vars,
-    decompose,
-    free_vars,
-    parse_formula,
-    pieces,
-    polarity,
-    print_formula,
-    scope_table,
-)
+from .context import *
+from .prover import *
+from .syntax import *
+
 # The reference prover and System F load on first use (PEP 562), so that
 # ``import minpl`` and a ``decide`` query do without them.
 _LAZY = {
@@ -74,60 +32,5 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Atom",
-    "BracketItem",
-    "Context",
-    "Derivation",
-    "FlatSequent",
-    "Forall",
-    "Formula",
-    "FormulaItem",
-    "FreshNames",
-    "FType",
-    "Func",
-    "Imp",
-    "Item",
-    "NotBarendregt",
-    "NotNegative",
-    "NotPositive",
-    "ParseError",
-    "Polarity",
-    "ScopeTable",
-    "SearchStats",
-    "SearchTimeout",
-    "SeenSet",
-    "Sequent",
-    "TArrow",
-    "TForall",
-    "TVar",
-    "Term",
-    "Var",
-    "audit",
-    "barendregt_rename",
-    "bound_vars",
-    "bracket",
-    "decompose",
-    "derivable",
-    "derivation_to_json",
-    "first_provable_depth",
-    "flatten",
-    "free_vars",
-    "fuse",
-    "generate_positive",
-    "inhabited",
-    "is_clean",
-    "ljplus_prove",
-    "measure",
-    "normalize",
-    "parse_context",
-    "parse_formula",
-    "parse_type",
-    "phi",
-    "pieces",
-    "polarity",
-    "print_formula",
-    "print_type",
-    "scope_table",
-    "type_polarity",
-]
+# each star import above also bound its submodule's name here
+__all__ = context.__all__ + prover.__all__ + syntax.__all__ + " ".join(_LAZY.values()).split()

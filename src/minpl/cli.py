@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .context import measure, normalize, parse_context
 from .prover import (
@@ -24,31 +24,7 @@ from .prover import (
     derivable,
     derivation_to_json,
 )
-from .syntax import (
-    Node,
-    NotBarendregt,
-    NotNegative,
-    ParseError,
-    free_vars,
-    parse_formula,
-)
-
-
-class RunConfig:
-    """One CLI query: the mode, the input and the flags."""
-
-    __slots__ = _fields = (
-        "mode", "text", "file", "trace", "json_out", "stats", "audit", "oracle_check", "timeout"
-    )
-    __repr__ = Node.__repr__
-
-    def __init__(self, mode: str, text: Optional[str] = None, file: Optional[str] = None,
-                 trace: bool = False, json_out: bool = False, stats: bool = False,
-                 audit: bool = False, oracle_check: Optional[int] = None,
-                 timeout: Optional[float] = None) -> None:
-        self.mode, self.text, self.file, self.trace = mode, text, file, trace
-        self.json_out, self.stats, self.audit = json_out, stats, audit
-        self.oracle_check, self.timeout = oracle_check, timeout
+from .syntax import NotBarendregt, NotNegative, ParseError, free_vars, parse_formula
 
 
 def _at_least(convert, least: int, name: str):
@@ -104,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(config: RunConfig) -> str:
+def _load_input(config: argparse.Namespace) -> str:
     if (config.text is None) == (config.file is None):
         raise ValueError("provide the input either as an argument or via --file")
     if config.file is not None:
@@ -113,18 +89,11 @@ def _load_input(config: RunConfig) -> str:
     return config.text.strip()
 
 
-def _format_derivation(
-    d: Derivation,
-    render_sequent: Callable[..., str],
-    render_formula: Callable[..., str],
-    indent: int = 0,
-) -> list[str]:
-    label = d.rule
-    if d.head is not None:
-        label += f" [{render_formula(d.head)}]"
-    lines = [f"{'  ' * indent}{label}: {render_sequent(d.conclusion)}"]
+def _format_derivation(d: Derivation, indent: int = 0) -> list[str]:
+    label = d.rule if d.head is None else f"{d.rule} [{d.head}]"
+    lines = [f"{'  ' * indent}{label}: {d.conclusion}"]
     for premise in d.premises:
-        lines.extend(_format_derivation(premise, render_sequent, render_formula, indent + 1))
+        lines.extend(_format_derivation(premise, indent + 1))
     return lines
 
 
@@ -139,7 +108,7 @@ def _stats_lines(stats: SearchStats) -> list[str]:
     ]
 
 
-def _run_normalize(config: RunConfig, text: str) -> int:
+def _run_normalize(config: argparse.Namespace, text: str) -> int:
     ctx = parse_context(text)
     cleaned = normalize(ctx)
     if config.json_out:
@@ -157,8 +126,9 @@ def _run_normalize(config: RunConfig, text: str) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one query and return the process exit status."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one query, given as the parsed arguments of ``main``, and return
+    the process exit status."""
     try:
         return _run(config)
     except Exception as exc:
@@ -166,7 +136,7 @@ def run(config: RunConfig) -> int:
         return 5
 
 
-def _run(config: RunConfig) -> int:
+def _run(config: argparse.Namespace) -> int:
     try:
         text = _load_input(config)
     except (ValueError, OSError) as exc:
@@ -180,12 +150,10 @@ def _run(config: RunConfig) -> int:
         warnings: list[str] = []
         if config.mode == "decide":
             f = parse_formula(text)
-            render_seq, render_formula = str, str
         else:
             from . import systemf
             t = systemf.parse_type(text)
             f = systemf.phi(t)
-            render_seq, render_formula = systemf.render_sequent, systemf.compact_eps
         if free_vars(f):
             names = ", ".join(sorted(free_vars(f)))
             warnings.append(
@@ -242,7 +210,8 @@ def _run(config: RunConfig) -> int:
         else:
             print("inhabited" if verdict else "not inhabited")
         if config.trace and derivation is not None:
-            print("\n".join(_format_derivation(derivation, render_seq, render_formula)))
+            trace = "\n".join(_format_derivation(derivation))
+            print(trace if config.mode == "decide" else systemf.elide_eps(trace))
         if config.stats:
             print("\n".join(_stats_lines(stats)))
         if oracle_agrees is not None:
@@ -259,7 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return run(RunConfig(**vars(args)))
+    return run(args)
 
 
 if __name__ == "__main__":

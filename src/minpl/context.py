@@ -27,6 +27,19 @@ from typing import Iterable
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula
 from .syntax import _set, _store, _union_all, print_formula
 
+__all__ = [
+    "BracketItem",
+    "Context",
+    "FormulaItem",
+    "Item",
+    "bracket",
+    "fuse",
+    "is_clean",
+    "measure",
+    "normalize",
+    "parse_context",
+]
+
 
 class Item(Node):
     __slots__ = ("fv", "key")
@@ -44,7 +57,7 @@ class FormulaItem(Item):
         _set(self, "key", (0, print_formula(formula)))
 
     def __str__(self) -> str:
-        return print_formula(self.formula)
+        return self.key[1]
 
 
 class BracketItem(Item):

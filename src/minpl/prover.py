@@ -41,6 +41,18 @@ from .syntax import (
     scope_table,
 )
 
+__all__ = [
+    "Derivation",
+    "NotPositive",
+    "SearchStats",
+    "SearchTimeout",
+    "SeenSet",
+    "Sequent",
+    "audit",
+    "derivable",
+    "derivation_to_json",
+]
+
 
 class NotPositive(ValueError):
     """Raised for inputs outside the positive fragment."""
@@ -257,9 +269,10 @@ def derivable(
     stats = SearchStats()
     if audit:
         table, piece_set, hook = scope_table(renamed), pieces(renamed), on_visit
+        binders = {v: x for x, v in table.scopes.items()}
 
         def on_visit(s: Sequent) -> None:
-            stats.audit_violations.extend(_audit(s, table, piece_set))
+            stats.audit_violations.extend(_audit(s, table, piece_set, binders))
             if hook is not None:
                 hook(s)
 
@@ -279,12 +292,18 @@ def audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]:
     is the scope set of some binder, bracket nesting stays within the binder
     nesting depth, and a directly nested bracket's binder lies in the scope
     of the enclosing one.  Returns one message per violation."""
-    return _audit(seq, table, pieces(root))
+    return _audit(seq, table, pieces(root), {v: x for x, v in table.scopes.items()})
 
 
-def _audit(seq: Sequent, table: ScopeTable, piece_set: frozenset[Formula]) -> list[str]:
+def _audit(
+    seq: Sequent,
+    table: ScopeTable,
+    piece_set: frozenset[Formula],
+    subscript_binder: dict[frozenset[str], str],
+) -> list[str]:
+    """``audit`` given the root's pieces and the binder whose scope set each
+    subscript is, which a search computes once."""
     violations: list[str] = []
-    subscript_binder = {v: x for x, v in table.scopes.items()}
 
     def check(ctx: Context, nesting: int, outer: str | None) -> None:
         for item in ctx.items:

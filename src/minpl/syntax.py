@@ -14,6 +14,30 @@ from enum import Enum
 from operator import attrgetter
 from typing import Mapping, NamedTuple
 
+__all__ = [
+    "Atom",
+    "Forall",
+    "Formula",
+    "Func",
+    "Imp",
+    "NotBarendregt",
+    "NotNegative",
+    "ParseError",
+    "Polarity",
+    "ScopeTable",
+    "Term",
+    "Var",
+    "barendregt_rename",
+    "bound_vars",
+    "decompose",
+    "free_vars",
+    "parse_formula",
+    "pieces",
+    "polarity",
+    "print_formula",
+    "scope_table",
+]
+
 
 class ParseError(ValueError):
     """Malformed input; ``position`` is the character offset of the problem."""
@@ -243,11 +267,17 @@ def pieces(f: Formula) -> frozenset[Formula]:
     the set of pieces is the closed vocabulary of everything proof search
     can ever put in a sequent.
     """
-    out = {f}
-    if isinstance(f, Imp):
-        out |= pieces(f.left) | pieces(f.right)
-    elif isinstance(f, Forall):
-        out |= pieces(f.body)
+    # a piece already found had its own pieces pushed when it was added
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in out:
+            continue
+        out.add(g)
+        if isinstance(g, Imp):
+            stack += (g.left, g.right)
+        elif isinstance(g, Forall):
+            stack.append(g.body)
     return frozenset(out)
 
 
@@ -308,17 +338,22 @@ def scope_table(f: Formula) -> ScopeTable:
     if len(seq) != len(set(seq)):
         dup = next(x for i, x in enumerate(seq) if x in seq[:i])
         raise NotBarendregt(f"duplicate binder {dup!r}")
+    # binders in left-to-right order, as bound_vars visits them; each right
+    # operand waits on the stack with the number of binders above it
     scopes: dict[str, frozenset[str]] = {}
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return 0
-        if isinstance(g, Imp):
-            return max(walk(g.left), walk(g.right))
-        scopes[g.var] = frozenset(bound_vars(g))
-        return 1 + walk(g.body)
-
-    return ScopeTable(scopes, walk(f))
+    depth, stack = 0, [(f, 0)]
+    while stack:
+        g, above = stack.pop()
+        while not isinstance(g, Atom):
+            if isinstance(g, Imp):
+                stack.append((g.right, above))
+                g = g.left
+            else:
+                scopes[g.var] = frozenset(bound_vars(g))
+                above += 1
+                g = g.body
+        depth = max(depth, above)
+    return ScopeTable(scopes, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .prover import Derivation, NotPositive, SearchStats, Sequent, derivable
+from .prover import Derivation, NotPositive, SearchStats, derivable
 from .syntax import (
     Atom,
     Forall,
@@ -127,12 +127,12 @@ def print_type(t: FType) -> str:
 _EPS_VAR = re.compile(rf"\b{EPS}\(([A-Za-z_][A-Za-z0-9_']*)\)")
 
 
+def elide_eps(text: str) -> str:
+    """Printed translations of types with ``eps`` elided (as it would be in a
+    term ``eps(x)`` inside another atom, which no translation has)."""
+    return _EPS_VAR.sub(r"\1", text)
+
+
 def compact_eps(f: Formula) -> str:
-    """The printed translation of a type with ``eps`` elided (as it would be
-    in a term ``eps(x)`` inside another atom, which no translation has)."""
-    return _EPS_VAR.sub(r"\1", print_formula(f))
-
-
-def render_sequent(seq: Sequent) -> str:
-    """A sequent of translations of types, printed with ``eps`` elided."""
-    return _EPS_VAR.sub(r"\1", str(seq))
+    """The printed translation of a type with ``eps`` elided."""
+    return elide_eps(print_formula(f))

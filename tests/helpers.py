@@ -33,6 +33,7 @@ from minpl.syntax import (
     Imp,
     ParseError,
     Polarity,
+    ScopeTable,
     Term,
     Var,
     barendregt_rename,
@@ -647,6 +648,31 @@ def reference_bound_vars(f: Formula) -> tuple[str, ...]:
     if isinstance(f, Imp):
         return reference_bound_vars(f.left) + reference_bound_vars(f.right)
     return (f.var,) + reference_bound_vars(f.body)
+
+
+def reference_pieces(f: Formula) -> frozenset[Formula]:
+    """The pieces of ``f``, by the recursion ``pieces`` replaced."""
+    out = {f}
+    if isinstance(f, Imp):
+        out |= reference_pieces(f.left) | reference_pieces(f.right)
+    elif isinstance(f, Forall):
+        out |= reference_pieces(f.body)
+    return frozenset(out)
+
+
+def reference_scope_table(f: Formula) -> ScopeTable:
+    """The scope table of a renamed ``f``, by the recursion ``scope_table`` replaced."""
+    scopes: dict[str, frozenset[str]] = {}
+
+    def walk(g: Formula) -> int:
+        if isinstance(g, Atom):
+            return 0
+        if isinstance(g, Imp):
+            return max(walk(g.left), walk(g.right))
+        scopes[g.var] = frozenset(bound_vars(g))
+        return 1 + walk(g.body)
+
+    return ScopeTable(scopes, walk(f))
 
 
 def reference_elide(f: Formula) -> Formula:

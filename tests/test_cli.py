@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import minpl
-from minpl.cli import RunConfig, main, run
+from minpl.cli import main
 
 INTRO = "((((P -> Q) -> P) -> P) -> Q) -> Q"
 IMPL_EXAMPLE = "((forall x. (P(x) -> ((forall y. (P(y) -> Q)) -> R) -> R)) -> Q) -> Q"
@@ -24,23 +24,18 @@ JSON_KEYS = {
 }
 
 
-def decide(text, **kw):
-    return RunConfig(mode="decide", text=text, **kw)
-
-
 def test_decide_derivable_exit_zero(capsys):
-    assert run(decide(INTRO)) == 0
+    assert main(["decide", INTRO]) == 0
     assert capsys.readouterr().out.strip() == "derivable"
 
 
 def test_decide_underivable_exit_one(capsys):
-    assert run(decide(IMPL_EXAMPLE)) == 1
+    assert main(["decide", IMPL_EXAMPLE]) == 1
     assert capsys.readouterr().out.strip() == "not derivable"
 
 
 def test_inhabit_identity_json(capsys):
-    config = RunConfig(mode="inhabit", text="forall X. X -> X", json_out=True)
-    assert run(config) == 0
+    assert main(["inhabit", "forall X. X -> X", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["derivable"] is True
     assert payload["mode"] == "inhabit"
@@ -48,7 +43,7 @@ def test_inhabit_identity_json(capsys):
 
 
 def test_json_schema_is_stable(capsys):
-    assert run(decide(INTRO, json_out=True, trace=True, stats=True)) == 0
+    assert main(["decide", INTRO, "--json", "--trace", "--stats"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == JSON_KEYS
     assert payload["derivable"] is True
@@ -62,19 +57,19 @@ def test_json_schema_is_stable(capsys):
 
 
 def test_json_without_trace_has_null_derivation(capsys):
-    assert run(decide(INTRO, json_out=True)) == 0
+    assert main(["decide", INTRO, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["derivation"] is None
 
 
 def test_text_trace_uses_rule_names(capsys):
-    assert run(decide("Q -> Q", trace=True)) == 0
+    assert main(["decide", "Q -> Q", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "Rimp: |- Q -> Q" in out
     assert "Limp [Q]: Q |- Q" in out
 
 
 def test_stats_lines(capsys):
-    assert run(decide(INTRO, stats=True)) == 0
+    assert main(["decide", INTRO, "--stats"]) == 0
     out = capsys.readouterr().out
     assert "visited:" in out and "max bracket depth:" in out
     assert "loop-check prunes:" in out
@@ -82,86 +77,101 @@ def test_stats_lines(capsys):
 
 def test_stats_report_loop_check_prunes(capsys):
     # {Q -> Q} |- Q selects the head Q -> Q, whose premise repeats the sequent
-    assert run(decide("(Q -> Q) -> Q", stats=True)) == 1
+    assert main(["decide", "(Q -> Q) -> Q", "--stats"]) == 1
     assert "loop-check prunes: 1" in capsys.readouterr().out.splitlines()
 
 
 def test_stats_report_memo_hits(capsys):
     # {R -> R -> Q, R} |- Q reuses the proof of its first premise R for the second
-    assert run(decide("(R -> R -> Q) -> R -> Q", stats=True)) == 0
+    assert main(["decide", "(R -> R -> Q) -> R -> Q", "--stats"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "memo hits: 1" in lines and "visited: 4" in lines
 
 
 def test_parse_error_exit_two(capsys):
-    assert run(decide("P -> ")) == 2
+    assert main(["decide", "P -> "]) == 2
     assert "parse error" in capsys.readouterr().err
 
 
 def test_not_positive_exit_two(capsys):
-    assert run(decide("(forall x. P(x)) -> Q")) == 2
+    assert main(["decide", "(forall x. P(x)) -> Q"]) == 2
     assert "not a positive formula" in capsys.readouterr().err
 
 
 def test_missing_input_exit_two(capsys):
-    assert run(RunConfig(mode="decide")) == 2
-    assert run(RunConfig(mode="decide", text="P", file="also.txt")) == 2
+    assert main(["decide"]) == 2
+    assert main(["decide", "P", "--file", "also.txt"]) == 2
 
 
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "formula.txt"
     path.write_text(INTRO + "\n", encoding="utf-8")
-    assert run(RunConfig(mode="decide", file=str(path))) == 0
+    assert main(["decide", "--file", str(path)]) == 0
 
 
 def test_open_formula_warns(capsys):
-    assert run(decide("P(c) -> P(c)", json_out=True)) == 0
+    assert main(["decide", "P(c) -> P(c)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert any("not closed" in w for w in payload["warnings"])
 
 
 def test_audit_violations_would_surface_in_warnings(capsys):
-    assert run(decide(IMPL_EXAMPLE, json_out=True, audit=True)) == 1
+    assert main(["decide", IMPL_EXAMPLE, "--json", "--audit"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["warnings"] == []
 
 
+@pytest.mark.parametrize("text, status", [(INTRO, 0), (IMPL_EXAMPLE, 1)])
+def test_audit_violations_surface_in_warnings(monkeypatch, capsys, text, status):
+    reports = [["forged violation"]]
+    monkeypatch.setattr("minpl.prover._audit", lambda *args: reports.pop() if reports else [])
+    assert main(["decide", text, "--json", "--audit"]) == status
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["warnings"] == ["audit: forged violation"]
+    assert payload["derivable"] is (status == 0)
+
+
+def test_text_mode_prints_warnings_on_stderr(capsys):
+    assert main(["decide", "P(c) -> P(c)"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "derivable\n"
+    assert err == (
+        "warning: input is not closed; free variables (c) are treated as constants\n"
+    )
+
+
 def test_oracle_check_agreement(capsys):
-    assert run(decide(INTRO, oracle_check=10, json_out=True)) == 0
+    assert main(["decide", INTRO, "--oracle-check", "10", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
-    assert run(decide(IMPL_EXAMPLE, oracle_check=8, json_out=True)) == 1
+    assert main(["decide", IMPL_EXAMPLE, "--oracle-check", "8", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
 
 
 def test_oracle_check_disagreement_is_exit_four(capsys):
     # depth 2 cannot reach the proof, so the cross-check reports disagreement
-    assert run(decide(INTRO, oracle_check=2)) == 4
+    assert main(["decide", INTRO, "--oracle-check", "2"]) == 4
     assert "NO" in capsys.readouterr().out
 
 
 def test_timeout_exit_three(capsys):
-    assert run(decide(INTRO, timeout=0.0)) == 3
+    assert main(["decide", INTRO, "--timeout", "0.0"]) == 3
     assert "timeout" in capsys.readouterr().err
 
 
 def test_normalize_mode(capsys):
-    config = RunConfig(mode="normalize", text="[Q, P(x)]_{x}, [P(x)]_{x}")
-    assert run(config) == 0
+    assert main(["normalize", "[Q, P(x)]_{x}, [P(x)]_{x}"]) == 0
     assert capsys.readouterr().out.strip() == "Q, [P(x)]_{x}"
 
 
 def test_normalize_mode_json(capsys):
-    config = RunConfig(
-        mode="normalize", text="[]_{v}, P, P", json_out=True, stats=True
-    )
-    assert run(config) == 0
+    assert main(["normalize", "[]_{v}, P, P", "--json", "--stats"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["normalized"] == "P"
     assert payload["mode"] == "normalize"
 
 
 def test_normalize_parse_error(capsys):
-    assert run(RunConfig(mode="normalize", text="[P")) == 2
+    assert main(["normalize", "[P"]) == 2
 
 
 def test_main_end_to_end():
@@ -173,20 +183,19 @@ def test_main_end_to_end():
 
 def test_main_builds_the_config_from_every_flag(monkeypatch):
     configs = []
-    monkeypatch.setattr(minpl.cli, "run", lambda config: configs.append(config) or 0)
+    monkeypatch.setattr(minpl.cli, "run", lambda config: configs.append(vars(config)) or 0)
     flags = ["--json", "--stats", "--trace", "--audit", "--oracle-check", "3", "--timeout", "2.5"]
     assert main(["decide", "Q -> Q", *flags]) == 0
     assert main(["inhabit", "--file", "t.txt", *flags]) == 0
     assert main(["normalize", "[Q]_{x}", "--json", "--stats"]) == 0
     assert main(["normalize", "--file", "c.txt"]) == 0
-    common = "json_out=True, stats=True, audit=True, oracle_check=3, timeout=2.5)"
-    assert [repr(c) for c in configs] == [
-        f"RunConfig(mode='decide', text='Q -> Q', file=None, trace=True, {common}",
-        f"RunConfig(mode='inhabit', text=None, file='t.txt', trace=True, {common}",
-        "RunConfig(mode='normalize', text='[Q]_{x}', file=None, trace=False, json_out=True,"
-        " stats=True, audit=False, oracle_check=None, timeout=None)",
-        "RunConfig(mode='normalize', text=None, file='c.txt', trace=False, json_out=False,"
-        " stats=False, audit=False, oracle_check=None, timeout=None)",
+    every = dict(json_out=True, stats=True, trace=True, audit=True, oracle_check=3, timeout=2.5)
+    unset = dict(trace=False, audit=False, oracle_check=None, timeout=None)
+    assert configs == [
+        dict(mode="decide", text="Q -> Q", file=None, **every),
+        dict(mode="inhabit", text=None, file="t.txt", **every),
+        dict(mode="normalize", text="[Q]_{x}", file=None, json_out=True, stats=True, **unset),
+        dict(mode="normalize", text=None, file="c.txt", json_out=False, stats=False, **unset),
     ]
 
 
@@ -269,6 +278,20 @@ def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():
     assert child.stdout.split() == ["3000", "1000"]
 
 
+def test_scope_table_and_pieces_of_long_inputs_at_the_default_recursion_limit():
+    code = (
+        "import sys\n"
+        "from minpl import parse_formula, pieces, scope_table\n"
+        "prefix = parse_formula(''.join(f'forall x{i}. ' for i in range(1200)) + 'Q')\n"
+        "table, chain = scope_table(prefix), parse_formula(' -> '.join(['Q'] * 3000))\n"
+        "print(table.depth, len(table.scopes['x0']), len(pieces(chain)))\n"
+        "print(sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1200", "1200", "3000", "1000"]
+
+
 @pytest.mark.parametrize("n", [1000, 2000])
 def test_long_type_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"
@@ -339,7 +362,7 @@ def test_internal_error_status_in_process(monkeypatch, capsys):
         raise KeyError("boom")
 
     monkeypatch.setattr("minpl.cli.derivable", broken)
-    assert run(decide(INTRO)) == 5
+    assert main(["decide", INTRO]) == 5
     assert "internal error: KeyError" in capsys.readouterr().err
 
 

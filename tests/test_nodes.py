@@ -11,7 +11,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minpl.cli import RunConfig
 from minpl.context import (
     BracketItem,
     Context,
@@ -186,11 +185,6 @@ REPRS = [
         "SearchStats(visited=0, max_seen=0, max_depth=0, prunes=0, memo_hits=0,"
         " elapsed=0.0, audit_violations=[])",
     ),
-    (
-        lambda: RunConfig(mode="decide", text="Q", trace=True),
-        "RunConfig(mode='decide', text='Q', file=None, trace=True, json_out=False,"
-        " stats=False, audit=False, oracle_check=None, timeout=None)",
-    ),
 ]
 
 
@@ -263,14 +257,3 @@ def test_search_stats_defaults_are_fresh_and_mutable():
     a.visited += 3
     a.audit_violations.append("x")
     assert b.visited == 0 and b.audit_violations == []
-
-
-def test_run_config_takes_keywords_with_defaults():
-    config = RunConfig(mode="inhabit", file="t.txt", json_out=True, oracle_check=7, timeout=2.5)
-    assert (config.mode, config.text, config.file) == ("inhabit", None, "t.txt")
-    flags = (config.trace, config.json_out, config.stats, config.audit)
-    assert flags == (False, True, False, False)
-    assert (config.oracle_check, config.timeout) == (7, 2.5)
-    assert RunConfig("decide", "Q").text == "Q"
-    with pytest.raises(TypeError):
-        RunConfig(mode="decide", colour=True)

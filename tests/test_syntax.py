@@ -33,8 +33,10 @@ from helpers import (
     position_formulas,
     reference_bound_vars,
     reference_parse,
+    reference_pieces,
     reference_polarity,
     reference_rename,
+    reference_scope_table,
     scope_table_bruteforce,
 )
 
@@ -413,6 +415,11 @@ def test_pieces_count_equals_positions_when_subtrees_distinct():
     assert len(pieces(f)) == len(position_formulas(f))
 
 
+@given(formulas)
+def test_pieces_matches_the_recursive_reference(f):
+    assert pieces(f) == reference_pieces(f)
+
+
 # ---------------------------------------------------------------------------
 # Scope tables
 
@@ -446,6 +453,27 @@ def test_scope_table_matches_ancestor_scan(f):
     scopes, depth = scope_table_bruteforce(renamed)
     assert dict(table.scopes) == scopes
     assert table.depth == depth
+
+
+@given(formulas)
+def test_scope_table_matches_the_recursive_reference(f):
+    renamed = barendregt_rename(f)
+    table, reference = scope_table(renamed), reference_scope_table(renamed)
+    assert table == reference
+    assert list(table.scopes) == list(reference.scopes)
+
+
+def test_pieces_and_scope_table_of_long_prefixes_and_left_nesting():
+    prefix = parse_formula("".join(f"forall x{i}. " for i in range(1000)) + "(Q -> Q)")
+    assert len(pieces(prefix)) == 1002
+    table = scope_table(prefix)
+    assert table.depth == 1000 and list(table.scopes) == [f"x{i}" for i in range(1000)]
+    assert table.scopes["x990"] == {f"x{i}" for i in range(990, 1000)}
+    tail = "".join(f") -> forall y{i}. Q" for i in range(1, 1501))
+    nested = parse_formula("(" * 1500 + "forall y0. Q" + tail)
+    assert len(pieces(nested)) == 3002
+    table = scope_table(nested)
+    assert table.depth == 1 and list(table.scopes) == [f"y{i}" for i in range(1501)]
 
 
 @given(formulas)
