@@ -16,16 +16,20 @@ The rules terminate (``measure`` strictly decreases) but their confluence is
 not settled, so ``normalize`` commits to one fixed strategy and additionally
 sorts every level by a total item order.  Equal multisets then get equal
 representations, and sequent equality during search is plain structural
-comparison.  ``fuse`` and ``bracket`` maintain normal forms incrementally so
-search never re-cleans a context from scratch.
+comparison.  ``fuse``, ``insert`` and ``bracket`` maintain normal forms
+incrementally so search never re-cleans a context from scratch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Iterable
 
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula
 from .syntax import _set, _store, _union_all, print_formula
+
+_key = attrgetter("key")
 
 __all__ = [
     "BracketItem",
@@ -34,6 +38,7 @@ __all__ = [
     "Item",
     "bracket",
     "fuse",
+    "insert",
     "is_clean",
     "measure",
     "normalize",
@@ -100,12 +105,7 @@ def measure(x: Context | Item) -> int:
 
 
 def _canonical(items: Iterable[Item]) -> Context:
-    ordered = sorted(items, key=lambda i: i.key)
-    unique: list[Item] = []
-    for item in ordered:
-        if not unique or item != unique[-1]:
-            unique.append(item)
-    return Context(tuple(unique))
+    return Context(tuple(dict.fromkeys(sorted(items, key=_key))))
 
 
 def normalize(c: Context) -> Context:
@@ -144,32 +144,20 @@ def is_clean(c: Context | Item) -> bool:
 
 
 def fuse(a: Context, b: Context) -> Context:
-    """Canonical form of the union of two clean contexts.
+    """Canonical form of the union of two clean contexts, without re-cleaning;
+    an empty operand returns the other one itself."""
+    if not a.items or not b.items:
+        return a if a.items else b
+    return _canonical(a.items + b.items)
 
-    A sorted merge in which duplicates collapse; equals ``normalize`` of the
-    multiset union, without the re-cleaning.  An empty operand returns the
-    other one itself.
-    """
-    ia, ib = a.items, b.items
-    if not ia or not ib:
-        return a if ia else b
-    out: list[Item] = []
-    i = j = 0
-    while i < len(ia) and j < len(ib):
-        ka, kb = ia[i].key, ib[j].key
-        if ka == kb:
-            out.append(ia[i])
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(ia[i])
-            i += 1
-        else:
-            out.append(ib[j])
-            j += 1
-    out.extend(ia[i:])
-    out.extend(ib[j:])
-    return Context(tuple(out))
+
+def insert(c: Context, item: Item) -> Context:
+    """Canonical form of adding the clean ``item`` to the clean context ``c``
+    by bisection: ``c`` itself when the item is already there."""
+    i = bisect_left(c.items, item.key, key=_key)
+    if i < len(c.items) and c.items[i].key == item.key:
+        return c
+    return Context(c.items[:i] + (item,) + c.items[i:])
 
 
 def bracket(c: Context, bound: Iterable[str]) -> Context:
@@ -184,34 +172,12 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
     inside = tuple(i for i in c.items if i.fv & v)
     if not inside:
         return c
-    outside = tuple(i for i in c.items if not i.fv & v)
-    return fuse(Context(outside), Context((BracketItem(Context(inside), v),)))
+    outside = Context(tuple(i for i in c.items if not i.fv & v))
+    return insert(outside, BracketItem(Context(inside), v))
 
 
 # ---------------------------------------------------------------------------
 # Debug syntax: the inverse of ``str`` on contexts, used by the CLI
-
-
-def _parse_list(ts: _TokenStream, item) -> tuple:
-    """``item ("," item)*``, each ``item`` parsed by the function ``item``."""
-    out = [item(ts)]
-    while ts.peek() == ",":
-        ts.index += 1
-        out.append(item(ts))
-    return tuple(out)
-
-
-def _parse_item(ts: _TokenStream) -> Item:
-    if ts.peek() != "[":
-        return FormulaItem(_parse_formula(ts))
-    ts.index += 1
-    inner = _parse_list(ts, _parse_item) if ts.peek() != "]" else ()
-    ts.expect("]")
-    ts.expect("_")
-    ts.expect("{")
-    names = _parse_list(ts, _TokenStream.ident)
-    ts.expect("}")
-    return BracketItem(Context(inner), frozenset(names))
 
 
 def parse_context(text: str) -> Context:
@@ -222,6 +188,28 @@ def parse_context(text: str) -> Context:
     ``normalize`` to clean it.
     """
     ts = _TokenStream(text)
-    items = _parse_list(ts, _parse_item) if ts.peek() is not None else ()
+    if ts.peek() is None:
+        return Context()
+    stack, items = [], []  # each open bracket's outer level waits on the stack
+    while True:
+        while ts.peek() == "[":
+            ts.index += 1
+            stack.append(items)
+            items = []
+        if items or not stack or ts.peek() != "]":  # else a bracket closes empty
+            items.append(FormulaItem(_parse_formula(ts)))
+        while stack and ts.peek() != ",":
+            for token in "]_{":
+                ts.expect(token)
+            names = [ts.ident()]
+            while ts.peek() == ",":
+                ts.index += 1
+                names.append(ts.ident())
+            ts.expect("}")
+            inner, items = items, stack.pop()
+            items.append(BracketItem(Context(tuple(inner)), frozenset(names)))
+        if ts.peek() != ",":
+            break
+        ts.index += 1
     ts.finish()
-    return Context(items)
+    return Context(tuple(items))

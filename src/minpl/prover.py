@@ -14,6 +14,11 @@ ancestor: it is then what the search finds from an empty branch, and by
 monotonicity of the loop check the same search reproduces it under any branch
 holding none of its sequents, which is when it is reused.  Verdicts and
 derivations are those of the plain search; only the visits drop.
+
+Every formula a search puts into a sequent is a piece of the renamed input,
+so each query keeps a table keyed by piece: a hypothesis's context item, head
+and arguments, and a universal goal's bracket set, each built once.  ``Rimp``
+adds the stored item with ``insert`` and head selection reads stored heads.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .context import BracketItem, Context, FormulaItem, bracket, fuse
+from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
 from .syntax import (
     Forall,
     Formula,
@@ -138,9 +143,19 @@ class SearchStats:
         self.audit_violations: list[str] = []
 
 
+class _PieceTable(dict):
+    """The per-query piece table of the module docstring, filled on first use."""
+
+    def __missing__(self, f: Formula):
+        entry = self[f] = (
+            frozenset(bound_vars(f)) if isinstance(f, Forall) else (FormulaItem(f), *decompose(f))
+        )
+        return entry
+
+
 class _Search:
-    """Search state: statistics, deadline and the success cache.  ``low`` is
-    the shallowest branch depth a prune hit in the current subtree."""
+    """Search state of one query: statistics, deadline, success cache and piece
+    table.  ``low`` is the shallowest branch depth a prune hit in the subtree."""
 
     def __init__(
         self,
@@ -154,6 +169,7 @@ class _Search:
         self.on_visit = on_visit
         self.low = 0
         self.memo: dict[Sequent, Derivation] = {}
+        self.table = _PieceTable()
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         stats = self.stats
@@ -181,15 +197,11 @@ class _Search:
 
             goal = seq.goal
             if isinstance(goal, Imp):
-                premise = Sequent(
-                    fuse(seq.context, Context((FormulaItem(goal.left),))), goal.right
-                )
+                premise = Sequent(insert(seq.context, self.table[goal.left][0]), goal.right)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
             elif isinstance(goal, Forall):
-                premise = Sequent(
-                    bracket(seq.context, frozenset(bound_vars(goal))), goal.body
-                )
+                premise = Sequent(bracket(seq.context, self.table[goal]), goal.body)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
             else:
@@ -218,7 +230,7 @@ class _Search:
         ) -> Optional[Derivation]:
             for item in level.items:
                 if isinstance(item, FormulaItem):
-                    head, args = decompose(item.formula)
+                    _, head, args = self.table[item.formula]
                     if head != goal:
                         continue
                     premise_ctx = fuse(level, outside)

@@ -168,6 +168,32 @@ def reference_normalize(c: Context) -> Context:
     return Context(tuple(sorted(set(flat), key=reference_item_key)))
 
 
+def reference_fuse(a: Context, b: Context) -> Context:
+    """Reference for ``fuse`` and ``insert``: walk both clean contexts in key
+    order, keep one of two items with equal keys, and return the other
+    operand itself when one is empty."""
+    ia, ib = a.items, b.items
+    if not ia or not ib:
+        return a if ia else b
+    out: list[Item] = []
+    i = j = 0
+    while i < len(ia) and j < len(ib):
+        ka, kb = ia[i].key, ib[j].key
+        if ka == kb:
+            out.append(ia[i])
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(ia[i])
+            i += 1
+        else:
+            out.append(ib[j])
+            j += 1
+    out.extend(ia[i:])
+    out.extend(ib[j:])
+    return Context(tuple(out))
+
+
 # ---------------------------------------------------------------------------
 # Derivation replay
 

@@ -292,6 +292,22 @@ def test_scope_table_and_pieces_of_long_inputs_at_the_default_recursion_limit():
     assert child.stdout.split() == ["1200", "1200", "3000", "1000"]
 
 
+def test_parse_context_reads_deep_brackets_at_the_default_recursion_limit():
+    # normalize, measure and str still recurse on such a context
+    code = (
+        "import sys\n"
+        "from minpl import BracketItem, parse_context\n"
+        "c = parse_context('[' * 5000 + 'P(x), [Q]_{y}' + ']_{x}' * 5000)\n"
+        "inner = c\n"
+        "while isinstance(inner.items[0], BracketItem):\n"
+        "    inner = inner.items[0].content\n"
+        "print(c.depth, len(inner.items), sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["5001", "2", "1000"]
+
+
 @pytest.mark.parametrize("n", [1000, 2000])
 def test_long_type_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"

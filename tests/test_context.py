@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from minpl.context import (
     FormulaItem,
     bracket,
     fuse,
+    insert,
     is_clean,
     measure,
     normalize,
@@ -16,7 +18,13 @@ from minpl.context import (
 )
 from minpl.syntax import ParseError, parse_formula
 
-from helpers import random_context, reference_free_vars, reference_normalize, rewrite_steps
+from helpers import (
+    random_context,
+    reference_free_vars,
+    reference_fuse,
+    reference_normalize,
+    rewrite_steps,
+)
 
 
 def ctx(text: str) -> Context:
@@ -113,8 +121,8 @@ def test_fuse_disjoint_items_merge_in_order():
     assert [str(i) for i in merged.items] == ["P", "[P(x)]_{x}"]
 
 
-# ``fuse`` is checked against the cleaner that does not call ``bracket``, since
-# ``bracket`` itself is built on ``fuse``
+# ``fuse`` is checked against the reference cleaner, since ``normalize`` sorts
+# and deduplicates with the same code as ``fuse``
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -132,6 +140,37 @@ def test_fuse_associative(sa, sb, sc):
     b = reference_normalize(random_context(random.Random(sb)))
     c = reference_normalize(random_context(random.Random(sc)))
     assert fuse(fuse(a, b), c) == fuse(a, fuse(b, c))
+
+
+# ``fuse`` and ``insert`` are checked against a plain sorted merge, on clean
+# contexts of formula and bracket items that share some of their items
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_fuse_and_insert_equal_the_reference_merge(seed_a, seed_b):
+    rng = random.Random(seed_b)
+    a = reference_normalize(random_context(random.Random(seed_a)))
+    shared = tuple(i for i in a.items if rng.random() < 0.5)
+    b = reference_normalize(Context(random_context(rng).items + shared))
+    for x, y in ((a, b), (b, a), (a, a), (a, Context()), (Context(), b)):
+        assert fuse(x, y) == reference_fuse(x, y)
+        assert str(fuse(x, y)) == str(reference_fuse(x, y))
+    for i in a.items + b.items:
+        expected = reference_fuse(a, Context((i,)))
+        assert insert(a, i) == expected
+        assert str(insert(a, i)) == str(expected)
+        assert is_clean(insert(a, i))
+
+
+@given(st.integers(0, 10_000))
+def test_insert_returns_the_context_itself_when_the_item_is_there(seed):
+    a = reference_normalize(random_context(random.Random(seed)))
+    for i in a.items:
+        assert insert(a, i) is a
+        # an equal item built apart, through the constructor, is found as well
+        rebuilt = copy.copy(i)
+        assert rebuilt is not i and insert(a, rebuilt) is a
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from minpl import prover
 from minpl.context import Context, FormulaItem, normalize, parse_context
 from minpl.prover import (
     NotPositive,
@@ -15,6 +16,7 @@ from minpl.prover import (
 from minpl.syntax import (
     Polarity,
     barendregt_rename,
+    decompose,
     parse_formula,
     polarity,
     scope_table,
@@ -149,6 +151,43 @@ def test_select_head_finds_zero_premise_head():
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
     assert derivation.head == parse_formula("P")
+
+
+# ---------------------------------------------------------------------------
+# The per-query piece table
+
+
+def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch, corpus):
+    built, split = [], []
+
+    class CountedItem(FormulaItem):
+        __slots__ = ()
+
+        def __init__(self, formula):
+            built.append(formula)
+            super().__init__(formula)
+
+    def counted_decompose(f):
+        split.append(f)
+        return decompose(f)
+
+    monkeypatch.setattr(prover, "FormulaItem", CountedItem)
+    monkeypatch.setattr(prover, "decompose", counted_decompose)
+    published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    total = 0
+    for f in published + corpus[:200]:
+        runs = []
+        for _ in range(2):
+            built.clear()
+            split.clear()
+            verdict, stats, _ = derivable(f)
+            assert len(built) == len(set(built)), f
+            assert len(split) == len(set(split)), f
+            runs.append((verdict, stats.visited, list(built), list(split)))
+        # the second query builds everything again: no table outlives its query
+        assert runs[0] == runs[1], f
+        total += len(runs[0][2])
+    assert total > 0
 
 
 # ---------------------------------------------------------------------------
