@@ -39,7 +39,6 @@ __all__ = [
     "bracket",
     "fuse",
     "insert",
-    "is_clean",
     "measure",
     "normalize",
     "parse_context",
@@ -124,23 +123,6 @@ def normalize(c: Context) -> Context:
         else:
             flat.extend(bracket(normalize(item.content), item.bound).items)
     return _canonical(flat)
-
-
-def is_clean(c: Context | Item) -> bool:
-    """True iff no cleaning rule applies anywhere in ``c`` and every level is
-    sorted by the canonical item order with no duplicates."""
-    if isinstance(c, FormulaItem):
-        return True
-    if isinstance(c, BracketItem):
-        if not c.content.items:
-            return False
-        if any(not (i.fv & c.bound) for i in c.content.items):
-            return False
-        return is_clean(c.content)
-    keys = [i.key for i in c.items]
-    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-        return False
-    return all(is_clean(i) for i in c.items)
 
 
 def fuse(a: Context, b: Context) -> Context:

@@ -13,12 +13,16 @@ Within a query a success is stored when no prune in its subtree hit an
 ancestor: it is then what the search finds from an empty branch, and by
 monotonicity of the loop check the same search reproduces it under any branch
 holding none of its sequents, which is when it is reused.  Verdicts and
-derivations are those of the plain search; only the visits drop.
+derivations are those of the plain search; only the visits drop.  A reused
+success is shared, so the sequent set of the check is collected over distinct
+derivation nodes, and a set already collected is taken whole.
 
 Every formula a search puts into a sequent is a piece of the renamed input,
 so each query keeps a table keyed by piece: a hypothesis's context item, head
 and arguments, and a universal goal's bracket set, each built once.  ``Rimp``
 adds the stored item with ``insert`` and head selection reads stored heads.
+A parse shares its equal nullary atoms, and equality tests identity first, so
+a head that is its goal matches it without a call into ``Node.__eq__``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .syntax import (
     Node,
     Polarity,
     ScopeTable,
+    _set,
     barendregt_rename,
     bound_vars,
     decompose,
@@ -72,7 +77,7 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sequent:
     __slots__ = ("context", "goal", "_hash")
     context: Context
@@ -80,8 +85,10 @@ class Sequent:
     _fields = ("context", "goal")
     __hash__, __reduce__ = Node.__hash__, Node.__reduce__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.context._hash, self.goal._hash)))
+    def __init__(self, context: Context, goal: Formula) -> None:
+        _set(self, "context", context)
+        _set(self, "goal", goal)
+        _set(self, "_hash", hash((context._hash, goal._hash)))
 
     def __str__(self) -> str:
         ctx = str(self.context)
@@ -111,12 +118,18 @@ class Derivation:
 
     @cached_property
     def sequents(self) -> frozenset[Sequent]:
-        """Every conclusion in the derivation, collected on first use."""
-        out, stack = [], [self]
+        """Every conclusion in the derivation, collected on first use over its
+        distinct nodes; a premise whose set is collected already adds it whole."""
+        out, walked, stack = {self.conclusion}, set(), list(self.premises)
         while stack:
             node = stack.pop()
-            out.append(node.conclusion)
-            stack.extend(node.premises)
+            known = node.__dict__.get("sequents")
+            if known is not None:
+                out |= known
+            elif id(node) not in walked:
+                walked.add(id(node))
+                out.add(node.conclusion)
+                stack += node.premises
         return frozenset(out)
 
 
@@ -231,7 +244,7 @@ class _Search:
             for item in level.items:
                 if isinstance(item, FormulaItem):
                     _, head, args = self.table[item.formula]
-                    if head != goal:
+                    if head is not goal and head != goal:
                         continue
                     premise_ctx = fuse(level, outside)
                     subs: list[Derivation] = []

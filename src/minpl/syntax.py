@@ -79,9 +79,9 @@ def _store(node, h: int, fv: frozenset[str]) -> None:
 
 class Node:
     """An immutable value with slots: the constructor sets the slots named in
-    ``_fields`` and stores ``_hash``; equality compares the type, the stored
-    hash, then the fields.  Copies and pickles go through the constructor,
-    which stores everything again."""
+    ``_fields`` and stores ``_hash``; equality is identity, or else the same
+    type, stored hash and fields, compared in that order.  Copies and pickles
+    go through the constructor, which stores everything again."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
@@ -91,6 +91,8 @@ class Node:
             cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._hash == other._hash and self._values(self) == other._values(other)
@@ -374,12 +376,15 @@ class _TokenStream:
     """Token cursor shared by the formula, type and context grammars: token
     strings ended by ``None``.  Loops read them directly and raise an error
     through ``at(i)`` and the method that checks token ``i``; only then is a
-    character position needed, and ``position`` scans the text again for it."""
+    character position needed, and ``position`` scans the text again for it.
+    ``atoms`` keeps each nullary atom read, so equal ones of a parse are one
+    object; the table dies with the stream."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens: list = _TOKEN.findall(text) + [None]
         self.index = 0
+        self.atoms: dict[str, Atom] = {}
 
     def at(self, index: int) -> _TokenStream:
         self.index = index
@@ -463,7 +468,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
     one, and the index after it; each open application waits on ``stack``."""
     toks = ts.tokens
     if toks[i] != "(":
-        return Atom(pred), i
+        return ts.atoms.get(pred) or ts.atoms.setdefault(pred, Atom(pred)), i
     stack, name, args = [], pred, []
     while True:  # token i is the "(" or "," before the next term
         tok = toks[i + 1]

@@ -151,6 +151,23 @@ def rewrite_steps(c: Context) -> list[Context]:
     return out
 
 
+def is_clean(c: Context | Item) -> bool:
+    """True iff no cleaning rule applies anywhere in ``c`` and every level is
+    sorted by the canonical item order with no duplicates."""
+    if isinstance(c, FormulaItem):
+        return True
+    if isinstance(c, BracketItem):
+        if not c.content.items:
+            return False
+        if any(not (i.fv & c.bound) for i in c.content.items):
+            return False
+        return is_clean(c.content)
+    keys = [i.key for i in c.items]
+    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
+        return False
+    return all(is_clean(i) for i in c.items)
+
+
 def reference_normalize(c: Context) -> Context:
     """The cleaner ``normalize`` had before it called ``bracket``: clean a
     bracket's content, hoist what does not mention its bound set, keep the
@@ -202,6 +219,28 @@ def replay(d: Derivation) -> None:
     """Recompute every premise of a derivation from its conclusion and fail
     on any mismatch; also checks that no sequent repeats along a branch."""
     _replay(d, frozenset())
+
+
+def reference_sequents(d: Derivation) -> frozenset[Sequent]:
+    """Every conclusion in a derivation by a plain tree walk, which visits a
+    shared subderivation once for each place it is used."""
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node.conclusion)
+        stack.extend(node.premises)
+    return frozenset(out)
+
+
+def distinct_nodes(d: Derivation) -> list[Derivation]:
+    """The nodes of a derivation, each shared one once, root first."""
+    seen, stack = {}, [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises)
+    return list(seen.values())
 
 
 def _replay(d: Derivation, above: frozenset) -> None:

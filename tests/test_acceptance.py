@@ -7,7 +7,7 @@ report.  The corpus fixtures are shared with the unit suites (see conftest).
 import random
 import time
 
-from minpl.context import is_clean, measure, normalize
+from minpl.context import measure, normalize
 from minpl.oracle import FlatSequent, first_provable_depth, ljplus_prove
 from minpl.prover import derivable
 from minpl.syntax import parse_formula, polarity
@@ -18,6 +18,7 @@ from helpers import (
     DERIVABLE_TRUE,
     INHABITED_FALSE,
     INHABITED_TRUE,
+    is_clean,
     random_context,
     random_type,
     reference_free_vars,

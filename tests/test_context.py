@@ -11,7 +11,6 @@ from minpl.context import (
     bracket,
     fuse,
     insert,
-    is_clean,
     measure,
     normalize,
     parse_context,
@@ -19,6 +18,7 @@ from minpl.context import (
 from minpl.syntax import ParseError, parse_formula
 
 from helpers import (
+    is_clean,
     random_context,
     reference_free_vars,
     reference_fuse,

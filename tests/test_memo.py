@@ -1,13 +1,25 @@
 """The success cache is exact: against the plain search of
 ``helpers.reference_derivable`` it changes no verdict and no derivation, and
 it only ever saves visits.  The golden traces cannot show a cache fault,
-since none of their queries reuses a success."""
+since none of their queries reuses a success.  A reused success is shared, so
+the sequent set the cache checks is collected over distinct nodes."""
+
+import time
 
 from minpl.oracle import generate_positive
 from minpl.prover import derivable, derivation_to_json
 from minpl.syntax import parse_formula
+from minpl.systemf import parse_type, phi
 
-from helpers import DERIVABLE_FALSE, DERIVABLE_TRUE, reference_derivable, replay
+from helpers import (
+    DERIVABLE_FALSE,
+    DERIVABLE_TRUE,
+    ROTATION_WITNESSES,
+    distinct_nodes,
+    reference_derivable,
+    reference_sequents,
+    replay,
+)
 
 
 def test_memoised_search_matches_plain_search(corpus):
@@ -56,3 +68,56 @@ def test_success_that_pruned_an_ancestor_is_not_reused():
     while limp.rule != "Limp":
         (limp,) = limp.premises
     assert str(limp.premises[1].head) == "A2 -> Q"
+
+
+def chain(n: int) -> str:
+    """``p0 -> (p0 -> p0 -> p1) -> ... -> (p(n-1) -> p(n-1) -> pn) -> pn``:
+    each ``pi`` is proved once and reused, so its derivation has 2n + 2
+    distinct nodes but about 2 ** (n + 1) as a tree."""
+    steps = [f"(p{i} -> p{i} -> p{i + 1})" for i in range(n)]
+    return " -> ".join(["p0"] + steps + [f"p{n}"])
+
+
+def test_sequents_match_the_tree_walk(corpus):
+    published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    witnesses = [
+        parse_formula(ROTATION_WITNESSES["formula"]),
+        phi(parse_type(ROTATION_WITNESSES["type"])),
+    ]
+    checked = reused = 0
+    for f in published + witnesses + corpus[:200] + [parse_formula(chain(8))]:
+        _, stats, derivation = derivable(f)
+        if derivation is None:
+            continue
+        reused += stats.memo_hits > 0
+        # root first: its walk meets the sets the search collected, whole
+        for node in distinct_nodes(derivation):
+            assert node.sequents == reference_sequents(node), f
+            checked += 1
+    assert reused > 1 and checked > 300, (reused, checked)
+
+
+def test_chain_is_decided_over_distinct_nodes():
+    # about 2 ** 41 nodes as a tree, so neither walked as one nor replayed
+    n = 40
+    f = parse_formula(chain(n))
+    start = time.perf_counter()
+    verdict, stats, derivation = derivable(f)
+    assert time.perf_counter() - start < 1.0
+    assert verdict and stats.visited == 2 * n + 2 and stats.memo_hits == n
+    nodes = distinct_nodes(derivation)
+    assert len(nodes) == 2 * n + 2
+    assert sum("sequents" in node.__dict__ for node in nodes) == n
+
+
+def test_sets_are_collected_only_for_reused_successes():
+    # ``A`` is proved through a chain of n hypotheses, then reused as the
+    # second argument of ``A -> A -> G``: one set of n + 1 sequents, not one
+    # set per node of the chain, which would hold about n ** 2 / 2
+    n = 200
+    hyps = ["(A -> A -> G)", "(B1 -> A)"] + [f"(B{i + 1} -> B{i})" for i in range(1, n)]
+    verdict, stats, derivation = derivable(parse_formula(" -> ".join(hyps + [f"B{n}", "G"])))
+    assert verdict and stats.memo_hits == 1
+    (collected,) = [d for d in distinct_nodes(derivation) if "sequents" in d.__dict__]
+    assert collected.conclusion.goal == parse_formula("A")
+    assert len(collected.sequents) == n + 1

@@ -254,7 +254,7 @@ def test_polarity_preserved_on_every_visited_sequent(corpus):
 
 
 def test_every_visited_context_is_clean(corpus):
-    from minpl.context import is_clean
+    from helpers import is_clean
 
     def check(s):
         assert is_clean(s.context)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from minpl.context import parse_context
 from minpl.syntax import (
     Atom,
     Forall,
@@ -27,6 +28,9 @@ from minpl.syntax import (
 from minpl.systemf import parse_type, type_polarity
 
 from helpers import (
+    DERIVABLE_FALSE,
+    DERIVABLE_TRUE,
+    ROTATION_WITNESSES,
     debruijn,
     formulas,
     ftypes,
@@ -38,6 +42,7 @@ from helpers import (
     reference_rename,
     reference_scope_table,
     scope_table_bruteforce,
+    subnodes,
 )
 
 P_OF_X = Atom("P", (Var("x"),))
@@ -160,6 +165,51 @@ def test_deeply_nested_terms_parse(depth):
     with pytest.raises(ParseError) as err:
         parse_formula(text[:-1])
     assert str(err.value) == f"expected ')', found end of input (at position {len(text) - 1})"
+
+
+# ---------------------------------------------------------------------------
+# Atom sharing: equal nullary atoms of one parse are one object, and nothing
+# is shared between parses
+
+PUBLISHED = DERIVABLE_TRUE + DERIVABLE_FALSE + (ROTATION_WITNESSES["formula"],)
+
+
+def assert_nullary_atoms_shared(x) -> None:
+    by_pred = {}
+    for node in subnodes(x):
+        if isinstance(node, Atom) and not node.terms:
+            assert by_pred.setdefault(node.pred, node) is node, node.pred
+
+
+@pytest.mark.parametrize("text", PUBLISHED)
+def test_equal_nullary_atoms_of_one_parse_are_one_object(text):
+    assert_nullary_atoms_shared(parse_formula(text))
+
+
+def test_equal_nullary_atoms_of_one_context_parse_are_one_object():
+    c = parse_context("Q, Q -> R, [forall y. P(y) -> Q]_{x}, [[R -> Q]_{y}]_{x}")
+    assert_nullary_atoms_shared(c)
+    first, second = c.items[0].formula, c.items[1].formula.left
+    assert first is second
+
+
+@pytest.mark.parametrize("text", PUBLISHED)
+def test_two_parses_share_no_node(text):
+    first, second = parse_formula(text), parse_formula(text)
+    assert first == second
+    assert {id(n) for n in subnodes(first)}.isdisjoint(id(n) for n in subnodes(second))
+    one, other = parse_context(text), parse_context(text)
+    assert {id(n) for n in subnodes(one)}.isdisjoint(id(n) for n in subnodes(other))
+
+
+def test_shared_parse_equals_and_prints_as_the_unshared_one(corpus):
+    texts = list(PUBLISHED) + [print_formula(f) for f in corpus[:500]]
+    for text in texts:
+        got, expected = parse_formula(text), reference_parse(text, "formula")
+        assert got == expected and repr(got) == repr(expected), text
+        assert print_formula(got) == print_formula(expected), text
+    for f in corpus[:500]:
+        assert parse_formula(print_formula(f)) == f
 
 
 # ---------------------------------------------------------------------------
