@@ -26,10 +26,12 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable
 
-from .syntax import Formula, Node, _NO_VARS, _TokenStream, _parse_formula
-from .syntax import _set, _store, _union_all, print_formula
+from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _parse_formula
+from .syntax import _set, print_formula
 
-_key = attrgetter("key")
+_key, _depth = attrgetter("key"), attrgetter("depth")
+# a context's hash is the sum of its items' hashes, kept below this mask
+_MASK = (1 << 61) - 1
 
 __all__ = [
     "BracketItem",
@@ -46,7 +48,9 @@ __all__ = [
 
 
 class Item(Node):
-    __slots__ = ("fv", "key")
+    """A context item; ``depth`` is the number of brackets it nests."""
+
+    __slots__ = ("fv", "key", "depth")
 
 
 class FormulaItem(Item):
@@ -57,8 +61,10 @@ class FormulaItem(Item):
         # formula is injective (it round-trips), so on clean contexts key
         # equality is item equality.
         _set(self, "formula", formula)
-        _store(self, hash((0, formula._hash)), formula.fv)
+        _set(self, "_hash", hash((0, formula._hash)))
+        _set(self, "fv", formula.fv)
         _set(self, "key", (0, print_formula(formula)))
+        _set(self, "depth", 0)
 
     def __str__(self) -> str:
         return self.key[1]
@@ -70,24 +76,26 @@ class BracketItem(Item):
     def __init__(self, content: "Context", bound: frozenset[str]) -> None:
         _set(self, "content", content)
         _set(self, "bound", bound)
-        fv = _union_all(content.items)
-        fv = (fv - bound or _NO_VARS) if fv & bound else fv
-        _store(self, hash((content._hash, bound)), fv)
-        _set(self, "key", (1, tuple(sorted(bound)), tuple(i.key for i in content.items)))
+        _set(self, "_hash", hash((content._hash, bound)))
+        _set(self, "fv", _NO_VARS.union(*map(_fv_of, content.items)).difference(bound))
+        _set(self, "key", (1, tuple(sorted(bound)), tuple(map(_key, content.items))))
+        _set(self, "depth", content.depth + 1)
 
     def __str__(self) -> str:
         return f"[{self.content}]_{{{','.join(sorted(self.bound))}}}"
 
 
 class Context(Node):
+    """A sequence of items, hashed as the sum of the items' hashes, so that
+    ``insert`` derives the hash, and the bracket depth, in O(1)."""
+
     __slots__ = ("items", "depth")
     _fields = ("items",)
 
     def __init__(self, items: tuple[Item, ...] = ()) -> None:
         _set(self, "items", items)
-        _set(self, "_hash", hash(items))
-        nested = [i.content.depth for i in items if isinstance(i, BracketItem)]
-        _set(self, "depth", 1 + max(nested) if nested else 0)
+        _set(self, "_hash", sum(map(_hash_of, items)) & _MASK)
+        _set(self, "depth", max(map(_depth, items), default=0))
 
     def __str__(self) -> str:
         return ", ".join(str(item) for item in self.items)
@@ -136,10 +144,15 @@ def fuse(a: Context, b: Context) -> Context:
 def insert(c: Context, item: Item) -> Context:
     """Canonical form of adding the clean ``item`` to the clean context ``c``
     by bisection: ``c`` itself when the item is already there."""
-    i = bisect_left(c.items, item.key, key=_key)
-    if i < len(c.items) and c.items[i].key == item.key:
+    items = c.items
+    i = bisect_left(items, item.key, key=_key)
+    if i < len(items) and items[i].key == item.key:
         return c
-    return Context(c.items[:i] + (item,) + c.items[i:])
+    out = object.__new__(Context)
+    _set(out, "items", items[:i] + (item,) + items[i:])
+    _set(out, "_hash", (c._hash + item._hash) & _MASK)
+    _set(out, "depth", max(c.depth, item.depth))
+    return out
 
 
 def bracket(c: Context, bound: Iterable[str]) -> Context:

@@ -19,10 +19,12 @@ derivation nodes, and a set already collected is taken whole.
 
 Every formula a search puts into a sequent is a piece of the renamed input,
 so each query keeps a table keyed by piece: a hypothesis's context item, head
-and arguments, and a universal goal's bracket set, each built once.  ``Rimp``
-adds the stored item with ``insert`` and head selection reads stored heads.
-A parse shares its equal nullary atoms, and equality tests identity first, so
-a head that is its goal matches it without a call into ``Node.__eq__``.
+and arguments, and a universal goal's bracket set, each built once; a binder
+prefix gets its sets in one walk, each the next binder's plus one name.
+``Rimp`` adds the stored item with ``insert``, which derives the context's
+hash and depth in O(1), and head selection reads stored heads.  A parse shares
+its equal atoms and variables, a translated type its ``eps(X)`` atoms, and
+equality tests identity first, so a head that is its goal matches it at once.
 """
 
 from __future__ import annotations
@@ -34,22 +36,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
-from .syntax import (
-    Forall,
-    Formula,
-    Imp,
-    Node,
-    Polarity,
-    ScopeTable,
-    _set,
-    barendregt_rename,
-    bound_vars,
-    decompose,
-    pieces,
-    polarity,
-    print_formula,
-    scope_table,
-)
+from .syntax import Forall, Formula, Imp, Node, Polarity, ScopeTable, _set, barendregt_rename
+from .syntax import bound_vars, decompose, pieces, polarity, print_formula, scope_table
 
 __all__ = [
     "Derivation",
@@ -157,13 +145,24 @@ class SearchStats:
 
 
 class _PieceTable(dict):
-    """The per-query piece table of the module docstring, filled on first use."""
+    """The per-query piece table of the module docstring, filled on first use;
+    a universal goal fills in the bound sets of its whole binder prefix."""
 
     def __missing__(self, f: Formula):
-        entry = self[f] = (
-            frozenset(bound_vars(f)) if isinstance(f, Forall) else (FormulaItem(f), *decompose(f))
-        )
-        return entry
+        if not isinstance(f, Forall):
+            entry = self[f] = (FormulaItem(f), *decompose(f))
+            return entry
+        prefix = []
+        while isinstance(f, Forall):
+            prefix.append(f)
+            f = f.body
+        bound = frozenset(bound_vars(f))
+        for g in reversed(prefix):
+            bound = self[g] = bound | {g.var}
+        return bound
+
+
+_EMPTY = Context()
 
 
 class _Search:
@@ -226,48 +225,43 @@ class _Search:
             del seen[seq]
             self.low = min(self.low, outer_low)
 
-    def select_head(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
-        """Try every reachable head for an atomic goal, first success wins.
+    def select_head(
+        self, seen: SeenSet, seq: Sequent, level=None, outside=_EMPTY, path=()
+    ) -> Optional[Derivation]:
+        """Try every head reachable from ``level``, the context of ``seq``
+        unless given, for the atomic goal of ``seq``; first success wins.
 
         Heads are tried in canonical item order, outer level first; a bracket
         is entered only when the goal has no free variable in its bound set.
-        Entering a bracket at level k rebrackets everything outside it (the
-        accumulated ``outside``) with that bracket's bound set, so premises
-        see the rotated context.
+        Entering a bracket rebrackets everything outside it (the accumulated
+        ``outside`` and the bracket's siblings) with that bracket's bound set,
+        so premises see the rotated context; ``path`` lists the brackets
+        opened to reach ``level``.
         """
+        level = seq.context if level is None else level
         goal = seq.goal
-        goal_fv = goal.fv
-
-        def try_level(
-            level: Context, outside: Context, path: tuple[BracketItem, ...]
-        ) -> Optional[Derivation]:
-            for item in level.items:
-                if isinstance(item, FormulaItem):
-                    _, head, args = self.table[item.formula]
-                    if head is not goal and head != goal:
-                        continue
-                    premise_ctx = fuse(level, outside)
-                    subs: list[Derivation] = []
-                    for arg in args:
-                        sub = self.search(seen, Sequent(premise_ctx, arg))
-                        if sub is None:
-                            break
-                        subs.append(sub)
-                    if len(subs) == len(args):
-                        return Derivation(
-                            RULE_LIMP, seq, tuple(subs), head=item.formula, path=path
-                        )
-                else:
-                    if goal_fv & item.bound:
-                        continue
-                    siblings = Context(tuple(i for i in level.items if i != item))
-                    rotated = bracket(fuse(outside, siblings), item.bound)
-                    found = try_level(item.content, rotated, path + (item,))
-                    if found is not None:
-                        return found
-            return None
-
-        return try_level(seq.context, Context(), ())
+        items = level.items
+        for index, item in enumerate(items):
+            if isinstance(item, FormulaItem):
+                _, head, args = self.table[item.formula]
+                if head is not goal and head != goal:
+                    continue
+                premise_ctx = fuse(level, outside)
+                subs: list[Derivation] = []
+                for arg in args:
+                    sub = self.search(seen, Sequent(premise_ctx, arg))
+                    if sub is None:
+                        break
+                    subs.append(sub)
+                if len(subs) == len(args):
+                    return Derivation(RULE_LIMP, seq, tuple(subs), head=item.formula, path=path)
+            elif not goal.fv & item.bound:
+                siblings = Context(items[:index] + items[index + 1 :])
+                rotated = bracket(fuse(outside, siblings), item.bound)
+                found = self.select_head(seen, seq, item.content, rotated, path + (item,))
+                if found is not None:
+                    return found
+        return None
 
 
 def derivable(

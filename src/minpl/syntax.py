@@ -57,24 +57,12 @@ class NotBarendregt(ValueError):
 
 # ---------------------------------------------------------------------------
 # Abstract syntax: immutable slotted nodes, each storing its hash and free
-# variables, computed once from its children's.
+# variables, and a formula also its polarity and number of binders, all
+# computed once from its children's.
 
 _NO_VARS: frozenset[str] = frozenset()
 _set = object.__setattr__
-
-
-def _union_all(nodes) -> frozenset[str]:
-    """The union of the nodes' free variables, sharing a node's set if it is that."""
-    fv = _NO_VARS
-    for n in nodes:
-        if not fv >= n.fv:
-            fv = n.fv if n.fv >= fv else fv | n.fv
-    return fv
-
-
-def _store(node, h: int, fv: frozenset[str]) -> None:
-    _set(node, "_hash", h)
-    _set(node, "fv", fv)
+_hash_of, _fv_of = attrgetter("_hash"), attrgetter("fv")
 
 
 class Node:
@@ -122,7 +110,8 @@ class Var(Term):
 
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
-        _store(self, hash(("v", name)), frozenset((name,)))
+        _set(self, "_hash", hash(("v", name)))
+        _set(self, "fv", frozenset((name,)))
 
     def __str__(self) -> str:
         return self.name
@@ -134,14 +123,26 @@ class Func(Term):
     def __init__(self, name: str, args: tuple[Term, ...]) -> None:
         _set(self, "name", name)
         _set(self, "args", args)
-        _store(self, hash((name, args)), _union_all(args))
+        _set(self, "_hash", hash((name, *map(_hash_of, args))))
+        _set(self, "fv", args[0].fv if len(args) == 1 else _NO_VARS.union(*map(_fv_of, args)))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
+class Polarity(Enum):
+    POSITIVE = "positive"
+    NEGATIVE = "negative"
+    BOTH = "both"
+    NEITHER = "neither"
+
+
+# a formula's ``pol`` has bit 0 set when it is positive and bit 1 when negative
+_POLARITIES = (Polarity.NEITHER, Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.BOTH)
+
+
 class Formula(Node):
-    __slots__ = ("fv",)
+    __slots__ = ("fv", "pol", "nbinders")
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -153,7 +154,10 @@ class Atom(Formula):
     def __init__(self, pred: str, terms: tuple[Term, ...] = ()) -> None:
         _set(self, "pred", pred)
         _set(self, "terms", terms)
-        _store(self, hash((pred, terms)), _union_all(terms))
+        _set(self, "_hash", hash((pred, *map(_hash_of, terms))))
+        _set(self, "fv", terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms)))
+        _set(self, "pol", 3)
+        _set(self, "nbinders", 0)
 
 
 class Imp(Formula):
@@ -162,7 +166,14 @@ class Imp(Formula):
     def __init__(self, left: Formula, right: Formula) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-        _store(self, hash((left._hash, right._hash)), _union_all((left, right)))
+        _set(self, "_hash", hash((left._hash, right._hash)))
+        lfv, rfv = left.fv, right.fv
+        _set(self, "fv", rfv if rfv >= lfv else lfv if lfv >= rfv else lfv | rfv)
+        # positive when the antecedent is negative and the consequent positive,
+        # negative when the antecedent is positive and the consequent negative
+        lpol, rpol = left.pol, right.pol
+        _set(self, "pol", lpol >> 1 & rpol & 1 | lpol << 1 & rpol & 2)
+        _set(self, "nbinders", left.nbinders + right.nbinders)
 
 
 class Forall(Formula):
@@ -171,52 +182,20 @@ class Forall(Formula):
     def __init__(self, var: str, body: Formula) -> None:
         _set(self, "var", var)
         _set(self, "body", body)
-        fv = (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv
-        _store(self, hash((var, "all", body._hash)), fv)
-
-
-# ---------------------------------------------------------------------------
-# Polarity
-
-
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
-def _pos_neg(f: Formula) -> tuple[bool, bool]:
-    # loop down the right spine; only antecedents recurse
-    spine = []
-    while not isinstance(f, Atom):
-        spine.append(f)
-        f = f.right if isinstance(f, Imp) else f.body
-    pos = neg = True
-    for g in reversed(spine):
-        if isinstance(g, Imp):
-            lpos, lneg = _pos_neg(g.left)
-            pos, neg = lneg and pos, lpos and neg
-        else:
-            # a universally quantified formula is never negative
-            neg = False
-    return pos, neg
+        _set(self, "_hash", hash((var, "all", body._hash)))
+        _set(self, "fv", (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv)
+        # a universally quantified formula is never negative
+        _set(self, "pol", body.pol & 1)
+        _set(self, "nbinders", body.nbinders + 1)
 
 
 def polarity(f: Formula) -> Polarity:
-    """Polarity of a formula.
+    """Polarity of a formula, as stored when it was built.
 
     Atoms are both positive and negative; an implication flips polarity on
     the left; a universal quantifier is only ever positive.
     """
-    pos, neg = _pos_neg(f)
-    if pos and neg:
-        return Polarity.BOTH
-    if pos:
-        return Polarity.POSITIVE
-    if neg:
-        return Polarity.NEGATIVE
-    return Polarity.NEITHER
+    return _POLARITIES[f.pol]
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +212,15 @@ def bound_vars(f: Formula) -> tuple[str, ...]:
 
     Duplicate-free exactly when ``f`` satisfies the Barendregt condition.
     """
-    # loop down left spines and binder prefixes; right operands wait on a stack
+    # loop down left spines and binder prefixes; right operands with binders
+    # wait on a stack, and a subtree without binders is never entered
     out, stack = [], [f]
     while stack:
         g = stack.pop()
-        while not isinstance(g, Atom):
+        while g.nbinders:
             if isinstance(g, Imp):
-                stack.append(g.right)
+                if g.right.nbinders:
+                    stack.append(g.right)
                 g = g.left
             else:
                 out.append(g.var)
@@ -296,10 +277,16 @@ def barendregt_rename(f: Formula) -> Formula:
 
     Deterministic: binders are visited leftmost-outermost and a clashing
     binder ``x`` becomes ``x_N`` for the next value ``N`` of one counter
-    shared by the whole traversal.  Free variables are never touched.  Every
-    subtree with nothing renamed in it is returned as it is, so ``f`` itself
-    comes back when its binders are already apart.
+    shared by the whole traversal.  Free variables are never touched.  ``f``
+    itself comes back, after one ``bound_vars`` walk, when its binders are
+    already apart; otherwise every subtree with nothing renamed in it is
+    returned as it is.
     """
+    if not f.nbinders:
+        return f
+    binders = bound_vars(f)
+    if len(set(binders)) == len(binders) and f.fv.isdisjoint(binders):
+        return f
     used = set(free_vars(f))
     counter = itertools.count(1)
 
@@ -341,17 +328,20 @@ def scope_table(f: Formula) -> ScopeTable:
         dup = next(x for i, x in enumerate(seq) if x in seq[:i])
         raise NotBarendregt(f"duplicate binder {dup!r}")
     # binders in left-to-right order, as bound_vars visits them; each right
-    # operand waits on the stack with the number of binders above it
+    # operand with binders waits on the stack with the number of binders above
+    # it.  A binder's scope is the run of that order its subtree's binders fill.
     scopes: dict[str, frozenset[str]] = {}
     depth, stack = 0, [(f, 0)]
     while stack:
         g, above = stack.pop()
-        while not isinstance(g, Atom):
+        while g.nbinders:
             if isinstance(g, Imp):
-                stack.append((g.right, above))
+                if g.right.nbinders:
+                    stack.append((g.right, above))
                 g = g.left
             else:
-                scopes[g.var] = frozenset(bound_vars(g))
+                first = len(scopes)
+                scopes[g.var] = frozenset(seq[first : first + g.nbinders])
                 above += 1
                 g = g.body
         depth = max(depth, above)
@@ -377,14 +367,16 @@ class _TokenStream:
     strings ended by ``None``.  Loops read them directly and raise an error
     through ``at(i)`` and the method that checks token ``i``; only then is a
     character position needed, and ``position`` scans the text again for it.
-    ``atoms`` keeps each nullary atom read, so equal ones of a parse are one
-    object; the table dies with the stream."""
+    ``atoms`` keeps each atom read, keyed by its tokens, and ``vars`` each
+    variable, so equal ones of a parse are one object; the tables die with
+    the stream."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens: list = _TOKEN.findall(text) + [None]
         self.index = 0
-        self.atoms: dict[str, Atom] = {}
+        self.atoms: dict[str | tuple[str, ...], Atom] = {}
+        self.vars: dict[str, Var] = {}
 
     def at(self, index: int) -> _TokenStream:
         self.index = index
@@ -466,10 +458,10 @@ def _parse_formula(ts: _TokenStream) -> Formula:
 def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
     """The atom ``pred``, whose argument list opens at token ``i`` if it has
     one, and the index after it; each open application waits on ``stack``."""
-    toks = ts.tokens
+    toks, atoms = ts.tokens, ts.atoms
     if toks[i] != "(":
-        return ts.atoms.get(pred) or ts.atoms.setdefault(pred, Atom(pred)), i
-    stack, name, args = [], pred, []
+        return atoms.get(pred) or atoms.setdefault(pred, Atom(pred)), i
+    start, stack, name, args = i - 1, [], pred, []
     while True:  # token i is the "(" or "," before the next term
         tok = toks[i + 1]
         if tok is None or tok[0] not in _IDENT_START or tok == "forall":
@@ -479,7 +471,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
             stack.append((name, args))
             name, args = tok, []
             continue
-        x: Term = Var(tok)
+        x: Term = ts.vars.get(tok) or ts.vars.setdefault(tok, Var(tok))
         while True:
             args.append(x)
             if toks[i] == ",":
@@ -488,7 +480,8 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
                 ts.at(i).expect(")")
             i += 1
             if not stack:
-                return Atom(name, tuple(args)), i
+                key = tuple(toks[start:i])
+                return atoms.get(key) or atoms.setdefault(key, Atom(name, tuple(args))), i
             x = Func(name, tuple(args))
             name, args = stack.pop()
 

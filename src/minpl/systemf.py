@@ -15,20 +15,8 @@ import re
 from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
-from .syntax import (
-    Atom,
-    Forall,
-    Formula,
-    Imp,
-    Node,
-    Polarity,
-    Var,
-    _TokenStream,
-    _parse_spine,
-    _set,
-    polarity,
-    print_formula,
-)
+from .syntax import Atom, Forall, Formula, Imp, Node, Polarity, Var, _TokenStream, _parse_spine
+from .syntax import _set, polarity, print_formula
 
 EPS = "eps"
 
@@ -67,15 +55,21 @@ class TForall(FType):
 
 
 def phi(t: FType) -> Formula:
-    """Translate a type to a formula over the unary predicate ``eps``."""
-    spine = []
-    while not isinstance(t, TVar):
-        spine.append(t)
-        t = t.codomain if isinstance(t, TArrow) else t.body
-    f: Formula = Atom(EPS, (Var(t.name),))
-    for s in reversed(spine):
-        f = Imp(phi(s.domain), f) if isinstance(s, TArrow) else Forall(s.var, f)
-    return f
+    """Translate a type to a formula over the unary predicate ``eps``; the
+    translation makes one ``eps(X)`` atom per type variable ``X``."""
+    atoms: dict[str, Atom] = {}
+
+    def go(t: FType) -> Formula:
+        spine = []
+        while not isinstance(t, TVar):
+            spine.append(t)
+            t = t.codomain if isinstance(t, TArrow) else t.body
+        f: Formula = atoms.get(t.name) or atoms.setdefault(t.name, Atom(EPS, (Var(t.name),)))
+        for s in reversed(spine):
+            f = Imp(go(s.domain), f) if isinstance(s, TArrow) else Forall(s.var, f)
+        return f
+
+    return go(t)
 
 
 def type_polarity(t: FType) -> Polarity:

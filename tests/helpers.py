@@ -687,6 +687,25 @@ def reference_print_type(t: FType) -> str:
     return f"forall {t.var}. {body}"
 
 
+def reference_pos_neg(f: Formula) -> tuple[bool, bool]:
+    """Whether ``f`` is positive and whether it is negative, walked afresh:
+    the spine walk that computed ``polarity`` before formulas stored it."""
+    # loop down the right spine; only antecedents recurse
+    spine = []
+    while not isinstance(f, Atom):
+        spine.append(f)
+        f = f.right if isinstance(f, Imp) else f.body
+    pos = neg = True
+    for g in reversed(spine):
+        if isinstance(g, Imp):
+            lpos, lneg = reference_pos_neg(g.left)
+            pos, neg = lneg and pos, lpos and neg
+        else:
+            # a universally quantified formula is never negative
+            neg = False
+    return pos, neg
+
+
 def reference_polarity(x: Formula | FType) -> Polarity:
     """Polarity by the plain recursive induction, on formulas and on types."""
 

@@ -18,6 +18,7 @@ from minpl.context import (
     Item,
     bracket,
     fuse,
+    insert,
     normalize,
     parse_context,
 )
@@ -85,12 +86,30 @@ def rebuild(c: Context) -> Context:
 @settings(max_examples=200)
 @given(st.integers(0, 2**32))
 def test_contexts_along_different_routes_have_equal_hashes(seed):
-    normal = normalize(random_context(random.Random(seed)))
+    rng = random.Random(seed)
+    normal = normalize(random_context(rng))
     reparsed = normalize(parse_context(str(normal)))
     rebuilt = rebuild(normal)
     assert reparsed == normal and hash(reparsed) == hash(normal)
     assert rebuilt == normal and hash(rebuilt) == hash(normal)
     assert [i.key for i in rebuilt.items] == [i.key for i in normal.items]
+    # one item at a time, in any order, with the hash and depth derived by insert
+    inserted = Context()
+    for item in rng.sample(normal.items, len(normal.items)):
+        inserted = insert(inserted, item)
+        assert inserted.depth == reference_depth(inserted)
+    assert inserted == normal and hash(inserted) == hash(normal)
+    assert inserted.items == normal.items and inserted.depth == normal.depth
+    # a rotation's siblings, sliced at the bracket, against the same items inserted
+    for index, item in enumerate(normal.items):
+        if isinstance(item, BracketItem):
+            siblings = Context(normal.items[:index] + normal.items[index + 1 :])
+            again = Context()
+            for other in normal.items:
+                if other is not item:
+                    again = insert(again, other)
+            assert siblings == again and hash(siblings) == hash(again)
+            assert siblings.depth == again.depth == reference_depth(siblings)
 
 
 def live_nodes() -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from minpl import prover
+from minpl import prover, syntax
 from minpl.context import Context, FormulaItem, normalize, parse_context
 from minpl.prover import (
     NotPositive,
@@ -8,16 +8,20 @@ from minpl.prover import (
     SearchTimeout,
     SeenSet,
     Sequent,
+    _PieceTable,
     _Search,
     audit,
     derivable,
     derivation_to_json,
 )
 from minpl.syntax import (
+    Forall,
     Polarity,
     barendregt_rename,
+    bound_vars,
     decompose,
     parse_formula,
+    pieces,
     polarity,
     scope_table,
 )
@@ -27,6 +31,7 @@ from helpers import (
     DERIVABLE_FALSE,
     DERIVABLE_TRUE,
     INHABITED_FALSE,
+    INHABITED_TRUE,
     context_formulas,
     reference_derivable,
     replay,
@@ -188,6 +193,52 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
         assert runs[0] == runs[1], f
         total += len(runs[0][2])
     assert total > 0
+
+
+def test_piece_table_prefix_bound_sets_are_the_bound_variables(corpus):
+    published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    published += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    checked = 0
+    for f in published + corpus:
+        renamed = barendregt_rename(f)
+        goals = [g for g in pieces(renamed) if isinstance(g, Forall)]
+        # asked in either order, each binder's set is its own, and so is every
+        # set filled in on the way
+        for order in (goals, goals[::-1]):
+            table = _PieceTable()
+            for g in order:
+                assert table[g] == frozenset(bound_vars(g)), str(g)
+            for g, entry in table.items():
+                assert entry == frozenset(bound_vars(g)), str(g)
+            checked += len(table)
+        engine = _Search(SearchStats())
+        engine.search(SeenSet(), Sequent(Context(), renamed))
+        for g, entry in engine.table.items():
+            if isinstance(g, Forall):
+                assert entry == frozenset(bound_vars(g)), str(g)
+    assert checked > 500
+
+
+def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch):
+    calls = []
+
+    def counted_bound_vars(f):
+        calls.append(f)
+        return bound_vars(f)
+
+    monkeypatch.setattr(prover, "bound_vars", counted_bound_vars)
+    monkeypatch.setattr(syntax, "bound_vars", counted_bound_vars)
+    n = 3000
+    f = parse_formula("".join(f"forall x{i}. " for i in range(1, n + 1)) + "Q -> Q")
+    verdict, stats, _ = derivable(f)
+    assert verdict and stats.visited == n + 2
+    # renaming checks the binders once and the piece table walks the prefix once
+    assert len(calls) <= 2, len(calls)
+    calls.clear()
+    table = scope_table(barendregt_rename(f))
+    assert len(table.scopes) == n and table.scopes["x1"] == frozenset(bound_vars(f))
+    # one walk for renaming and one for the duplicate check of scope_table
+    assert len(calls) <= 2, len(calls)
 
 
 # ---------------------------------------------------------------------------

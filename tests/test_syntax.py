@@ -25,11 +25,13 @@ from minpl.syntax import (
     print_formula,
     scope_table,
 )
-from minpl.systemf import parse_type, type_polarity
+from minpl.systemf import parse_type, phi, type_polarity
 
 from helpers import (
     DERIVABLE_FALSE,
     DERIVABLE_TRUE,
+    INHABITED_FALSE,
+    INHABITED_TRUE,
     ROTATION_WITNESSES,
     debruijn,
     formulas,
@@ -39,6 +41,7 @@ from helpers import (
     reference_parse,
     reference_pieces,
     reference_polarity,
+    reference_pos_neg,
     reference_rename,
     reference_scope_table,
     scope_table_bruteforce,
@@ -168,8 +171,8 @@ def test_deeply_nested_terms_parse(depth):
 
 
 # ---------------------------------------------------------------------------
-# Atom sharing: equal nullary atoms of one parse are one object, and nothing
-# is shared between parses
+# Atom sharing: equal atoms and variables of one parse are one object, and
+# nothing is shared between parses
 
 PUBLISHED = DERIVABLE_TRUE + DERIVABLE_FALSE + (ROTATION_WITNESSES["formula"],)
 
@@ -191,6 +194,33 @@ def test_equal_nullary_atoms_of_one_context_parse_are_one_object():
     assert_nullary_atoms_shared(c)
     first, second = c.items[0].formula, c.items[1].formula.left
     assert first is second
+
+
+def assert_atoms_and_vars_shared(x) -> None:
+    by_text = {}
+    for node in subnodes(x):
+        if isinstance(node, (Atom, Var)):
+            assert by_text.setdefault((type(node), str(node)), node) is node, str(node)
+
+
+@pytest.mark.parametrize("text", PUBLISHED)
+def test_equal_atoms_and_variables_of_one_parse_are_one_object(text):
+    assert_atoms_and_vars_shared(parse_formula(text))
+    assert_atoms_and_vars_shared(parse_context(text))
+
+
+def test_atoms_with_arguments_are_shared_by_their_tokens():
+    f = parse_formula("P(x, f(y)) -> P(x,f(y)) -> (forall z. Q(z) -> P(x, f(y))) -> Q(y)")
+    assert f.left is f.right.left is f.right.right.left.body.right
+    assert f.left.terms[1].args[0] is f.right.right.right.terms[0]
+    assert_atoms_and_vars_shared(f)
+
+
+@pytest.mark.parametrize("text", INHABITED_TRUE + INHABITED_FALSE + (ROTATION_WITNESSES["type"],))
+def test_one_translation_makes_one_eps_atom_per_type_variable(text):
+    f = phi(parse_type(text))
+    assert_atoms_and_vars_shared(f)
+    assert {id(n) for n in subnodes(f)}.isdisjoint(id(n) for n in subnodes(phi(parse_type(text))))
 
 
 @pytest.mark.parametrize("text", PUBLISHED)
@@ -298,10 +328,31 @@ def test_polarity_atom_is_both():
     assert polarity(Atom("P")) is Polarity.BOTH
 
 
+def assert_stored_analyses_match_the_references(f) -> None:
+    """The stored polarity bits and binder count of every subformula against
+    the spine walk, the plain recursion and the binders counted afresh."""
+    for g in subnodes(f):
+        if isinstance(g, (Atom, Imp, Forall)):
+            pos, neg = reference_pos_neg(g)
+            assert g.pol == pos | neg << 1, str(g)
+            assert polarity(g) == reference_polarity(g), str(g)
+            assert g.nbinders == len(reference_bound_vars(g)), str(g)
+
+
 @given(formulas, ftypes)
 def test_polarity_matches_recursive_reference(f, t):
     assert polarity(f) == reference_polarity(f)
     assert type_polarity(t) == reference_polarity(t)
+    assert_stored_analyses_match_the_references(f)
+    assert_stored_analyses_match_the_references(phi(t))
+
+
+def test_stored_polarity_and_binder_count_on_published_and_generated_formulas(corpus):
+    published = [parse_formula(text) for text in PUBLISHED]
+    types = INHABITED_TRUE + INHABITED_FALSE + (ROTATION_WITNESSES["type"],)
+    published += [phi(parse_type(text)) for text in types]
+    for f in published + list(corpus):
+        assert_stored_analyses_match_the_references(f)
 
 
 def test_polarity_neither():
@@ -422,6 +473,8 @@ def test_rename_shares_untouched_subtrees(f):
     bound = bound_vars(f)
     if len(bound) == len(set(bound)) and not set(bound) & free_vars(f):
         assert renamed is f
+    # the input itself exactly when the rebuilding reference renames nothing
+    assert (renamed is f) == (reference_rename(f) == f)
 
 
 def test_rename_returns_apart_input_itself():
