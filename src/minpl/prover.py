@@ -217,7 +217,7 @@ class _Search:
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
             else:
-                found = self.select_head(seen, seq)
+                found = self.select_head(seen, seq, seq.context)
             if found is not None and self.low >= here:
                 self.memo[seq] = found
             return found
@@ -226,10 +226,10 @@ class _Search:
             self.low = min(self.low, outer_low)
 
     def select_head(
-        self, seen: SeenSet, seq: Sequent, level=None, outside=_EMPTY, path=()
+        self, seen: SeenSet, seq: Sequent, level: Context, outside=_EMPTY, path=()
     ) -> Optional[Derivation]:
-        """Try every head reachable from ``level``, the context of ``seq``
-        unless given, for the atomic goal of ``seq``; first success wins.
+        """Try every head reachable from ``level``, at first the context of
+        ``seq``, for the atomic goal of ``seq``; first success wins.
 
         Heads are tried in canonical item order, outer level first; a bracket
         is entered only when the goal has no free variable in its bound set.
@@ -238,7 +238,6 @@ class _Search:
         so premises see the rotated context; ``path`` lists the brackets
         opened to reach ``level``.
         """
-        level = seq.context if level is None else level
         goal = seq.goal
         items = level.items
         for index, item in enumerate(items):
@@ -287,11 +286,10 @@ def derivable(
     renamed = barendregt_rename(f)
     stats = SearchStats()
     if audit:
-        table, piece_set, hook = scope_table(renamed), pieces(renamed), on_visit
-        binders = {v: x for x, v in table.scopes.items()}
+        check, hook = _auditor(scope_table(renamed), renamed), on_visit
 
         def on_visit(s: Sequent) -> None:
-            stats.audit_violations.extend(_audit(s, table, piece_set, binders))
+            stats.audit_violations.extend(check(s))
             if hook is not None:
                 hook(s)
 
@@ -311,41 +309,38 @@ def audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]:
     is the scope set of some binder, bracket nesting stays within the binder
     nesting depth, and a directly nested bracket's binder lies in the scope
     of the enclosing one.  Returns one message per violation."""
-    return _audit(seq, table, pieces(root), {v: x for x, v in table.scopes.items()})
+    return _auditor(table, root)(seq)
 
 
-def _audit(
-    seq: Sequent,
-    table: ScopeTable,
-    piece_set: frozenset[Formula],
-    subscript_binder: dict[frozenset[str], str],
-) -> list[str]:
-    """``audit`` given the root's pieces and the binder whose scope set each
-    subscript is, which a search computes once."""
-    violations: list[str] = []
+def _auditor(table: ScopeTable, root: Formula) -> Callable[[Sequent], list[str]]:
+    """``audit`` for one root, whose pieces, scope sets and depth it takes once.
+    Binders are distinct, so one lies in the scope of another exactly when
+    its scope set is a proper subset of the other's."""
+    piece_set, scopes, limit = pieces(root), frozenset(table.scopes.values()), table.depth
 
-    def check(ctx: Context, nesting: int, outer: str | None) -> None:
-        for item in ctx.items:
-            if isinstance(item, FormulaItem):
-                if item.formula not in piece_set:
-                    violations.append(f"not a piece of the input: {item}")
-                continue
-            binder = subscript_binder.get(item.bound)
-            if binder is None:
-                violations.append(f"bracket subscript is no binder scope: {item}")
-            if nesting + 1 > table.depth:
-                violations.append(
-                    f"bracket nesting {nesting + 1} exceeds bound {table.depth}"
-                )
-            if binder is not None and outer is not None:
-                if binder == outer or binder not in table.scopes[outer]:
-                    violations.append(
-                        f"bracket for {binder} nested under {outer}, "
-                        f"which does not enclose it"
-                    )
-            check(item.content, nesting + 1, binder)
+    def check(seq: Sequent) -> list[str]:
+        # each open level: its items left to check, and its subscript if a scope
+        violations, levels = [], [(iter(seq.context.items), None)]
+        while levels:
+            items, outer = levels[-1]
+            for item in items:
+                if isinstance(item, FormulaItem):
+                    if item.formula not in piece_set:
+                        violations.append(f"not a piece of the input: {item}")
+                    continue
+                bound = item.bound if item.bound in scopes else None
+                if bound is None:
+                    violations.append(f"bracket subscript is no binder scope: {item}")
+                if len(levels) > limit:
+                    violations.append(f"bracket nesting {len(levels)} exceeds bound {limit}")
+                if bound is not None and outer is not None and not bound < outer:
+                    violations.append(f"bracket outside the scope of the one around it: {item}")
+                levels.append((iter(item.content.items), bound))
+                break
+            else:
+                levels.pop()
+        if seq.goal not in piece_set:
+            violations.append(f"goal is not a piece of the input: {seq.goal}")
+        return violations
 
-    check(seq.context, 0, None)
-    if seq.goal not in piece_set:
-        violations.append(f"goal is not a piece of the input: {seq.goal}")
-    return violations
+    return check

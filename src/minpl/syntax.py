@@ -2,8 +2,9 @@
 
 The language is deliberately small: atoms over first-order terms, implication
 and universal quantification.  Nothing in this package ever substitutes a term
-for a variable; quantifiers are handled purely by scoping, so every analysis
-here is a plain structural recursion.
+for a variable; quantifiers are handled purely by scoping, so each analysis
+here is at most one walk over the tree.  The binder walk, ``pieces`` and the parsers
+are loops with explicit stacks; renaming and printing still recurse.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class NotBarendregt(ValueError):
 
 _NO_VARS: frozenset[str] = frozenset()
 _set = object.__setattr__
-_hash_of, _fv_of = attrgetter("_hash"), attrgetter("fv")
+_hash_of, _fv_of, _var_of = attrgetter("_hash"), attrgetter("fv"), attrgetter("var")
 
 
 class Node:
@@ -207,13 +208,10 @@ def free_vars(x: Term | Formula) -> frozenset[str]:
     return x.fv
 
 
-def bound_vars(f: Formula) -> tuple[str, ...]:
-    """All variables bound anywhere in ``f``, in left-to-right binder order.
-
-    Duplicate-free exactly when ``f`` satisfies the Barendregt condition.
-    """
-    # loop down left spines and binder prefixes; right operands with binders
-    # wait on a stack, and a subtree without binders is never entered
+def _binders(f: Formula) -> list[Forall]:
+    """The binders of ``f``, its ``Forall`` nodes, in pre-order: a loop down
+    left spines and binder prefixes, where right operands with binders wait on
+    a stack and a subtree without binders is never entered."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
@@ -223,9 +221,15 @@ def bound_vars(f: Formula) -> tuple[str, ...]:
                     stack.append(g.right)
                 g = g.left
             else:
-                out.append(g.var)
+                out.append(g)
                 g = g.body
-    return tuple(out)
+    return out
+
+
+def bound_vars(f: Formula) -> tuple[str, ...]:
+    """All variables bound anywhere in ``f``, in left-to-right binder order;
+    duplicate-free exactly when ``f`` satisfies the Barendregt condition."""
+    return tuple(map(_var_of, _binders(f)))
 
 
 def decompose(f: Formula) -> tuple[Atom, tuple[Formula, ...]]:
@@ -278,14 +282,15 @@ def barendregt_rename(f: Formula) -> Formula:
     Deterministic: binders are visited leftmost-outermost and a clashing
     binder ``x`` becomes ``x_N`` for the next value ``N`` of one counter
     shared by the whole traversal.  Free variables are never touched.  ``f``
-    itself comes back, after one ``bound_vars`` walk, when its binders are
+    itself comes back, after one walk over its binders, when they are
     already apart; otherwise every subtree with nothing renamed in it is
     returned as it is.
     """
     if not f.nbinders:
         return f
-    binders = bound_vars(f)
-    if len(set(binders)) == len(binders) and f.fv.isdisjoint(binders):
+    binders = _binders(f)
+    names = set(map(_var_of, binders))
+    if len(names) == len(binders) and f.fv.isdisjoint(names):
         return f
     used = set(free_vars(f))
     counter = itertools.count(1)
@@ -323,28 +328,18 @@ class ScopeTable(NamedTuple):
 
 def scope_table(f: Formula) -> ScopeTable:
     """Scope sets and nesting depth of a Barendregt-renamed formula."""
-    seq = bound_vars(f)
-    if len(seq) != len(set(seq)):
-        dup = next(x for i, x in enumerate(seq) if x in seq[:i])
-        raise NotBarendregt(f"duplicate binder {dup!r}")
-    # binders in left-to-right order, as bound_vars visits them; each right
-    # operand with binders waits on the stack with the number of binders above
-    # it.  A binder's scope is the run of that order its subtree's binders fill.
-    scopes: dict[str, frozenset[str]] = {}
-    depth, stack = 0, [(f, 0)]
-    while stack:
-        g, above = stack.pop()
-        while g.nbinders:
-            if isinstance(g, Imp):
-                if g.right.nbinders:
-                    stack.append((g.right, above))
-                g = g.left
-            else:
-                first = len(scopes)
-                scopes[g.var] = frozenset(seq[first : first + g.nbinders])
-                above += 1
-                g = g.body
-        depth = max(depth, above)
+    # a binder's scope is the run of the binder pre-order that its binder
+    # count delimits; ``ends`` holds the end of each run still open
+    binders = _binders(f)
+    names, scopes, depth, ends = tuple(map(_var_of, binders)), {}, 0, []
+    for first, g in enumerate(binders):
+        if g.var in scopes:
+            raise NotBarendregt(f"duplicate binder {g.var!r}")
+        while ends and ends[-1] <= first:
+            ends.pop()
+        ends.append(first + g.nbinders)
+        scopes[g.var] = frozenset(names[first : ends[-1]])
+        depth = max(depth, len(ends))
     return ScopeTable(scopes, depth)
 
 

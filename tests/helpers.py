@@ -22,6 +22,7 @@ from minpl.context import (
     Item,
     bracket,
     fuse,
+    parse_context,
 )
 from minpl.oracle import generate_positive
 from minpl.prover import RULE_LIMP, RULE_RFORALL, RULE_RIMP, Derivation, Sequent
@@ -41,6 +42,7 @@ from minpl.syntax import (
     decompose,
     free_vars,
     parse_formula,
+    print_formula,
 )
 from minpl.systemf import EPS, FType, TArrow, TForall, TVar
 
@@ -757,6 +759,66 @@ def reference_scope_table(f: Formula) -> ScopeTable:
         return 1 + walk(g.body)
 
     return ScopeTable(scopes, walk(f))
+
+
+def reference_audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]:
+    """``audit`` as it was before its loop: a recursion that maps each bracket
+    subscript to the binder whose scope set it is, and tests a directly nested
+    bracket's binder for membership in the enclosing binder's scope."""
+    piece_set = reference_pieces(root)
+    subscript_binder = {v: x for x, v in table.scopes.items()}
+    violations: list[str] = []
+
+    def check(ctx: Context, nesting: int, outer: str | None) -> None:
+        for item in ctx.items:
+            if isinstance(item, FormulaItem):
+                if item.formula not in piece_set:
+                    violations.append(f"not a piece of the input: {item}")
+                continue
+            binder = subscript_binder.get(item.bound)
+            if binder is None:
+                violations.append(f"bracket subscript is no binder scope: {item}")
+            if nesting + 1 > table.depth:
+                violations.append(f"bracket nesting {nesting + 1} exceeds bound {table.depth}")
+            if binder is not None and outer is not None:
+                if binder == outer or binder not in table.scopes[outer]:
+                    violations.append(
+                        f"bracket for {binder} nested under {outer}, which does not enclose it"
+                    )
+            check(item.content, nesting + 1, binder)
+
+    check(seq.context, 0, None)
+    if seq.goal not in piece_set:
+        violations.append(f"goal is not a piece of the input: {seq.goal}")
+    return violations
+
+
+def random_bracket_sequent(rng: random.Random, root: Formula, table: ScopeTable) -> Sequent:
+    """A sequent with a dirty context read by ``parse_context``: a random
+    nesting of brackets, up to one level deeper than ``root``'s binders nest,
+    over pieces of ``root`` and now and then a foreign formula.  Most
+    subscripts are scope sets of ``root``; the rest are other sets of its
+    binders, and a few name a foreign variable."""
+    formulas = sorted(map(print_formula, reference_pieces(root)))
+    scopes = [sorted(v) for v in table.scopes.values()]
+    binders = sorted(table.scopes)
+
+    def level(depth: int) -> str:
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            if depth and rng.random() < 0.6:
+                if rng.random() < 0.8:
+                    bound = rng.choice(scopes)
+                else:
+                    bound = rng.sample(binders, rng.randint(1, len(binders)))
+                    bound += ["w"] if rng.random() < 0.2 else []
+                parts.append(f"[{level(depth - 1)}]_{{{','.join(bound)}}}")
+            else:
+                parts.append(rng.choice(formulas) if rng.random() < 0.95 else "W(w) -> W(w)")
+        return ", ".join(parts)
+
+    goal = rng.choice(formulas) if rng.random() < 0.95 else "W(w)"
+    return Sequent(parse_context(level(table.depth + 1)), parse_formula(goal))
 
 
 def reference_elide(f: Formula) -> Formula:

@@ -124,7 +124,9 @@ def test_audit_violations_would_surface_in_warnings(capsys):
 @pytest.mark.parametrize("text, status", [(INTRO, 0), (IMPL_EXAMPLE, 1)])
 def test_audit_violations_surface_in_warnings(monkeypatch, capsys, text, status):
     reports = [["forged violation"]]
-    monkeypatch.setattr("minpl.prover._audit", lambda *args: reports.pop() if reports else [])
+    monkeypatch.setattr(
+        "minpl.prover._auditor", lambda *args: lambda seq: reports.pop() if reports else []
+    )
     assert main(["decide", text, "--json", "--audit"]) == status
     payload = json.loads(capsys.readouterr().out)
     assert payload["warnings"] == ["audit: forged violation"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from minpl import prover, syntax
@@ -25,6 +27,7 @@ from minpl.syntax import (
     polarity,
     scope_table,
 )
+from minpl.oracle import generate_positive
 from minpl.systemf import parse_type, phi
 
 from helpers import (
@@ -32,7 +35,10 @@ from helpers import (
     DERIVABLE_TRUE,
     INHABITED_FALSE,
     INHABITED_TRUE,
+    ROTATION_WITNESSES,
     context_formulas,
+    random_bracket_sequent,
+    reference_audit,
     reference_derivable,
     replay,
 )
@@ -101,7 +107,7 @@ def test_search_leaves_the_callers_seen_set_unchanged():
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
     seen = SeenSet({s: -1})
     assert search(seen, t) is None
-    assert _Search(SearchStats()).select_head(seen, t) is None
+    assert _Search(SearchStats()).select_head(seen, t, t.context) is None
     assert seen == {s: -1}
 
 
@@ -116,7 +122,8 @@ def test_select_head_degenerate_candidate_premise():
     # choosing the outer-level head P(x) -> Q keeps the context unchanged
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
-    found = engine.select_head(SeenSet(), seq(f"{A2}, P(x) -> Q", "Q"))
+    s = seq(f"{A2}, P(x) -> Q", "Q")
+    found = engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
     assert found is None
 
@@ -126,9 +133,8 @@ def test_select_head_never_enters_bracket_capturing_the_goal():
     # other head matches: nothing is even visited
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
-    found = engine.select_head(
-        SeenSet(), seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
-    )
+    s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
+    found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
     assert visited == []
 
@@ -138,20 +144,23 @@ def test_select_head_rotates_brackets_for_inner_head():
     # naked copy is shut in while the opened content surfaces
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
-    engine.select_head(SeenSet(), seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q"))
+    s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
+    engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
 
 
 def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
-    found = engine.select_head(SeenSet(), seq("Q(x), [Q(x) -> P]_{x}", "P"))
+    s = seq("Q(x), [Q(x) -> P]_{x}", "P")
+    found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
     assert visited == [seq("[Q(x)]_{x}, Q(x) -> P", "Q(x)")]
 
 
 def test_select_head_finds_zero_premise_head():
-    derivation = _Search(SearchStats()).select_head(SeenSet(), seq("P", "P"))
+    s = seq("P", "P")
+    derivation = _Search(SearchStats()).select_head(SeenSet(), s, s.context)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -220,24 +229,25 @@ def test_piece_table_prefix_bound_sets_are_the_bound_variables(corpus):
 
 
 def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch):
-    calls = []
+    calls, walk = [], syntax._binders
 
-    def counted_bound_vars(f):
+    def counted_binders(f):
         calls.append(f)
-        return bound_vars(f)
+        return walk(f)
 
-    monkeypatch.setattr(prover, "bound_vars", counted_bound_vars)
-    monkeypatch.setattr(syntax, "bound_vars", counted_bound_vars)
+    # bound_vars and scope_table both read the one binder walk
+    monkeypatch.setattr(syntax, "_binders", counted_binders)
     n = 3000
     f = parse_formula("".join(f"forall x{i}. " for i in range(1, n + 1)) + "Q -> Q")
     verdict, stats, _ = derivable(f)
     assert verdict and stats.visited == n + 2
     # renaming checks the binders once and the piece table walks the prefix once
     assert len(calls) <= 2, len(calls)
+    every = frozenset(bound_vars(f))
     calls.clear()
     table = scope_table(barendregt_rename(f))
-    assert len(table.scopes) == n and table.scopes["x1"] == frozenset(bound_vars(f))
-    # one walk for renaming and one for the duplicate check of scope_table
+    assert len(table.scopes) == n and table.scopes["x1"] == every
+    # one walk for renaming and one for scope_table
     assert len(calls) <= 2, len(calls)
 
 
@@ -280,6 +290,64 @@ def test_audit_flags_unknown_subscript_and_depth():
     )
     messages = " ".join(audit(nested, table, f))
     assert "exceeds" in messages
+
+
+def test_audit_checks_nesting_by_binder_scope():
+    # scope(x) = {x, y} and scope(y) = {y}: only the y bracket may sit in the x one
+    f = barendregt_rename(parse_formula("forall x. forall y. (P(x, y) -> Q)"))
+    table = scope_table(f)
+    outside = Sequent(parse_context("[[P(x, y)]_{x,y}]_{y}"), parse_formula("Q"))
+    inside = Sequent(parse_context("[[P(x, y)]_{y}]_{x,y}"), parse_formula("Q"))
+    violations = audit(outside, table, f)
+    assert len(violations) == 1 and violations[0].startswith("bracket outside the scope")
+    assert len(reference_audit(outside, table, f)) == 1
+    assert audit(inside, table, f) == reference_audit(inside, table, f) == []
+
+
+def _nesting_rule_blind(violations: list[str]) -> list[str]:
+    # the reference words the nested-bracket rule's message differently
+    nested = ("bracket for ", "bracket outside the scope")
+    return ["nested" if v.startswith(nested) else v for v in violations]
+
+
+def test_audit_matches_the_reference_on_random_dirty_sequents():
+    rng = random.Random(13)
+    checked = flagged = nested = 0
+    for seed in range(400):
+        root = barendregt_rename(generate_positive(seed, size=6 + seed % 9, quantifier_depth=3))
+        if not root.nbinders:
+            continue
+        table = scope_table(root)
+        check = prover._auditor(table, root)
+        for _ in range(8):
+            s = random_bracket_sequent(rng, root, table)
+            got, expected = check(s), reference_audit(s, table, root)
+            assert _nesting_rule_blind(got) == _nesting_rule_blind(expected), str(s)
+            assert audit(s, table, root) == got
+            checked += 1
+            flagged += bool(got)
+            nested += "nested" in _nesting_rule_blind(got)
+    # the sample reaches every rule, and sequents both clean and dirty
+    assert checked > 1000 and 0 < flagged < checked and nested > 100, (checked, flagged, nested)
+
+
+@pytest.mark.parametrize("kind", ["witnesses", "corpus"])
+def test_audit_and_reference_find_no_violation_on_searched_sequents(kind, corpus):
+    if kind == "witnesses":
+        roots = [parse_formula(ROTATION_WITNESSES["formula"])]
+        roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+    else:
+        roots = corpus[:300]
+    visited = 0
+    for f in roots:
+        seen = []
+        _, stats, _ = derivable(f, audit=True, on_visit=seen.append)
+        assert stats.audit_violations == [], str(f)
+        renamed = barendregt_rename(f)
+        table = scope_table(renamed)
+        assert all(reference_audit(s, table, renamed) == [] for s in seen), str(f)
+        visited += len(seen)
+    assert visited > len(roots)
 
 
 def test_observed_bracket_depth_on_quantified_type_search():
