@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _parse_formula
-from .syntax import _set, print_formula
+from .syntax import _set, decompose, print_formula
 
 _key, _depth = attrgetter("key"), attrgetter("depth")
 # a context's hash is the sum of its items' hashes, kept below this mask
@@ -54,13 +54,17 @@ class Item(Node):
 
 
 class FormulaItem(Item):
-    __slots__ = _fields = ("formula",)
+    __slots__ = ("formula", "head", "args")
+    _fields = ("formula",)
 
     def __init__(self, formula: Formula) -> None:
         # Formula items sort before bracket items.  The printed form of a
         # formula is injective (it round-trips), so on clean contexts key
         # equality is item equality.
         _set(self, "formula", formula)
+        head, args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative
+        _set(self, "head", head)
+        _set(self, "args", args)
         _set(self, "_hash", hash((0, formula._hash)))
         _set(self, "fv", formula.fv)
         _set(self, "key", (0, print_formula(formula)))
@@ -104,11 +108,13 @@ class Context(Node):
 def measure(x: Context | Item) -> int:
     """Termination measure of cleaning: a formula weighs 1, a bracket weighs
     one plus twice its content, a context the sum of its items."""
-    if isinstance(x, Context):
-        return sum(measure(item) for item in x.items)
-    if isinstance(x, FormulaItem):
-        return 1
-    return 1 + 2 * measure(x.content)
+    total, stack = 0, [(item, 1) for item in (x.items if isinstance(x, Context) else (x,))]
+    while stack:
+        item, weight = stack.pop()
+        total += weight
+        if isinstance(item, BracketItem):
+            stack += ((inner, 2 * weight) for inner in item.content.items)
+    return total
 
 
 def _canonical(items: Iterable[Item]) -> Context:

@@ -18,13 +18,12 @@ success is shared, so the sequent set of the check is collected over distinct
 derivation nodes, and a set already collected is taken whole.
 
 Every formula a search puts into a sequent is a piece of the renamed input,
-so each query keeps a table keyed by piece: a hypothesis's context item, head
-and arguments, and a universal goal's bracket set, each built once; a binder
-prefix gets its sets in one walk, each the next binder's plus one name.
-``Rimp`` adds the stored item with ``insert``, which derives the context's
-hash and depth in O(1), and head selection reads stored heads.  A parse shares
-its equal atoms and variables, a translated type its ``eps(X)`` atoms, and
-equality tests identity first, so a head that is its goal matches it at once.
+whose binders are apart: a universal goal brackets the context with its
+binder's set in the input's scope table, built once per query and read by
+``audit`` too.  A hypothesis gets one context item per query, carrying its
+head and arguments; ``insert`` adds it, deriving hash and depth in O(1).  A
+parse shares its equal atoms and variables, a translated type its ``eps(X)``
+atoms, and equality tests identity first, so a head matches its goal at once.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
 from .syntax import Forall, Formula, Imp, Node, Polarity, ScopeTable, _set, barendregt_rename
-from .syntax import bound_vars, decompose, pieces, polarity, print_formula, scope_table
+from .syntax import pieces, polarity, print_formula, scope_table
 
 __all__ = [
     "Derivation",
@@ -144,44 +143,35 @@ class SearchStats:
         self.audit_violations: list[str] = []
 
 
-class _PieceTable(dict):
-    """The per-query piece table of the module docstring, filled on first use;
-    a universal goal fills in the bound sets of its whole binder prefix."""
+class _Items(dict):
+    """A query's context item of each hypothesis, built on first use."""
 
-    def __missing__(self, f: Formula):
-        if not isinstance(f, Forall):
-            entry = self[f] = (FormulaItem(f), *decompose(f))
-            return entry
-        prefix = []
-        while isinstance(f, Forall):
-            prefix.append(f)
-            f = f.body
-        bound = frozenset(bound_vars(f))
-        for g in reversed(prefix):
-            bound = self[g] = bound | {g.var}
-        return bound
+    def __missing__(self, f: Formula) -> FormulaItem:
+        return self.setdefault(f, FormulaItem(f))
 
 
 _EMPTY = Context()
 
 
 class _Search:
-    """Search state of one query: statistics, deadline, success cache and piece
-    table.  ``low`` is the shallowest branch depth a prune hit in the subtree."""
+    """Search state of one query: statistics, scope sets, deadline, success
+    cache and items.  ``low`` is the shallowest branch depth a prune hit below."""
 
     def __init__(
         self,
         stats: SearchStats,
+        scopes: Mapping[str, frozenset[str]],
         *,
         deadline: float | None = None,
         on_visit: Callable[[Sequent], None] | None = None,
     ):
         self.stats = stats
+        self.scopes = scopes
         self.deadline = deadline
         self.on_visit = on_visit
         self.low = 0
         self.memo: dict[Sequent, Derivation] = {}
-        self.table = _PieceTable()
+        self.items = _Items()
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         stats = self.stats
@@ -209,11 +199,11 @@ class _Search:
 
             goal = seq.goal
             if isinstance(goal, Imp):
-                premise = Sequent(insert(seq.context, self.table[goal.left][0]), goal.right)
+                premise = Sequent(insert(seq.context, self.items[goal.left]), goal.right)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
             elif isinstance(goal, Forall):
-                premise = Sequent(bracket(seq.context, self.table[goal]), goal.body)
+                premise = Sequent(bracket(seq.context, self.scopes[goal.var]), goal.body)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
             else:
@@ -242,17 +232,16 @@ class _Search:
         items = level.items
         for index, item in enumerate(items):
             if isinstance(item, FormulaItem):
-                _, head, args = self.table[item.formula]
-                if head is not goal and head != goal:
+                if item.head is not goal and item.head != goal:
                     continue
                 premise_ctx = fuse(level, outside)
                 subs: list[Derivation] = []
-                for arg in args:
+                for arg in item.args:
                     sub = self.search(seen, Sequent(premise_ctx, arg))
                     if sub is None:
                         break
                     subs.append(sub)
-                if len(subs) == len(args):
+                if len(subs) == len(item.args):
                     return Derivation(RULE_LIMP, seq, tuple(subs), head=item.formula, path=path)
             elif not goal.fv & item.bound:
                 siblings = Context(items[:index] + items[index + 1 :])
@@ -284,9 +273,10 @@ def derivable(
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
+    table = scope_table(renamed) if renamed.nbinders else ScopeTable({}, 0)
     stats = SearchStats()
     if audit:
-        check, hook = _auditor(scope_table(renamed), renamed), on_visit
+        check, hook = _auditor(table, renamed), on_visit
 
         def on_visit(s: Sequent) -> None:
             stats.audit_violations.extend(check(s))
@@ -294,7 +284,7 @@ def derivable(
                 hook(s)
 
     deadline = None if timeout is None else time.monotonic() + timeout
-    engine = _Search(stats, deadline=deadline, on_visit=on_visit)
+    engine = _Search(stats, table.scopes, deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(Context(), renamed))

@@ -328,19 +328,22 @@ class ScopeTable(NamedTuple):
 
 def scope_table(f: Formula) -> ScopeTable:
     """Scope sets and nesting depth of a Barendregt-renamed formula."""
-    # a binder's scope is the run of the binder pre-order that its binder
-    # count delimits; ``ends`` holds the end of each run still open
-    binders = _binders(f)
-    names, scopes, depth, ends = tuple(map(_var_of, binders)), {}, 0, []
-    for first, g in enumerate(binders):
+    binders, scopes = _binders(f), {}
+    for g in binders:  # the keys go in binder pre-order
         if g.var in scopes:
             raise NotBarendregt(f"duplicate binder {g.var!r}")
-        while ends and ends[-1] <= first:
-            ends.pop()
-        ends.append(first + g.nbinders)
-        scopes[g.var] = frozenset(names[first : ends[-1]])
-        depth = max(depth, len(ends))
-    return ScopeTable(scopes, depth)
+        scopes[g.var] = _NO_VARS
+    # innermost binder first: a scope is its binder's name joined by union to the
+    # scopes of the binders directly inside it, waiting on ``done`` with index and depth
+    done: list[tuple[int, frozenset[str], int]] = []
+    for first, g in reversed(list(enumerate(binders))):
+        scope, depth = frozenset((g.var,)), 1
+        while done and done[-1][0] < first + g.nbinders:
+            _, inner, below = done.pop()
+            scope, depth = inner | scope, max(depth, below + 1)
+        scopes[g.var] = scope
+        done.append((first, scope, depth))
+    return ScopeTable(scopes, max((depth for _, _, depth in done), default=0))
 
 
 # ---------------------------------------------------------------------------

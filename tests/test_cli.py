@@ -294,8 +294,38 @@ def test_scope_table_and_pieces_of_long_inputs_at_the_default_recursion_limit():
     assert child.stdout.split() == ["1200", "1200", "3000", "1000"]
 
 
+def test_audit_of_a_long_prefix_keeps_no_second_copy_of_the_scope_sets(tmp_path):
+    # the audit reads the scope table the search brackets with, so the sets,
+    # quadratic in the binders, are stored once with or without it
+    path = tmp_path / "prefix.txt"
+    path.write_text("".join(f"forall x{i}. " for i in range(3000)) + "Q -> Q", encoding="utf-8")
+    code = (
+        "import resource, sys\n"
+        "from minpl.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    peaks = []
+    for flags in ([], ["--audit"]):
+        child = fresh_python("-c", code, "decide", "--file", str(path), *flags)
+        assert child.returncode == 0, child.stderr
+        verdict, last = child.stdout.splitlines()
+        status, peak = last.split()
+        assert verdict == "derivable" and status == "0"
+        peaks.append(int(peak))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_measure_of_deep_dirty_brackets_by_cli(tmp_path):
+    path = tmp_path / "dirty.txt"
+    path.write_text("[" * 900 + "Q" + "]_{x}" * 900, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path), "--stats")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["Q", f"measure: {2**901 - 1} -> 1"]
+
+
 def test_parse_context_reads_deep_brackets_at_the_default_recursion_limit():
-    # normalize, measure and str still recurse on such a context
+    # normalize and str still recurse on such a context
     code = (
         "import sys\n"
         "from minpl import BracketItem, parse_context\n"

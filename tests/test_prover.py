@@ -2,22 +2,20 @@ import random
 
 import pytest
 
-from minpl import prover, syntax
-from minpl.context import Context, FormulaItem, normalize, parse_context
+from minpl import context, prover, syntax
+from minpl.context import BracketItem, Context, FormulaItem, normalize, parse_context
 from minpl.prover import (
     NotPositive,
     SearchStats,
     SearchTimeout,
     SeenSet,
     Sequent,
-    _PieceTable,
     _Search,
     audit,
     derivable,
     derivation_to_json,
 )
 from minpl.syntax import (
-    Forall,
     Polarity,
     barendregt_rename,
     bound_vars,
@@ -81,12 +79,17 @@ def test_derivable_atom_alone_fails():
 # The search steps themselves
 
 
+def engine_for(root: str, on_visit=None) -> _Search:
+    """The search state of a query on ``root``, for sequents over its pieces."""
+    return _Search(SearchStats(), scope_table(parse_formula(root)).scopes, on_visit=on_visit)
+
+
 def test_search_right_rules_reach_expected_sequent():
     # from {A} |- forall x. (P(x) -> Q): bracketing is a no-op on the closed
     # A, then the implication right rule lands on {A, P(x)} |- Q
     a = "(forall x. (P(x) -> Q)) -> Q"
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = engine_for(a, visited.append)
     engine.search(SeenSet(), seq(a, "forall x. (P(x) -> Q)"))
     assert visited[0] == seq(a, "forall x. (P(x) -> Q)")
     assert visited[1] == seq(a, "P(x) -> Q")
@@ -94,7 +97,7 @@ def test_search_right_rules_reach_expected_sequent():
 
 
 def search(seen: SeenSet, s: Sequent):
-    return _Search(SearchStats()).search(seen, s)
+    return _Search(SearchStats(), {}).search(seen, s)
 
 
 def test_search_prunes_sequent_already_seen():
@@ -107,7 +110,7 @@ def test_search_leaves_the_callers_seen_set_unchanged():
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
     seen = SeenSet({s: -1})
     assert search(seen, t) is None
-    assert _Search(SearchStats()).select_head(seen, t, t.context) is None
+    assert _Search(SearchStats(), {}).select_head(seen, t, t.context) is None
     assert seen == {s: -1}
 
 
@@ -121,7 +124,7 @@ A2 = "(forall x. ((P(x) -> Q) -> Q)) -> Q"
 def test_select_head_degenerate_candidate_premise():
     # choosing the outer-level head P(x) -> Q keeps the context unchanged
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = engine_for(A2, visited.append)
     s = seq(f"{A2}, P(x) -> Q", "Q")
     found = engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
@@ -132,7 +135,7 @@ def test_select_head_never_enters_bracket_capturing_the_goal():
     # goal P(x) has x free, so the bracket binding x is not entered and no
     # other head matches: nothing is even visited
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = engine_for(A2, visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
     found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
@@ -143,7 +146,7 @@ def test_select_head_rotates_brackets_for_inner_head():
     # opening the bracketed copy of P(x) -> Q rebrackets the outside; the
     # naked copy is shut in while the opened content surfaces
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = engine_for(A2, visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
     engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
@@ -151,7 +154,7 @@ def test_select_head_rotates_brackets_for_inner_head():
 
 def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(SearchStats(), {}, on_visit=visited.append)
     s = seq("Q(x), [Q(x) -> P]_{x}", "P")
     found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
@@ -160,7 +163,7 @@ def test_select_head_rotation_keeps_occurrences_separated():
 
 def test_select_head_finds_zero_premise_head():
     s = seq("P", "P")
-    derivation = _Search(SearchStats()).select_head(SeenSet(), s, s.context)
+    derivation = _Search(SearchStats(), {}).select_head(SeenSet(), s, s.context)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -168,7 +171,7 @@ def test_select_head_finds_zero_premise_head():
 
 
 # ---------------------------------------------------------------------------
-# The per-query piece table
+# The per-query items and the root's scope table
 
 
 def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch, corpus):
@@ -186,7 +189,7 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
         return decompose(f)
 
     monkeypatch.setattr(prover, "FormulaItem", CountedItem)
-    monkeypatch.setattr(prover, "decompose", counted_decompose)
+    monkeypatch.setattr(context, "decompose", counted_decompose)
     published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
     total = 0
     for f in published + corpus[:200]:
@@ -196,36 +199,69 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
             split.clear()
             verdict, stats, _ = derivable(f)
             assert len(built) == len(set(built)), f
-            assert len(split) == len(set(split)), f
-            runs.append((verdict, stats.visited, list(built), list(split)))
-        # the second query builds everything again: no table outlives its query
+            # every hypothesis is negative, so its item decomposes it once
+            assert split == built, f
+            runs.append((verdict, stats.visited, list(built)))
+        # the second query builds everything again: no item outlives its query
         assert runs[0] == runs[1], f
         total += len(runs[0][2])
     assert total > 0
 
 
-def test_piece_table_prefix_bound_sets_are_the_bound_variables(corpus):
-    published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    published += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+def _published_and_witnesses() -> list:
+    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    roots += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
+    roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+    return roots
+
+
+def _bracket_subscripts(c: Context) -> list:
+    out, stack = [], [c]
+    while stack:
+        for item in stack.pop().items:
+            if isinstance(item, BracketItem):
+                out.append(item.bound)
+                stack.append(item.content)
+    return out
+
+
+def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
     checked = 0
-    for f in published + corpus:
+    for f in _published_and_witnesses() + corpus[:500]:
         renamed = barendregt_rename(f)
-        goals = [g for g in pieces(renamed) if isinstance(g, Forall)]
-        # asked in either order, each binder's set is its own, and so is every
-        # set filled in on the way
-        for order in (goals, goals[::-1]):
-            table = _PieceTable()
-            for g in order:
-                assert table[g] == frozenset(bound_vars(g)), str(g)
-            for g, entry in table.items():
-                assert entry == frozenset(bound_vars(g)), str(g)
-            checked += len(table)
-        engine = _Search(SearchStats())
+        scopes = scope_table(renamed).scopes
+        expected = set(scopes.values())
+        subscripts = []
+        derivable(f, on_visit=lambda s: subscripts.extend(_bracket_subscripts(s.context)))
+        assert set(subscripts) <= expected, str(f)
+        # the search brackets with the very sets of the table it is given
+        shared = {id(bound) for bound in scopes.values()}
+        subscripts.clear()
+        engine = _Search(SearchStats(), scopes)
+        engine.on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))
         engine.search(SeenSet(), Sequent(Context(), renamed))
-        for g, entry in engine.table.items():
-            if isinstance(g, Forall):
-                assert entry == frozenset(bound_vars(g)), str(g)
-    assert checked > 500
+        assert all(id(bound) in shared for bound in subscripts), str(f)
+        checked += len(subscripts)
+    # brackets are rare in these searches: 62 subscripts in all
+    assert checked > 50, checked
+
+
+def test_formula_items_carry_the_head_and_arguments_of_negative_formulas(corpus):
+    negative = other = 0
+    for f in _published_and_witnesses() + corpus[:500]:
+        for g in pieces(barendregt_rename(f)):
+            item = FormulaItem(g)
+            if g.pol & 2:
+                assert (item.head, item.args) == decompose(g), str(g)
+                negative += 1
+            else:
+                assert (item.head, item.args) == (None, ()), str(g)
+                other += 1
+    assert negative > 1000 and other > 100, (negative, other)
+    # a context may hold any formula; one that is not negative has no head
+    (item,) = parse_context("forall x. P(x)").items
+    assert (item.head, item.args) == (None, ())
 
 
 def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch):
@@ -239,10 +275,13 @@ def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch)
     monkeypatch.setattr(syntax, "_binders", counted_binders)
     n = 3000
     f = parse_formula("".join(f"forall x{i}. " for i in range(1, n + 1)) + "Q -> Q")
-    verdict, stats, _ = derivable(f)
-    assert verdict and stats.visited == n + 2
-    # renaming checks the binders once and the piece table walks the prefix once
-    assert len(calls) <= 2, len(calls)
+    for audited in (False, True):
+        calls.clear()
+        verdict, stats, _ = derivable(f, audit=audited)
+        assert verdict and stats.visited == n + 2 and stats.audit_violations == []
+        # renaming checks the binders once and the one scope table of the
+        # query, which the search and the audit share, walks them once
+        assert len(calls) <= 2, (audited, len(calls))
     every = frozenset(bound_vars(f))
     calls.clear()
     table = scope_table(barendregt_rename(f))
