@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _parse_formula
-from .syntax import _set, decompose, print_formula
+from .syntax import _new, _set, decompose, print_formula
 
 _key, _depth = attrgetter("key"), attrgetter("depth")
 # a context's hash is the sum of its items' hashes, kept below this mask
@@ -57,18 +57,19 @@ class FormulaItem(Item):
     __slots__ = ("formula", "head", "args")
     _fields = ("formula",)
 
-    def __init__(self, formula: Formula) -> None:
+    def __new__(cls, formula: Formula) -> FormulaItem:
         # Formula items sort before bracket items.  The printed form of a
         # formula is injective (it round-trips), so on clean contexts key
         # equality is item equality.
-        _set(self, "formula", formula)
-        head, args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative
-        _set(self, "head", head)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((0, formula._hash)))
-        _set(self, "fv", formula.fv)
-        _set(self, "key", (0, print_formula(formula)))
-        _set(self, "depth", 0)
+        self = _new(cls._twin)
+        self.formula = formula
+        self.head, self.args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative
+        self._hash = hash((0, formula._hash))
+        self.fv = formula.fv
+        self.key = (0, print_formula(formula))
+        self.depth = 0
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         return self.key[1]
@@ -154,10 +155,11 @@ def insert(c: Context, item: Item) -> Context:
     i = bisect_left(items, item.key, key=_key)
     if i < len(items) and items[i].key == item.key:
         return c
-    out = object.__new__(Context)
-    _set(out, "items", items[:i] + (item,) + items[i:])
-    _set(out, "_hash", (c._hash + item._hash) & _MASK)
-    _set(out, "depth", max(c.depth, item.depth))
+    out = _new(Context._twin)
+    out.items = items[:i] + (item,) + items[i:]
+    out._hash = (c._hash + item._hash) & _MASK
+    out.depth = max(c.depth, item.depth)
+    out.__class__ = Context
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .context import Context, FormulaItem
 from .prover import Sequent
@@ -26,25 +26,19 @@ from .syntax import (
     Forall,
     Formula,
     Imp,
-    Node,
     Var,
     _rename_term,
-    _set,
     decompose,
     free_vars,
     print_formula,
 )
 
 
-class FlatSequent(Node):
+class FlatSequent(NamedTuple):
     """A bracket-free sequent: hypotheses (a multiset) and a goal."""
 
-    __slots__ = _fields = ("context", "goal")
-
-    def __init__(self, context: tuple[Formula, ...], goal: Formula) -> None:
-        _set(self, "context", context)
-        _set(self, "goal", goal)
-        _set(self, "_hash", hash((context, goal)))
+    context: tuple[Formula, ...]
+    goal: Formula
 
     def __str__(self) -> str:
         ctx = ", ".join(map(print_formula, self.context))
@@ -59,12 +53,10 @@ class FreshNames:
     """
 
     def __init__(self, start: int = 1):
-        self._next = start
+        self._numbers = itertools.count(start)
 
     def fresh(self, base: str) -> str:
-        name = f"{base}#{self._next}"
-        self._next += 1
-        return name
+        return f"{base}#{next(self._numbers)}"
 
 
 def _apply_renaming(f: Formula, env: Mapping[str, str]) -> Formula:
@@ -88,8 +80,7 @@ def ljplus_prove(s: FlatSequent, depth_bound: int) -> bool:
     goal tries every hypothesis whose head matches, keeping the hypothesis
     available for reuse.
     """
-    names = FreshNames()
-    return _prove(frozenset(s.context), s.goal, depth_bound, names)
+    return _prove(frozenset(s.context), s.goal, depth_bound, FreshNames())
 
 
 def _prove(ctx: frozenset[Formula], goal: Formula, d: int, names: FreshNames) -> bool:

@@ -23,7 +23,7 @@ binder's set in the input's scope table, built once per query and read by
 ``audit`` too.  A hypothesis gets one context item per query, carrying its
 head and arguments; ``insert`` adds it, deriving hash and depth in O(1).  A
 parse shares its equal atoms and variables, a translated type its ``eps(X)``
-atoms, and equality tests identity first, so a head matches its goal at once.
+atoms, and head selection tests a head against its goal by identity, then hash.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
-from .syntax import Forall, Formula, Imp, Node, Polarity, ScopeTable, _set, barendregt_rename
-from .syntax import pieces, polarity, print_formula, scope_table
+from .syntax import Forall, Formula, Imp, Node, Polarity, ScopeTable, _new
+from .syntax import barendregt_rename, pieces, polarity, print_formula, scope_table
 
 __all__ = [
     "Derivation",
@@ -64,18 +64,19 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(frozen=True, init=False)
-class Sequent:
-    __slots__ = ("context", "goal", "_hash")
+@dataclass(frozen=True, init=False, eq=False)  # equality, hash and pickling are Node's
+class Sequent(Node):
+    __slots__ = _fields = ("context", "goal")
     context: Context
     goal: Formula
-    _fields = ("context", "goal")
-    __hash__, __reduce__ = Node.__hash__, Node.__reduce__
 
-    def __init__(self, context: Context, goal: Formula) -> None:
-        _set(self, "context", context)
-        _set(self, "goal", goal)
-        _set(self, "_hash", hash((context._hash, goal._hash)))
+    def __new__(cls, context: Context, goal: Formula) -> Sequent:
+        self = _new(cls._twin)
+        self.context = context
+        self.goal = goal
+        self._hash = hash((context._hash, goal._hash))
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         ctx = str(self.context)
@@ -143,13 +144,6 @@ class SearchStats:
         self.audit_violations: list[str] = []
 
 
-class _Items(dict):
-    """A query's context item of each hypothesis, built on first use."""
-
-    def __missing__(self, f: Formula) -> FormulaItem:
-        return self.setdefault(f, FormulaItem(f))
-
-
 _EMPTY = Context()
 
 
@@ -171,7 +165,7 @@ class _Search:
         self.on_visit = on_visit
         self.low = 0
         self.memo: dict[Sequent, Derivation] = {}
-        self.items = _Items()
+        self.items: dict[Formula, FormulaItem] = {}  # a hypothesis's item, once per query
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
         stats = self.stats
@@ -199,7 +193,9 @@ class _Search:
 
             goal = seq.goal
             if isinstance(goal, Imp):
-                premise = Sequent(insert(seq.context, self.items[goal.left]), goal.right)
+                hyp, items = goal.left, self.items
+                item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
+                premise = Sequent(insert(seq.context, item), goal.right)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
             elif isinstance(goal, Forall):
@@ -229,10 +225,11 @@ class _Search:
         opened to reach ``level``.
         """
         goal = seq.goal
-        items = level.items
+        items, key = level.items, goal._hash
         for index, item in enumerate(items):
             if isinstance(item, FormulaItem):
-                if item.head is not goal and item.head != goal:
+                head = item.head  # None if not negative; Node.__eq__ only on equal hashes
+                if head is not goal and (head is None or head._hash != key or head != goal):
                     continue
                 premise_ctx = fuse(level, outside)
                 subs: list[Derivation] = []

@@ -4,7 +4,8 @@ The language is deliberately small: atoms over first-order terms, implication
 and universal quantification.  Nothing in this package ever substitutes a term
 for a variable; quantifiers are handled purely by scoping, so each analysis
 here is at most one walk over the tree.  The binder walk, ``pieces`` and the parsers
-are loops with explicit stacks; renaming and printing still recurse.
+are loops with explicit stacks; renaming and printing still recurse.  Nodes are
+immutable, yet the constructors run most build them by plain slot stores (``Node``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "Term",
     "Var",
     "barendregt_rename",
-    "bound_vars",
     "decompose",
     "free_vars",
     "parse_formula",
@@ -62,15 +62,19 @@ class NotBarendregt(ValueError):
 # computed once from its children's.
 
 _NO_VARS: frozenset[str] = frozenset()
-_set = object.__setattr__
+_set, _new = object.__setattr__, object.__new__
+_WRITABLE = {"__setattr__": _set, "__delattr__": object.__delattr__}  # a twin overrides these
 _hash_of, _fv_of, _var_of = attrgetter("_hash"), attrgetter("fv"), attrgetter("var")
 
 
 class Node:
-    """An immutable value with slots: the constructor sets the slots named in
-    ``_fields`` and stores ``_hash``; equality is identity, or else the same
-    type, stored hash and fields, compared in that order.  Copies and pickles
-    go through the constructor, which stores everything again."""
+    """An immutable value with slots, set once by the constructor with its
+    ``_fields`` and ``_hash``.  A constructor run often fills a bare ``_twin`` of
+    its class (same base and slots, but ``object``'s ``__setattr__`` and
+    ``__delattr__``, as one type slot serves both) by plain slot stores, a tenth
+    of the cost of ``object.__setattr__``, then seals it by assigning the class to
+    its ``__class__``.  Equality is identity, or else the same type, stored hash
+    and fields, in that order.  Copies and pickles go through the constructor."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
@@ -78,6 +82,9 @@ class Node:
     def __init_subclass__(cls) -> None:
         if cls._fields:
             cls._values = attrgetter(*cls._fields)
+        if "__setattr__" not in vars(cls):  # else cls is itself a twin
+            slots = {"__slots__": cls.__slots__} if "__slots__" in vars(cls) else {}
+            cls._twin = type(cls.__name__, cls.__bases__, {**slots, **_WRITABLE})
 
     def __eq__(self, other):
         if other is self:
@@ -152,42 +159,51 @@ class Formula(Node):
 class Atom(Formula):
     __slots__ = _fields = ("pred", "terms")
 
-    def __init__(self, pred: str, terms: tuple[Term, ...] = ()) -> None:
-        _set(self, "pred", pred)
-        _set(self, "terms", terms)
-        _set(self, "_hash", hash((pred, *map(_hash_of, terms))))
-        _set(self, "fv", terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms)))
-        _set(self, "pol", 3)
-        _set(self, "nbinders", 0)
+    def __new__(cls, pred: str, terms: tuple[Term, ...] = ()) -> Atom:
+        self = _new(cls._twin)
+        self.pred = pred
+        self.terms = terms
+        self._hash = hash((pred, *map(_hash_of, terms)))
+        self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
+        self.pol = 3
+        self.nbinders = 0
+        self.__class__ = cls
+        return self
 
 
 class Imp(Formula):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((left._hash, right._hash)))
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        self = _new(cls._twin)
+        self.left = left
+        self.right = right
+        self._hash = hash((left._hash, right._hash))
         lfv, rfv = left.fv, right.fv
-        _set(self, "fv", rfv if rfv >= lfv else lfv if lfv >= rfv else lfv | rfv)
+        self.fv = rfv if rfv >= lfv else lfv if lfv >= rfv else lfv | rfv
         # positive when the antecedent is negative and the consequent positive,
         # negative when the antecedent is positive and the consequent negative
         lpol, rpol = left.pol, right.pol
-        _set(self, "pol", lpol >> 1 & rpol & 1 | lpol << 1 & rpol & 2)
-        _set(self, "nbinders", left.nbinders + right.nbinders)
+        self.pol = lpol >> 1 & rpol & 1 | lpol << 1 & rpol & 2
+        self.nbinders = left.nbinders + right.nbinders
+        self.__class__ = cls
+        return self
 
 
 class Forall(Formula):
     __slots__ = _fields = ("var", "body")
 
-    def __init__(self, var: str, body: Formula) -> None:
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_hash", hash((var, "all", body._hash)))
-        _set(self, "fv", (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv)
+    def __new__(cls, var: str, body: Formula) -> Forall:
+        self = _new(cls._twin)
+        self.var = var
+        self.body = body
+        self._hash = hash((var, "all", body._hash))
+        self.fv = (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv
         # a universally quantified formula is never negative
-        _set(self, "pol", body.pol & 1)
-        _set(self, "nbinders", body.nbinders + 1)
+        self.pol = body.pol & 1
+        self.nbinders = body.nbinders + 1
+        self.__class__ = cls
+        return self
 
 
 def polarity(f: Formula) -> Polarity:
@@ -224,12 +240,6 @@ def _binders(f: Formula) -> list[Forall]:
                 out.append(g)
                 g = g.body
     return out
-
-
-def bound_vars(f: Formula) -> tuple[str, ...]:
-    """All variables bound anywhere in ``f``, in left-to-right binder order;
-    duplicate-free exactly when ``f`` satisfies the Barendregt condition."""
-    return tuple(map(_var_of, _binders(f)))
 
 
 def decompose(f: Formula) -> tuple[Atom, tuple[Formula, ...]]:
@@ -328,11 +338,11 @@ class ScopeTable(NamedTuple):
 
 def scope_table(f: Formula) -> ScopeTable:
     """Scope sets and nesting depth of a Barendregt-renamed formula."""
-    binders, scopes = _binders(f), {}
-    for g in binders:  # the keys go in binder pre-order
-        if g.var in scopes:
-            raise NotBarendregt(f"duplicate binder {g.var!r}")
-        scopes[g.var] = _NO_VARS
+    binders = _binders(f)
+    scopes = dict.fromkeys(map(_var_of, binders), _NO_VARS)  # keys in binder pre-order
+    if len(scopes) < len(binders):
+        twice = next(g.var for i, g in enumerate(binders) if g.var in map(_var_of, binders[:i]))
+        raise NotBarendregt(f"duplicate binder {twice!r}")
     # innermost binder first: a scope is its binder's name joined by union to the
     # scopes of the binders directly inside it, waiting on ``done`` with index and depth
     done: list[tuple[int, frozenset[str], int]] = []
@@ -343,7 +353,7 @@ def scope_table(f: Formula) -> ScopeTable:
             scope, depth = inner | scope, max(depth, below + 1)
         scopes[g.var] = scope
         done.append((first, scope, depth))
-    return ScopeTable(scopes, max((depth for _, _, depth in done), default=0))
+    return ScopeTable(scopes, max(map(itemgetter(2), done), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from minpl.syntax import (
     ScopeTable,
     Term,
     Var,
+    _binders,
     barendregt_rename,
-    bound_vars,
     decompose,
     free_vars,
     parse_formula,
@@ -725,6 +725,13 @@ def reference_polarity(x: Formula | FType) -> Polarity:
     if pos and neg:
         return Polarity.BOTH
     return Polarity.POSITIVE if pos else Polarity.NEGATIVE if neg else Polarity.NEITHER
+
+
+def bound_vars(f: Formula) -> tuple[str, ...]:
+    """All variables bound anywhere in ``f``, in left-to-right binder order, as
+    the library's binder walk lists them; duplicate-free exactly when ``f``
+    satisfies the Barendregt condition."""
+    return tuple(g.var for g in _binders(f))
 
 
 def reference_bound_vars(f: Formula) -> tuple[str, ...]:

@@ -271,9 +271,9 @@ def test_long_chain_decided_by_cli(tmp_path, n):
 def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():
     code = (
         "import sys\n"
-        "from minpl import bound_vars, parse_formula\n"
+        "from minpl.syntax import _binders, parse_formula\n"
         "f = parse_formula(''.join(f'forall x{i}. ' for i in range(3000)) + 'Q -> Q')\n"
-        "print(len(bound_vars(f)), sys.getrecursionlimit())\n"
+        "print(len(_binders(f)), sys.getrecursionlimit())\n"
     )
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr

@@ -23,8 +23,9 @@ from minpl.context import (
     parse_context,
 )
 from minpl.oracle import FlatSequent
-from minpl.prover import SearchStats, Sequent, derivable
-from minpl.syntax import Atom, Formula, Func, Term, Var, parse_formula, print_formula, scope_table
+from minpl.prover import Derivation, SearchStats, Sequent, derivable
+from minpl.syntax import Atom, Formula, Func, Node, Term, Var, barendregt_rename, parse_formula
+from minpl.syntax import print_formula, scope_table
 from minpl.systemf import TVar, parse_type, phi
 
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     DERIVABLE_TRUE,
     INHABITED_FALSE,
     INHABITED_TRUE,
+    ROTATION_WITNESSES,
     corpus_formula,
     formulas,
     random_context,
@@ -236,7 +238,18 @@ def test_fields_cannot_be_assigned_or_deleted():
     f = parse_formula("forall x. (P(f(x)) -> Q)")
     bracket_item = parse_context("[P(x)]_{x}").items[0]
     t = parse_type("forall X. X -> X")
+    clean = normalize(parse_context("P(x), Q"))
+    clash = parse_formula("(forall x. P(x)) -> forall x. P(x)")
+    renamed = barendregt_rename(clash)
+    assert renamed.right.var != "x"
+    _, _, derivation = derivable(parse_formula("Q -> Q"))
     cases = [
+        (insert(clean, FormulaItem(parse_formula("R"))), "items"),
+        (bracket(clean, {"x"}), "depth"),
+        (fuse(clean, parse_context("R")), "items"),
+        (renamed.right, "body"),
+        (phi(t).body.left, "terms"),
+        (derivation, "rule"),
         (f, "var"),
         (f.body, "left"),
         (f.body.left, "terms"),
@@ -276,3 +289,85 @@ def test_search_stats_defaults_are_fresh_and_mutable():
     a.visited += 3
     a.audit_violations.append("x")
     assert b.visited == 0 and b.audit_violations == []
+
+
+# ---------------------------------------------------------------------------
+# Nodes built in a writable twin of their class and sealed: no twin escapes
+
+
+def _twins() -> set:
+    twins, stack = set(), [Node]
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        if "_twin" in vars(cls):
+            twins.add(cls._twin)
+    return twins
+
+
+def _fields(x) -> list:
+    """The fields of a node, every slot of its classes, or of a derivation."""
+    if isinstance(x, Derivation):
+        return ["rule", "conclusion", "premises", "head", "path"]
+    return [name for cls in type(x).__mro__ for name in vars(cls).get("__slots__", ())]
+
+
+def _reachable(roots) -> list:
+    """Every object reachable from ``roots`` through fields and containers, once."""
+    found, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (str, int)) or x is None or id(x) in found:
+            continue
+        found[id(x)] = x
+        if isinstance(x, (tuple, frozenset)):
+            stack += x
+        elif isinstance(x, (Node, Derivation)):
+            stack += (getattr(x, name) for name in _fields(x))
+    return list(found.values())
+
+
+def _sealed(x, name: str) -> bool:
+    try:
+        setattr(x, name, None)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
+    twins = _twins()
+    assert {Atom._twin, Sequent._twin, FormulaItem._twin, Context._twin} <= twins
+    types = [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
+    types.append(parse_type(ROTATION_WITNESSES["type"]))
+    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
+    roots += [phi(t) for t in types] + list(corpus[:300])
+    reached = list(types)
+    for f in roots:
+        visited = []
+        _, _, derivation = derivable(f, on_visit=visited.append)
+        reached += [f, derivation, *visited]
+    checked = set()
+    for x in _reachable(reached):
+        assert type(x) not in twins, type(x)
+        if isinstance(x, (Node, Derivation)):
+            assert all(_sealed(x, name) for name in _fields(x)), repr(x)
+            checked.add(type(x).__name__)
+    assert checked >= {"Var", "Atom", "Imp", "Forall", "FormulaItem", "BracketItem", "Context",
+                       "Sequent", "Derivation", "TVar", "TArrow", "TForall"}
+
+
+def test_search_built_sequents_contexts_and_brackets_copy_and_pickle():
+    visited = []
+    derivable(parse_formula(ROTATION_WITNESSES["formula"]), on_visit=visited.append)
+    seq = next(s for s in visited if any(isinstance(i, BracketItem) for i in s.context.items))
+    item = next(i for i in seq.context.items if isinstance(i, BracketItem))
+    twins = _twins()
+    for x in (seq, seq.context, item):
+        for again in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(again) is type(x) and again is not x
+            assert again == x and hash(again) == hash(x) and repr(again) == repr(x)
+            assert not twins & {type(y) for y in _reachable([again])}
+            with pytest.raises(AttributeError):
+                again._hash = 0

@@ -16,9 +16,9 @@ from minpl.prover import (
     derivation_to_json,
 )
 from minpl.syntax import (
+    Node,
     Polarity,
     barendregt_rename,
-    bound_vars,
     decompose,
     parse_formula,
     pieces,
@@ -34,6 +34,7 @@ from helpers import (
     INHABITED_FALSE,
     INHABITED_TRUE,
     ROTATION_WITNESSES,
+    bound_vars,
     context_formulas,
     random_bracket_sequent,
     reference_audit,
@@ -170,6 +171,26 @@ def test_select_head_finds_zero_premise_head():
     assert derivation.head == parse_formula("P")
 
 
+def test_head_scan_passes_over_other_heads_without_comparing_them(monkeypatch):
+    # (A -> A -> G) -> (B1 -> A) -> (B2 -> B1) -> ... -> Bn -> G: every level of the
+    # proof scans about n formula items, and only one head is its goal's equal
+    n = 1500
+    hyps = ["(A -> A -> G)", "(B1 -> A)"] + [f"(B{i} -> B{i - 1})" for i in range(2, n + 1)]
+    f = parse_formula(" -> ".join(hyps + [f"B{n}", "G"]))
+    calls, equal = [], Node.__eq__
+
+    def counted_eq(self, other):
+        calls.append(type(self))
+        return equal(self, other)
+
+    monkeypatch.setattr(Node, "__eq__", counted_eq)
+    verdict, stats, derivation = derivable(f)
+    assert verdict and stats.visited == 2 * n + 4
+    assert len(calls) < 10_000, len(calls)
+    monkeypatch.undo()
+    replay(derivation)
+
+
 # ---------------------------------------------------------------------------
 # The per-query items and the root's scope table
 
@@ -180,9 +201,9 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
     class CountedItem(FormulaItem):
         __slots__ = ()
 
-        def __init__(self, formula):
+        def __new__(cls, formula):
             built.append(formula)
-            super().__init__(formula)
+            return super().__new__(cls, formula)
 
     def counted_decompose(f):
         split.append(f)

@@ -16,7 +16,6 @@ from minpl.syntax import (
     Polarity,
     Var,
     barendregt_rename,
-    bound_vars,
     decompose,
     free_vars,
     parse_formula,
@@ -33,6 +32,7 @@ from helpers import (
     INHABITED_FALSE,
     INHABITED_TRUE,
     ROTATION_WITNESSES,
+    bound_vars,
     debruijn,
     formulas,
     ftypes,
