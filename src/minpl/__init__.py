@@ -19,7 +19,7 @@ from .syntax import *
 # ``import minpl`` and a ``decide`` query do without them.
 _LAZY = {
     "oracle": "FlatSequent FreshNames first_provable_depth flatten generate_positive ljplus_prove",
-    "systemf": "FType TArrow TForall TVar inhabited parse_type phi print_type type_polarity",
+    "systemf": "FType TArrow TForall TVar inhabited parse_type phi print_type",
 }
 
 

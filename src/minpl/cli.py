@@ -17,7 +17,6 @@ from typing import Optional
 
 from .context import measure, normalize, parse_context
 from .prover import (
-    Derivation,
     NotPositive,
     SearchStats,
     SearchTimeout,
@@ -89,11 +88,11 @@ def _load_input(config: argparse.Namespace) -> str:
     return config.text.strip()
 
 
-def _format_derivation(d: Derivation, indent: int = 0) -> list[str]:
-    label = d.rule if d.head is None else f"{d.rule} [{d.head}]"
-    lines = [f"{'  ' * indent}{label}: {d.conclusion}"]
-    for premise in d.premises:
-        lines.extend(_format_derivation(premise, indent + 1))
+def _format_trace(node: dict, indent: int = 0) -> list[str]:
+    label = f"{node['rule']} [{node['head']}]" if "head" in node else node["rule"]
+    lines = [f"{'  ' * indent}{label}: {node['sequent']}"]
+    for premise in node["premises"]:
+        lines.extend(_format_trace(premise, indent + 1))
     return lines
 
 
@@ -186,6 +185,7 @@ def _run(config: argparse.Namespace) -> int:
         found = first_provable_depth(FlatSequent((), f), config.oracle_check)
         oracle_agrees = (found is not None) == verdict
 
+    trace = derivation_to_json(derivation) if config.trace and derivation is not None else None
     if config.json_out:
         payload = {
             "input": text,
@@ -193,11 +193,7 @@ def _run(config: argparse.Namespace) -> int:
             "derivable": verdict,
             "visited": stats.visited,
             "elapsed_ms": round(stats.elapsed * 1000, 3),
-            "derivation": (
-                derivation_to_json(derivation)
-                if config.trace and derivation is not None
-                else None
-            ),
+            "derivation": trace,
             "oracle_agrees": oracle_agrees,
             "warnings": warnings,
         }
@@ -209,9 +205,9 @@ def _run(config: argparse.Namespace) -> int:
             print("derivable" if verdict else "not derivable")
         else:
             print("inhabited" if verdict else "not inhabited")
-        if config.trace and derivation is not None:
-            trace = "\n".join(_format_derivation(derivation))
-            print(trace if config.mode == "decide" else systemf.elide_eps(trace))
+        if trace is not None:
+            lines = "\n".join(_format_trace(trace))
+            print(lines if config.mode == "decide" else systemf.elide_eps(lines))
         if config.stats:
             print("\n".join(_stats_lines(stats)))
         if oracle_agrees is not None:

@@ -87,7 +87,7 @@ class BracketItem(Item):
         _set(self, "depth", content.depth + 1)
 
     def __str__(self) -> str:
-        return f"[{self.content}]_{{{','.join(sorted(self.bound))}}}"
+        return str(Context((self,)))
 
 
 class Context(Node):
@@ -103,7 +103,21 @@ class Context(Node):
         _set(self, "depth", max(map(_depth, items), default=0))
 
     def __str__(self) -> str:
-        return ", ".join(str(item) for item in self.items)
+        # what is left to print, the next on top: texts, and contexts still to spell out
+        out, stack = [], [self]
+        while stack:
+            top = stack.pop()
+            if isinstance(top, str):
+                out.append(top)
+                continue
+            for index, item in enumerate(reversed(top.items)):
+                if index:
+                    stack.append(", ")
+                if isinstance(item, BracketItem):
+                    stack += (f"]_{{{','.join(sorted(item.bound))}}}", item.content, "[")
+                else:
+                    stack.append(str(item))
+        return "".join(out)
 
 
 def measure(x: Context | Item) -> int:
@@ -131,13 +145,20 @@ def normalize(c: Context) -> Context:
     Deterministic and idempotent; the result is reachable from ``c`` by the
     three cleaning rules.
     """
-    flat: list[Item] = []
-    for item in c.items:
-        if isinstance(item, FormulaItem):
+    # each open level: its items left to clean, those cleaned so far, and its bound set
+    levels = [(iter(c.items), [], None)]
+    while True:
+        items, flat, bound = levels[-1]
+        for item in items:
+            if isinstance(item, BracketItem):
+                levels.append((iter(item.content.items), [], item.bound))
+                break
             flat.append(item)
         else:
-            flat.extend(bracket(normalize(item.content), item.bound).items)
-    return _canonical(flat)
+            del levels[-1]
+            if not levels:
+                return _canonical(flat)
+            levels[-1][1].extend(bracket(_canonical(flat), bound).items)
 
 
 def fuse(a: Context, b: Context) -> Context:

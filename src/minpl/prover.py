@@ -20,7 +20,7 @@ derivation nodes, and a set already collected is taken whole.
 Every formula a search puts into a sequent is a piece of the renamed input,
 whose binders are apart: a universal goal brackets the context with its
 binder's set in the input's scope table, built once per query and read by
-``audit`` too.  A hypothesis gets one context item per query, carrying its
+the audit too.  A hypothesis gets one context item per query, carrying its
 head and arguments; ``insert`` adds it, deriving hash and depth in O(1).  A
 parse shares its equal atoms and variables, a translated type its ``eps(X)``
 atoms, and head selection tests a head against its goal by identity, then hash.
@@ -45,7 +45,6 @@ __all__ = [
     "SearchTimeout",
     "SeenSet",
     "Sequent",
-    "audit",
     "derivable",
     "derivation_to_json",
 ]
@@ -290,19 +289,13 @@ def derivable(
     return derivation is not None, stats, derivation
 
 
-def audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]:
-    """Check a sequent against the structural facts of searches rooted at
-    ``root``: every formula is a piece of ``root``, every bracket subscript
-    is the scope set of some binder, bracket nesting stays within the binder
-    nesting depth, and a directly nested bracket's binder lies in the scope
-    of the enclosing one.  Returns one message per violation."""
-    return _auditor(table, root)(seq)
-
-
 def _auditor(table: ScopeTable, root: Formula) -> Callable[[Sequent], list[str]]:
-    """``audit`` for one root, whose pieces, scope sets and depth it takes once.
-    Binders are distinct, so one lies in the scope of another exactly when
-    its scope set is a proper subset of the other's."""
+    """Audit sequents of searches from ``root``, taking its pieces, scope sets
+    and depth once: each formula is a piece of ``root``, each bracket subscript
+    a binder's scope set, bracket nesting within the binder nesting depth, and a
+    directly nested bracket's binder in the scope of the enclosing one; one
+    message per violation.  Binders are distinct, so one is in another's scope
+    exactly when its scope set is a proper subset of the other's."""
     piece_set, scopes, limit = pieces(root), frozenset(table.scopes.values()), table.depth
 
     def check(seq: Sequent) -> list[str]:

@@ -15,8 +15,8 @@ import re
 from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
-from .syntax import Atom, Forall, Formula, Imp, Node, Polarity, Var, _TokenStream, _parse_spine
-from .syntax import _set, polarity, print_formula
+from .syntax import Atom, Forall, Formula, Imp, Node, Var, _TokenStream, _parse_spine
+from .syntax import _set, print_formula
 
 EPS = "eps"
 
@@ -72,12 +72,6 @@ def phi(t: FType) -> Formula:
     return go(t)
 
 
-def type_polarity(t: FType) -> Polarity:
-    """Polarity of a type: that of its translation, which maps arrows to
-    implications and quantifiers to quantifiers."""
-    return polarity(phi(t))
-
-
 def inhabited(
     t: FType, **search_options
 ) -> tuple[bool, SearchStats, Optional[Derivation]]:
@@ -110,7 +104,7 @@ def parse_type(text: str) -> FType:
 def print_type(t: FType) -> str:
     """Canonical text form of a type; ``parse_type`` inverts it.  It is the
     printed translation with ``eps(X)`` shown as ``X``."""
-    return compact_eps(phi(t))
+    return elide_eps(print_formula(phi(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +119,3 @@ def elide_eps(text: str) -> str:
     """Printed translations of types with ``eps`` elided (as it would be in a
     term ``eps(x)`` inside another atom, which no translation has)."""
     return _EPS_VAR.sub(r"\1", text)
-
-
-def compact_eps(f: Formula) -> str:
-    """The printed translation of a type with ``eps`` elided."""
-    return elide_eps(print_formula(f))

@@ -830,7 +830,7 @@ def random_bracket_sequent(rng: random.Random, root: Formula, table: ScopeTable)
 
 def reference_elide(f: Formula) -> Formula:
     """``f`` rebuilt with every ``eps(X)`` turned into the nullary atom ``X``,
-    the structural route that ``compact_eps`` replaced by a text edit."""
+    the structural route that ``elide_eps`` replaces by a text edit."""
     if isinstance(f, Atom):
         if f.pred == EPS and len(f.terms) == 1 and isinstance(f.terms[0], Var):
             return Atom(f.terms[0].name)
@@ -851,6 +851,22 @@ def reference_elide_ctx(c: Context) -> Context:
 
 def reference_render_sequent(seq: Sequent) -> str:
     return str(Sequent(reference_elide_ctx(seq.context), reference_elide(seq.goal)))
+
+
+def reference_text_trace(d: Derivation, typed: bool = False) -> list[str]:
+    """The text trace walked over the derivation itself: one line
+    ``rule [head]: sequent`` per node, its premises indented below it.  A
+    trace of a type shows ``eps(X)`` as ``X``, by structural elision."""
+    lines, stack = [], [(d, 0)]
+    while stack:
+        node, indent = stack.pop()
+        label = node.rule
+        if node.head is not None:
+            label += f" [{print_formula(reference_elide(node.head) if typed else node.head)}]"
+        shown = reference_render_sequent(node.conclusion) if typed else str(node.conclusion)
+        lines.append(f"{'  ' * indent}{label}: {shown}")
+        stack += ((premise, indent + 1) for premise in reversed(node.premises))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,19 @@ import pytest
 
 import minpl
 from minpl.cli import main
+from minpl.prover import derivable
+from minpl.syntax import parse_formula, print_formula
+from minpl.systemf import inhabited, parse_type
+
+from helpers import (
+    DERIVABLE_FALSE,
+    DERIVABLE_TRUE,
+    INHABITED_FALSE,
+    INHABITED_TRUE,
+    ROTATION_WITNESSES,
+    distinct_nodes,
+    reference_text_trace,
+)
 
 INTRO = "((((P -> Q) -> P) -> P) -> Q) -> Q"
 IMPL_EXAMPLE = "((forall x. (P(x) -> ((forall y. (P(y) -> Q)) -> R) -> R)) -> Q) -> Q"
@@ -66,6 +79,29 @@ def test_text_trace_uses_rule_names(capsys):
     out = capsys.readouterr().out
     assert "Rimp: |- Q -> Q" in out
     assert "Limp [Q]: Q |- Q" in out
+
+
+def test_text_trace_is_the_whole_derivation(capsys, corpus):
+    # every line of the printed trace, against a renderer that walks the derivation
+    jobs = [("decide", text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    jobs += [("inhabit", text) for text in INHABITED_TRUE + INHABITED_FALSE]
+    jobs += [("decide", ROTATION_WITNESSES["formula"]), ("inhabit", ROTATION_WITNESSES["type"])]
+    jobs += [("decide", print_formula(f)) for f in corpus[:60]]
+    traced = rotated = 0
+    for mode, text in jobs:
+        if mode == "decide":
+            verdict, _, derivation = derivable(parse_formula(text))
+            expected = ["derivable" if verdict else "not derivable"]
+        else:
+            verdict, _, derivation = inhabited(parse_type(text))
+            expected = ["inhabited" if verdict else "not inhabited"]
+        if derivation is not None:
+            expected += reference_text_trace(derivation, typed=mode == "inhabit")
+            traced += 1
+            rotated += any(node.path for node in distinct_nodes(derivation))
+        assert main([mode, text, "--trace"]) == (0 if verdict else 1)
+        assert capsys.readouterr().out.splitlines() == expected, text
+    assert traced >= 20 and rotated >= 2, (traced, rotated)
 
 
 def test_stats_lines(capsys):
@@ -324,8 +360,28 @@ def test_measure_of_deep_dirty_brackets_by_cli(tmp_path):
     assert child.stdout.splitlines() == ["Q", f"measure: {2**901 - 1} -> 1"]
 
 
+def nested_brackets(n: int, kind: str) -> tuple[str, str]:
+    """A context of ``n`` nested brackets and its cleaned form: a clean one,
+    ``[...[P(x1, ..., xn)]_{xn}...]_{x1}``, or a dirty one, in which every
+    bracket binds ``x``."""
+    if kind == "clean":
+        args = ", ".join(f"x{i}" for i in range(1, n + 1))
+        text = "[" * n + f"P({args})" + "".join(f"]_{{x{i}}}" for i in range(n, 0, -1))
+        return text, text
+    return "[" * n + "Q, P(x)" + "]_{x}" * n, "Q, [P(x)]_{x}"
+
+
+@pytest.mark.parametrize("kind", ["clean", "dirty"])
+def test_normalize_of_deep_brackets_by_cli(tmp_path, kind):
+    text, cleaned = nested_brackets(2000, kind)
+    path = tmp_path / "context.txt"
+    path.write_text(text, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [cleaned]
+
+
 def test_parse_context_reads_deep_brackets_at_the_default_recursion_limit():
-    # normalize and str still recurse on such a context
     code = (
         "import sys\n"
         "from minpl import BracketItem, parse_context\n"
@@ -449,6 +505,17 @@ def test_package_names_work_on_first_access():
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "ok"
+
+
+def test_one_entry_point_per_job():
+    # the audit runs through derivable(audit=True), a type's polarity is that of
+    # its translation, and the text trace renders derivation_to_json's node
+    from minpl import cli, prover, systemf
+
+    gone = [(minpl, "audit"), (prover, "audit"), (minpl, "type_polarity")]
+    gone += [(systemf, "type_polarity"), (systemf, "compact_eps"), (cli, "Derivation")]
+    for module, name in gone:
+        assert name not in getattr(module, "__all__", ()) and not hasattr(module, name), name
 
 
 def test_star_import_binds_every_exported_name():

@@ -11,7 +11,7 @@ from minpl.prover import (
     SeenSet,
     Sequent,
     _Search,
-    audit,
+    _auditor,
     derivable,
     derivation_to_json,
 )
@@ -334,7 +334,7 @@ def test_audit_flags_foreign_formula():
     alien = Sequent(
         Context((FormulaItem(parse_formula("Z -> Z")),)), parse_formula("Q")
     )
-    violations = audit(alien, table, f)
+    violations = _auditor(table, f)(alien)
     assert len(violations) == 1
     assert "not a piece" in violations[0]
 
@@ -343,12 +343,12 @@ def test_audit_flags_unknown_subscript_and_depth():
     f = barendregt_rename(parse_formula("forall x. (P(x) -> Q)"))
     table = scope_table(f)
     bad = Sequent(normalize(parse_context("[P(x)]_{x,w}")), parse_formula("Q"))
-    messages = " ".join(audit(bad, table, f))
+    messages = " ".join(_auditor(table, f)(bad))
     assert "subscript" in messages
     nested = Sequent(
         parse_context("[[P(x)]_{x}]_{x}"), parse_formula("Q")
     )
-    messages = " ".join(audit(nested, table, f))
+    messages = " ".join(_auditor(table, f)(nested))
     assert "exceeds" in messages
 
 
@@ -358,10 +358,10 @@ def test_audit_checks_nesting_by_binder_scope():
     table = scope_table(f)
     outside = Sequent(parse_context("[[P(x, y)]_{x,y}]_{y}"), parse_formula("Q"))
     inside = Sequent(parse_context("[[P(x, y)]_{y}]_{x,y}"), parse_formula("Q"))
-    violations = audit(outside, table, f)
+    violations = _auditor(table, f)(outside)
     assert len(violations) == 1 and violations[0].startswith("bracket outside the scope")
     assert len(reference_audit(outside, table, f)) == 1
-    assert audit(inside, table, f) == reference_audit(inside, table, f) == []
+    assert _auditor(table, f)(inside) == reference_audit(inside, table, f) == []
 
 
 def _nesting_rule_blind(violations: list[str]) -> list[str]:
@@ -383,7 +383,7 @@ def test_audit_matches_the_reference_on_random_dirty_sequents():
             s = random_bracket_sequent(rng, root, table)
             got, expected = check(s), reference_audit(s, table, root)
             assert _nesting_rule_blind(got) == _nesting_rule_blind(expected), str(s)
-            assert audit(s, table, root) == got
+            assert _auditor(table, root)(s) == got
             checked += 1
             flagged += bool(got)
             nested += "nested" in _nesting_rule_blind(got)

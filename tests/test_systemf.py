@@ -11,13 +11,11 @@ from minpl.systemf import (
     TArrow,
     TForall,
     TVar,
-    compact_eps,
     elide_eps,
     inhabited,
     parse_type,
     phi,
     print_type,
-    type_polarity,
 )
 
 from helpers import (
@@ -31,6 +29,7 @@ from helpers import (
     ftypes,
     random_type,
     reference_elide,
+    reference_polarity,
     reference_print_type,
     reference_render_sequent,
     type_connectives,
@@ -66,16 +65,16 @@ def test_phi_preserves_connective_count(t):
 
 
 def test_identity_type_is_positive():
-    assert type_polarity(parse_type("forall X. X -> X")).value == "positive"
+    assert polarity(phi(parse_type("forall X. X -> X"))).value == "positive"
 
 
 def test_empty_type_is_positive():
-    assert type_polarity(parse_type("forall X. X")).value == "positive"
+    assert polarity(phi(parse_type("forall X. X"))).value == "positive"
 
 
 @given(ftypes)
 def test_type_polarity_commutes_with_translation(t):
-    assert type_polarity(t) == polarity(phi(t))
+    assert polarity(phi(t)) == reference_polarity(t)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,6 @@ def test_inhabited_runs_polarity_once(monkeypatch, text):
         return polarity(f)
 
     monkeypatch.setattr("minpl.prover.polarity", counting)
-    monkeypatch.setattr("minpl.systemf.polarity", counting)
     try:
         inhabited(parse_type(text))
     except NotPositive as exc:
@@ -175,9 +173,9 @@ def test_parse_type_examples():
 # Trace rendering
 
 
-def test_compact_eps_elides_the_predicate():
+def test_elide_eps_elides_the_predicate():
     f = phi(parse_type("forall X. X -> X"))
-    assert compact_eps(f) == "forall X. (X -> X)"
+    assert elide_eps(print_formula(f)) == "forall X. (X -> X)"
 
 
 def test_elide_eps_compacts_sequents():
@@ -186,9 +184,9 @@ def test_elide_eps_compacts_sequents():
     assert "eps" not in rendered
 
 
-def test_compact_eps_keeps_other_atoms_intact():
+def test_elide_eps_keeps_other_atoms_intact():
     f = parse_formula("eps(f(x)) -> P(x)")
-    assert compact_eps(f) == "eps(f(x)) -> P(x)"
+    assert elide_eps(print_formula(f)) == "eps(f(x)) -> P(x)"
 
 
 def as_type(f):
@@ -211,7 +209,7 @@ def test_rendering_is_the_printer_with_eps_elided_as_text():
         inhabited(t, on_visit=visited.append)
         for seq in visited:
             assert elide_eps(str(seq)) == elide.sub(r"\1", str(seq))
-            assert compact_eps(seq.goal) == elide.sub(r"\1", str(seq.goal))
+            assert elide_eps(print_formula(seq.goal)) == elide.sub(r"\1", str(seq.goal))
             brackets += str(seq).count("[")
     assert brackets > 20, brackets
 
@@ -223,7 +221,7 @@ def test_rendering_equals_the_structural_elision():
     rng, randoms = random.Random(8), []
     while len(randoms) < 300:
         t = random_type(rng, rng.randint(5, 25))
-        if type_polarity(t) in (Polarity.POSITIVE, Polarity.BOTH):
+        if polarity(phi(t)) in (Polarity.POSITIVE, Polarity.BOTH):
             randoms.append(t)
     brackets = 0
     for t in types + randoms:
@@ -233,6 +231,6 @@ def test_rendering_equals_the_structural_elision():
         for seq in visited:
             assert elide_eps(str(seq)) == reference_render_sequent(seq)
             for f in context_formulas(seq.context) + [seq.goal]:
-                assert compact_eps(f) == print_formula(reference_elide(f))
+                assert elide_eps(print_formula(f)) == print_formula(reference_elide(f))
             brackets += str(seq).count("[")
     assert brackets > 20, brackets
