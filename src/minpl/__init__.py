@@ -18,7 +18,7 @@ from .syntax import *
 # The reference prover and System F load on first use (PEP 562), so that
 # ``import minpl`` and a ``decide`` query do without them.
 _LAZY = {
-    "oracle": "FlatSequent FreshNames first_provable_depth flatten generate_positive ljplus_prove",
+    "oracle": "FlatSequent FreshNames first_provable_depth generate_positive ljplus_prove",
     "systemf": "FType TArrow TForall TVar inhabited parse_type phi print_type",
 }
 

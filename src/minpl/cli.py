@@ -120,8 +120,9 @@ def _run_normalize(config: argparse.Namespace, text: str) -> int:
         print(json.dumps(payload))
     else:
         print(str(cleaned))
-        if config.stats:
-            print(f"measure: {measure(ctx)} -> {measure(cleaned)}")
+        if config.stats:  # Decimal prints an int past the interpreter's digit limit
+            from decimal import Decimal
+            print(f"measure: {Decimal(measure(ctx))} -> {Decimal(measure(cleaned))}")
     return 0
 
 

@@ -7,9 +7,7 @@ simple and makes an independent cross-check for the bracketed engine: a "yes"
 below some depth certifies derivability, a "no" up to a depth is evidence, not
 proof, of underivability.
 
-The module also provides ``flatten``, which turns a bracketed sequent into an
-ordinary one by renaming every bracket-bound variable to a fresh name and
-erasing the brackets, and a seeded generator of closed positive formulas for
+The module also provides a seeded generator of closed positive formulas for
 corpus-style testing.
 """
 
@@ -19,19 +17,8 @@ import itertools
 import random
 from typing import Mapping, NamedTuple, Optional
 
-from .context import Context, FormulaItem
-from .prover import Sequent
-from .syntax import (
-    Atom,
-    Forall,
-    Formula,
-    Imp,
-    Var,
-    _rename_term,
-    decompose,
-    free_vars,
-    print_formula,
-)
+from .syntax import Atom, Forall, Formula, Imp, Var, _rename_term, decompose, free_vars
+from .syntax import print_formula
 
 
 class FlatSequent(NamedTuple):
@@ -109,31 +96,6 @@ def first_provable_depth(s: FlatSequent, max_depth: int) -> Optional[int]:
         if ljplus_prove(s, d):
             return d
     return None
-
-
-def flatten(seq: Sequent, names: FreshNames | None = None) -> FlatSequent:
-    """Erase the brackets of a clean sequent after renaming every
-    bracket-bound variable to a globally fresh name.
-
-    Deterministic given the name counter; two flattenings taken with
-    different counters differ only by a bijective renaming of the fresh
-    names.
-    """
-    names = names if names is not None else FreshNames()
-    hyps: list[Formula] = []
-
-    def walk(ctx: Context, env: dict[str, str]) -> None:
-        for item in ctx.items:
-            if isinstance(item, FormulaItem):
-                hyps.append(_apply_renaming(item.formula, env))
-            else:
-                inner = dict(env)
-                for v in sorted(item.bound):
-                    inner[v] = names.fresh(v)
-                walk(item.content, inner)
-
-    walk(seq.context, {})
-    return FlatSequent(tuple(hyps), seq.goal)
 
 
 # ---------------------------------------------------------------------------

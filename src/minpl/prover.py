@@ -18,12 +18,12 @@ success is shared, so the sequent set of the check is collected over distinct
 derivation nodes, and a set already collected is taken whole.
 
 Every formula a search puts into a sequent is a piece of the renamed input,
-whose binders are apart: a universal goal brackets the context with its
-binder's set in the input's scope table, built once per query and read by
-the audit too.  A hypothesis gets one context item per query, carrying its
-head and arguments; ``insert`` adds it, deriving hash and depth in O(1).  A
-parse shares its equal atoms and variables, a translated type its ``eps(X)``
-atoms, and head selection tests a head against its goal by identity, then hash.
+whose binders are apart: a universal goal brackets the context with the scope
+its binder stored when it was built, which the audit reads too.  A hypothesis
+gets one context item per query, carrying its head and arguments; ``insert``
+adds it, deriving hash and depth in O(1).  A parse shares its equal atoms and
+variables, a translated type its ``eps(X)`` atoms, and head selection tests a
+head against its goal by identity, then hash.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
-from .syntax import Forall, Formula, Imp, Node, Polarity, ScopeTable, _new
-from .syntax import barendregt_rename, pieces, polarity, print_formula, scope_table
+from .syntax import Forall, Formula, Imp, Node, Polarity, _new, _outermost
+from .syntax import barendregt_rename, pieces, polarity, print_formula
 
 __all__ = [
     "Derivation",
@@ -147,19 +147,17 @@ _EMPTY = Context()
 
 
 class _Search:
-    """Search state of one query: statistics, scope sets, deadline, success
-    cache and items.  ``low`` is the shallowest branch depth a prune hit below."""
+    """Search state of one query: statistics, deadline, success cache and
+    items.  ``low`` is the shallowest branch depth a prune hit below."""
 
     def __init__(
         self,
         stats: SearchStats,
-        scopes: Mapping[str, frozenset[str]],
         *,
         deadline: float | None = None,
         on_visit: Callable[[Sequent], None] | None = None,
     ):
         self.stats = stats
-        self.scopes = scopes
         self.deadline = deadline
         self.on_visit = on_visit
         self.low = 0
@@ -198,7 +196,7 @@ class _Search:
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
             elif isinstance(goal, Forall):
-                premise = Sequent(bracket(seq.context, self.scopes[goal.var]), goal.body)
+                premise = Sequent(bracket(seq.context, goal.scope), goal.body)
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
             else:
@@ -269,10 +267,9 @@ def derivable(
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
-    table = scope_table(renamed) if renamed.nbinders else ScopeTable({}, 0)
     stats = SearchStats()
     if audit:
-        check, hook = _auditor(table, renamed), on_visit
+        check, hook = _auditor(renamed), on_visit
 
         def on_visit(s: Sequent) -> None:
             stats.audit_violations.extend(check(s))
@@ -280,7 +277,7 @@ def derivable(
                 hook(s)
 
     deadline = None if timeout is None else time.monotonic() + timeout
-    engine = _Search(stats, table.scopes, deadline=deadline, on_visit=on_visit)
+    engine = _Search(stats, deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(Context(), renamed))
@@ -289,14 +286,20 @@ def derivable(
     return derivation is not None, stats, derivation
 
 
-def _auditor(table: ScopeTable, root: Formula) -> Callable[[Sequent], list[str]]:
-    """Audit sequents of searches from ``root``, taking its pieces, scope sets
-    and depth once: each formula is a piece of ``root``, each bracket subscript
-    a binder's scope set, bracket nesting within the binder nesting depth, and a
-    directly nested bracket's binder in the scope of the enclosing one; one
-    message per violation.  Binders are distinct, so one is in another's scope
-    exactly when its scope set is a proper subset of the other's."""
-    piece_set, scopes, limit = pieces(root), frozenset(table.scopes.values()), table.depth
+def _auditor(root: Formula) -> Callable[[Sequent], list[str]]:
+    """Audit sequents of searches from the renamed ``root``, taking its pieces,
+    their scope sets and the binder nesting depth once: each formula is a piece
+    of ``root``, each bracket subscript a binder's scope set, bracket nesting
+    within the binder nesting depth, and a directly nested bracket's binder in
+    the scope of the enclosing one; one message per violation.  Binders are
+    distinct, so one is in another's scope exactly when its scope set is a
+    proper subset of the other's."""
+    piece_set = pieces(root)
+    scopes = frozenset(g.scope for g in piece_set if isinstance(g, Forall))
+    # the binder nesting depth: one level of binders at a time, each binder once
+    limit, level = 0, _outermost(root)
+    while level:
+        limit, level = limit + 1, [inner for g in level for inner in _outermost(g.body)]
 
     def check(seq: Sequent) -> list[str]:
         # each open level: its items left to check, and its subscript if a scope

@@ -3,9 +3,11 @@
 The language is deliberately small: atoms over first-order terms, implication
 and universal quantification.  Nothing in this package ever substitutes a term
 for a variable; quantifiers are handled purely by scoping, so each analysis
-here is at most one walk over the tree.  The binder walk, ``pieces`` and the parsers
-are loops with explicit stacks; renaming and printing still recurse.  Nodes are
-immutable, yet the constructors run most build them by plain slot stores (``Node``).
+here is at most one walk over the tree.  A binder stores its scope, the
+variables bound in its subtree, as it is built.  The binder loop, ``pieces``
+and the parsers are loops with explicit stacks; renaming and printing still
+recurse.  Nodes are immutable, yet the constructors run most build them by
+plain slot stores (``Node``).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
-from operator import attrgetter, itemgetter
-from typing import Mapping, NamedTuple
+from operator import attrgetter
+from typing import Mapping
 
 __all__ = [
     "Atom",
@@ -26,7 +28,6 @@ __all__ = [
     "NotNegative",
     "ParseError",
     "Polarity",
-    "ScopeTable",
     "Term",
     "Var",
     "barendregt_rename",
@@ -36,7 +37,6 @@ __all__ = [
     "pieces",
     "polarity",
     "print_formula",
-    "scope_table",
 ]
 
 
@@ -58,13 +58,13 @@ class NotBarendregt(ValueError):
 
 # ---------------------------------------------------------------------------
 # Abstract syntax: immutable slotted nodes, each storing its hash and free
-# variables, and a formula also its polarity and number of binders, all
-# computed once from its children's.
+# variables, a formula also its polarity and number of binders, and a binder
+# its scope, all computed once from its children's.
 
 _NO_VARS: frozenset[str] = frozenset()
 _set, _new = object.__setattr__, object.__new__
 _WRITABLE = {"__setattr__": _set, "__delattr__": object.__delattr__}  # a twin overrides these
-_hash_of, _fv_of, _var_of = attrgetter("_hash"), attrgetter("fv"), attrgetter("var")
+_hash_of, _fv_of, _scope_of = attrgetter("_hash"), attrgetter("fv"), attrgetter("scope")
 
 
 class Node:
@@ -191,7 +191,12 @@ class Imp(Formula):
 
 
 class Forall(Formula):
-    __slots__ = _fields = ("var", "body")
+    """``scope`` is the set of variables bound in this subtree, ``var``
+    included: the name joined by union to the scopes of the binders directly
+    inside.  It is not a field, so equality, hash, repr and pickles skip it."""
+
+    __slots__ = ("var", "body", "scope")
+    _fields = ("var", "body")
 
     def __new__(cls, var: str, body: Formula) -> Forall:
         self = _new(cls._twin)
@@ -202,6 +207,11 @@ class Forall(Formula):
         # a universally quantified formula is never negative
         self.pol = body.pol & 1
         self.nbinders = body.nbinders + 1
+        scope = frozenset((var,))
+        if body.nbinders:
+            for inner in _outermost(body):
+                scope = inner.scope | scope
+        self.scope = scope
         self.__class__ = cls
         return self
 
@@ -224,21 +234,20 @@ def free_vars(x: Term | Formula) -> frozenset[str]:
     return x.fv
 
 
-def _binders(f: Formula) -> list[Forall]:
-    """The binders of ``f``, its ``Forall`` nodes, in pre-order: a loop down
-    left spines and binder prefixes, where right operands with binders wait on
-    a stack and a subtree without binders is never entered."""
+def _outermost(f: Formula) -> list[Forall]:
+    """The binders of ``f`` inside no other, left to right: a loop down the
+    implications with binders, where right operands with binders wait on a
+    stack and a subtree without binders is never entered."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
         while g.nbinders:
-            if isinstance(g, Imp):
-                if g.right.nbinders:
-                    stack.append(g.right)
-                g = g.left
-            else:
+            if isinstance(g, Forall):
                 out.append(g)
-                g = g.body
+                break
+            if g.right.nbinders:
+                stack.append(g.right)
+            g = g.left
     return out
 
 
@@ -292,15 +301,14 @@ def barendregt_rename(f: Formula) -> Formula:
     Deterministic: binders are visited leftmost-outermost and a clashing
     binder ``x`` becomes ``x_N`` for the next value ``N`` of one counter
     shared by the whole traversal.  Free variables are never touched.  ``f``
-    itself comes back, after one walk over its binders, when they are
-    already apart; otherwise every subtree with nothing renamed in it is
-    returned as it is.
+    itself comes back when its binders are already apart, which the union of
+    its outermost binders' scopes tells; otherwise every subtree with nothing
+    renamed in it is returned as it is.
     """
     if not f.nbinders:
         return f
-    binders = _binders(f)
-    names = set(map(_var_of, binders))
-    if len(names) == len(binders) and f.fv.isdisjoint(names):
+    names = _NO_VARS.union(*map(_scope_of, _outermost(f)))
+    if len(names) == f.nbinders and f.fv.isdisjoint(names):
         return f
     used = set(free_vars(f))
     counter = itertools.count(1)
@@ -322,38 +330,6 @@ def barendregt_rename(f: Formula) -> Formula:
         return Forall(name, go(g.body, {**env, g.var: name}))
 
     return go(f, {})
-
-
-class ScopeTable(NamedTuple):
-    """Binder scope sets of a formula plus its maximum binder nesting depth.
-
-    ``scopes[x]`` is the set of variables bound inside the subtree rooted at
-    the binder of ``x``, including ``x`` itself; ``depth`` is the number of
-    binders on the deepest root-to-leaf chain.
-    """
-
-    scopes: Mapping[str, frozenset[str]]
-    depth: int
-
-
-def scope_table(f: Formula) -> ScopeTable:
-    """Scope sets and nesting depth of a Barendregt-renamed formula."""
-    binders = _binders(f)
-    scopes = dict.fromkeys(map(_var_of, binders), _NO_VARS)  # keys in binder pre-order
-    if len(scopes) < len(binders):
-        twice = next(g.var for i, g in enumerate(binders) if g.var in map(_var_of, binders[:i]))
-        raise NotBarendregt(f"duplicate binder {twice!r}")
-    # innermost binder first: a scope is its binder's name joined by union to the
-    # scopes of the binders directly inside it, waiting on ``done`` with index and depth
-    done: list[tuple[int, frozenset[str], int]] = []
-    for first, g in reversed(list(enumerate(binders))):
-        scope, depth = frozenset((g.var,)), 1
-        while done and done[-1][0] < first + g.nbinders:
-            _, inner, below = done.pop()
-            scope, depth = inner | scope, max(depth, below + 1)
-        scopes[g.var] = scope
-        done.append((first, scope, depth))
-    return ScopeTable(scopes, max(map(itemgetter(2), done), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from minpl.context import (
     fuse,
     parse_context,
 )
-from minpl.oracle import generate_positive
+from minpl.oracle import FlatSequent, FreshNames, _apply_renaming, generate_positive
 from minpl.prover import RULE_LIMP, RULE_RFORALL, RULE_RIMP, Derivation, Sequent
 from minpl.syntax import (
     Atom,
@@ -34,10 +35,8 @@ from minpl.syntax import (
     Imp,
     ParseError,
     Polarity,
-    ScopeTable,
     Term,
     Var,
-    _binders,
     barendregt_rename,
     decompose,
     free_vars,
@@ -727,11 +726,35 @@ def reference_polarity(x: Formula | FType) -> Polarity:
     return Polarity.POSITIVE if pos else Polarity.NEGATIVE if neg else Polarity.NEITHER
 
 
+def _binders(f: Formula) -> list[Forall]:
+    """The binders of ``f``, its ``Forall`` nodes, in pre-order: a loop down
+    left spines and binder prefixes, where right operands with binders wait on
+    a stack and a subtree without binders is never entered."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        while g.nbinders:
+            if isinstance(g, Imp):
+                if g.right.nbinders:
+                    stack.append(g.right)
+                g = g.left
+            else:
+                out.append(g)
+                g = g.body
+    return out
+
+
 def bound_vars(f: Formula) -> tuple[str, ...]:
-    """All variables bound anywhere in ``f``, in left-to-right binder order, as
-    the library's binder walk lists them; duplicate-free exactly when ``f``
-    satisfies the Barendregt condition."""
+    """All variables bound anywhere in ``f``, in left-to-right binder order, by
+    a loop over its binders; duplicate-free exactly when ``f`` satisfies the
+    Barendregt condition."""
     return tuple(g.var for g in _binders(f))
+
+
+def stored_scopes(f: Formula) -> dict[str, frozenset[str]]:
+    """The scope each binder of ``f`` stored when it was built, keyed by its
+    name in binder pre-order; for renamed formulas, whose binders are apart."""
+    return {g.var: g.scope for g in _binders(f)}
 
 
 def reference_bound_vars(f: Formula) -> tuple[str, ...]:
@@ -753,8 +776,17 @@ def reference_pieces(f: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
+class ScopeTable(NamedTuple):
+    """Binder scope sets of a renamed formula, keyed by binder name in
+    pre-order, and the number of binders on its deepest chain."""
+
+    scopes: dict[str, frozenset[str]]
+    depth: int
+
+
 def reference_scope_table(f: Formula) -> ScopeTable:
-    """The scope table of a renamed ``f``, by the recursion ``scope_table`` replaced."""
+    """The scope table of a renamed ``f``, by a recursion over the whole tree
+    that collects each binder's bound variables afresh."""
     scopes: dict[str, frozenset[str]] = {}
 
     def walk(g: Formula) -> int:
@@ -768,11 +800,12 @@ def reference_scope_table(f: Formula) -> ScopeTable:
     return ScopeTable(scopes, walk(f))
 
 
-def reference_audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]:
-    """``audit`` as it was before its loop: a recursion that maps each bracket
-    subscript to the binder whose scope set it is, and tests a directly nested
-    bracket's binder for membership in the enclosing binder's scope."""
-    piece_set = reference_pieces(root)
+def reference_audit(seq: Sequent, root: Formula) -> list[str]:
+    """The audit of a sequent searched from the renamed ``root``, as it was
+    before its loop: a recursion over the reference scope table that maps each
+    bracket subscript to the binder whose scope set it is, and tests a directly
+    nested bracket's binder for membership in the enclosing binder's scope."""
+    piece_set, table = reference_pieces(root), reference_scope_table(root)
     subscript_binder = {v: x for x, v in table.scopes.items()}
     violations: list[str] = []
 
@@ -800,13 +833,14 @@ def reference_audit(seq: Sequent, table: ScopeTable, root: Formula) -> list[str]
     return violations
 
 
-def random_bracket_sequent(rng: random.Random, root: Formula, table: ScopeTable) -> Sequent:
+def random_bracket_sequent(rng: random.Random, root: Formula) -> Sequent:
     """A sequent with a dirty context read by ``parse_context``: a random
     nesting of brackets, up to one level deeper than ``root``'s binders nest,
     over pieces of ``root`` and now and then a foreign formula.  Most
     subscripts are scope sets of ``root``; the rest are other sets of its
     binders, and a few name a foreign variable."""
     formulas = sorted(map(print_formula, reference_pieces(root)))
+    table = reference_scope_table(root)
     scopes = [sorted(v) for v in table.scopes.values()]
     binders = sorted(table.scopes)
 
@@ -826,6 +860,31 @@ def random_bracket_sequent(rng: random.Random, root: Formula, table: ScopeTable)
 
     goal = rng.choice(formulas) if rng.random() < 0.95 else "W(w)"
     return Sequent(parse_context(level(table.depth + 1)), parse_formula(goal))
+
+
+def flatten(seq: Sequent, names: FreshNames | None = None) -> FlatSequent:
+    """Erase the brackets of a clean sequent after renaming every
+    bracket-bound variable to a globally fresh name.
+
+    Deterministic given the name counter; two flattenings taken with
+    different counters differ only by a bijective renaming of the fresh
+    names.
+    """
+    names = names if names is not None else FreshNames()
+    hyps: list[Formula] = []
+
+    def walk(ctx: Context, env: dict[str, str]) -> None:
+        for item in ctx.items:
+            if isinstance(item, FormulaItem):
+                hyps.append(_apply_renaming(item.formula, env))
+            else:
+                inner = dict(env)
+                for v in sorted(item.bound):
+                    inner[v] = names.fresh(v)
+                walk(item.content, inner)
+
+    walk(seq.context, {})
+    return FlatSequent(tuple(hyps), seq.goal)
 
 
 def reference_elide(f: Formula) -> Formula:

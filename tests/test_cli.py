@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -307,32 +308,34 @@ def test_long_chain_decided_by_cli(tmp_path, n):
 def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():
     code = (
         "import sys\n"
-        "from minpl.syntax import _binders, parse_formula\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from helpers import bound_vars\n"
+        "from minpl.syntax import barendregt_rename, parse_formula\n"
         "f = parse_formula(''.join(f'forall x{i}. ' for i in range(3000)) + 'Q -> Q')\n"
-        "print(len(_binders(f)), sys.getrecursionlimit())\n"
+        "print(len(bound_vars(f)), barendregt_rename(f) is f, sys.getrecursionlimit())\n"
     )
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["3000", "1000"]
+    assert child.stdout.split() == ["3000", "True", "1000"]
 
 
-def test_scope_table_and_pieces_of_long_inputs_at_the_default_recursion_limit():
+def test_scopes_and_pieces_of_long_inputs_at_the_default_recursion_limit():
     code = (
         "import sys\n"
-        "from minpl import parse_formula, pieces, scope_table\n"
+        "from minpl import parse_formula, pieces\n"
         "prefix = parse_formula(''.join(f'forall x{i}. ' for i in range(1200)) + 'Q')\n"
-        "table, chain = scope_table(prefix), parse_formula(' -> '.join(['Q'] * 3000))\n"
-        "print(table.depth, len(table.scopes['x0']), len(pieces(chain)))\n"
+        "chain = parse_formula(' -> '.join(['Q'] * 3000))\n"
+        "print(prefix.nbinders, len(prefix.scope), len(prefix.body.scope), len(pieces(chain)))\n"
         "print(sys.getrecursionlimit())\n"
     )
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["1200", "1200", "3000", "1000"]
+    assert child.stdout.split() == ["1200", "1200", "1199", "3000", "1000"]
 
 
 def test_audit_of_a_long_prefix_keeps_no_second_copy_of_the_scope_sets(tmp_path):
-    # the audit reads the scope table the search brackets with, so the sets,
-    # quadratic in the binders, are stored once with or without it
+    # the audit reads the scope sets the binders stored, which the search
+    # brackets with, so the sets, quadratic in the binders, are stored once
     path = tmp_path / "prefix.txt"
     path.write_text("".join(f"forall x{i}. " for i in range(3000)) + "Q -> Q", encoding="utf-8")
     code = (
@@ -358,6 +361,19 @@ def test_measure_of_deep_dirty_brackets_by_cli(tmp_path):
     child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path), "--stats")
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["Q", f"measure: {2**901 - 1} -> 1"]
+
+
+def test_measure_past_the_integer_digit_limit_by_cli(tmp_path):
+    # 2^20001 - 1 has 6,021 digits, more than str(int) prints by default
+    path = tmp_path / "dirty.txt"
+    path.write_text("[" * 20000 + "Q" + "]_{x}" * 20000, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path), "--stats")
+    assert child.returncode == 0, child.stderr
+    cleaned, stats = child.stdout.splitlines()
+    before, arrow, after = stats.removeprefix("measure: ").split(" ")
+    assert cleaned == "Q" and (arrow, after) == ("->", "1")
+    assert before.isdigit() and len(before) == 6021
+    assert Decimal(before) == 2**20001 - 1
 
 
 def nested_brackets(n: int, kind: str) -> tuple[str, str]:
@@ -510,10 +526,14 @@ def test_package_names_work_on_first_access():
 def test_one_entry_point_per_job():
     # the audit runs through derivable(audit=True), a type's polarity is that of
     # its translation, and the text trace renders derivation_to_json's node
-    from minpl import cli, prover, systemf
+    from minpl import cli, oracle, prover, syntax, systemf
 
     gone = [(minpl, "audit"), (prover, "audit"), (minpl, "type_polarity")]
     gone += [(systemf, "type_polarity"), (systemf, "compact_eps"), (cli, "Derivation")]
+    # binders store their scopes, and flattening is a test helper
+    gone += [(minpl, "ScopeTable"), (minpl, "scope_table"), (syntax, "scope_table")]
+    gone += [(syntax, "_binders"), (minpl, "flatten"), (oracle, "flatten")]
+    gone += [(oracle, "Sequent"), (oracle, "Context")]
     for module, name in gone:
         assert name not in getattr(module, "__all__", ()) and not hasattr(module, name), name
 

@@ -25,7 +25,7 @@ from minpl.context import (
 from minpl.oracle import FlatSequent
 from minpl.prover import Derivation, SearchStats, Sequent, derivable
 from minpl.syntax import Atom, Formula, Func, Node, Term, Var, barendregt_rename, parse_formula
-from minpl.syntax import print_formula, scope_table
+from minpl.syntax import print_formula
 from minpl.systemf import TVar, parse_type, phi
 
 from helpers import (
@@ -146,7 +146,7 @@ def test_copies_and_pickles_restore_the_stored_fields():
         assert again == seq and hash(again) == hash(seq)
         assert again.context.depth == c.depth == 1
         assert [i.key for i in again.context.items] == [i.key for i in c.items]
-        assert again.goal.fv == frozenset()
+        assert again.goal.fv == frozenset() and again.goal.scope == {"x"}
 
 
 def test_types_copy_and_pickle_with_equal_hashes():
@@ -192,10 +192,6 @@ REPRS = [
     (
         lambda: FlatSequent((parse_formula("Q"),), parse_formula("Q")),
         f"FlatSequent(context=({Q_REPR},), goal={Q_REPR})",
-    ),
-    (
-        lambda: scope_table(parse_formula("forall x. P(x)")),
-        "ScopeTable(scopes={'x': frozenset({'x'})}, depth=1)",
     ),
     (
         lambda: Sequent(parse_context("Q"), parse_formula("Q")),
@@ -262,7 +258,8 @@ def test_fields_cannot_be_assigned_or_deleted():
         (t.body, "domain"),
         (t.body.domain, "name"),
         (FlatSequent((), f), "goal"),
-        (scope_table(f), "depth"),
+        (f, "scope"),
+        (renamed.right, "scope"),
     ]
     for node, field in cases:
         before = repr(node)

@@ -6,7 +6,6 @@ from minpl.oracle import (
     FlatSequent,
     FreshNames,
     first_provable_depth,
-    flatten,
     generate_positive,
     ljplus_prove,
 )
@@ -20,7 +19,7 @@ from minpl.syntax import (
     polarity,
 )
 
-from helpers import connectives, renaming_bijection
+from helpers import connectives, flatten, renaming_bijection
 
 
 def goal_only(text: str) -> FlatSequent:

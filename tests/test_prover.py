@@ -16,6 +16,7 @@ from minpl.prover import (
     derivation_to_json,
 )
 from minpl.syntax import (
+    Forall,
     Node,
     Polarity,
     barendregt_rename,
@@ -23,7 +24,6 @@ from minpl.syntax import (
     parse_formula,
     pieces,
     polarity,
-    scope_table,
 )
 from minpl.oracle import generate_positive
 from minpl.systemf import parse_type, phi
@@ -39,6 +39,7 @@ from helpers import (
     random_bracket_sequent,
     reference_audit,
     reference_derivable,
+    reference_scope_table,
     replay,
 )
 
@@ -80,17 +81,12 @@ def test_derivable_atom_alone_fails():
 # The search steps themselves
 
 
-def engine_for(root: str, on_visit=None) -> _Search:
-    """The search state of a query on ``root``, for sequents over its pieces."""
-    return _Search(SearchStats(), scope_table(parse_formula(root)).scopes, on_visit=on_visit)
-
-
 def test_search_right_rules_reach_expected_sequent():
     # from {A} |- forall x. (P(x) -> Q): bracketing is a no-op on the closed
     # A, then the implication right rule lands on {A, P(x)} |- Q
     a = "(forall x. (P(x) -> Q)) -> Q"
     visited = []
-    engine = engine_for(a, visited.append)
+    engine = _Search(SearchStats(), on_visit=visited.append)
     engine.search(SeenSet(), seq(a, "forall x. (P(x) -> Q)"))
     assert visited[0] == seq(a, "forall x. (P(x) -> Q)")
     assert visited[1] == seq(a, "P(x) -> Q")
@@ -98,7 +94,7 @@ def test_search_right_rules_reach_expected_sequent():
 
 
 def search(seen: SeenSet, s: Sequent):
-    return _Search(SearchStats(), {}).search(seen, s)
+    return _Search(SearchStats()).search(seen, s)
 
 
 def test_search_prunes_sequent_already_seen():
@@ -111,7 +107,7 @@ def test_search_leaves_the_callers_seen_set_unchanged():
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
     seen = SeenSet({s: -1})
     assert search(seen, t) is None
-    assert _Search(SearchStats(), {}).select_head(seen, t, t.context) is None
+    assert _Search(SearchStats()).select_head(seen, t, t.context) is None
     assert seen == {s: -1}
 
 
@@ -125,7 +121,7 @@ A2 = "(forall x. ((P(x) -> Q) -> Q)) -> Q"
 def test_select_head_degenerate_candidate_premise():
     # choosing the outer-level head P(x) -> Q keeps the context unchanged
     visited = []
-    engine = engine_for(A2, visited.append)
+    engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, P(x) -> Q", "Q")
     found = engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
@@ -136,7 +132,7 @@ def test_select_head_never_enters_bracket_capturing_the_goal():
     # goal P(x) has x free, so the bracket binding x is not entered and no
     # other head matches: nothing is even visited
     visited = []
-    engine = engine_for(A2, visited.append)
+    engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
     found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
@@ -147,7 +143,7 @@ def test_select_head_rotates_brackets_for_inner_head():
     # opening the bracketed copy of P(x) -> Q rebrackets the outside; the
     # naked copy is shut in while the opened content surfaces
     visited = []
-    engine = engine_for(A2, visited.append)
+    engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
     engine.select_head(SeenSet(), s, s.context)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
@@ -155,7 +151,7 @@ def test_select_head_rotates_brackets_for_inner_head():
 
 def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
-    engine = _Search(SearchStats(), {}, on_visit=visited.append)
+    engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq("Q(x), [Q(x) -> P]_{x}", "P")
     found = engine.select_head(SeenSet(), s, s.context)
     assert found is None
@@ -164,7 +160,7 @@ def test_select_head_rotation_keeps_occurrences_separated():
 
 def test_select_head_finds_zero_premise_head():
     s = seq("P", "P")
-    derivation = _Search(SearchStats(), {}).select_head(SeenSet(), s, s.context)
+    derivation = _Search(SearchStats()).select_head(SeenSet(), s, s.context)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -247,22 +243,25 @@ def _bracket_subscripts(c: Context) -> list:
     return out
 
 
+def _stored_scope_ids(root) -> set:
+    return {id(g.scope) for g in pieces(root) if isinstance(g, Forall)}
+
+
 def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
     checked = 0
     for f in _published_and_witnesses() + corpus[:500]:
         renamed = barendregt_rename(f)
-        scopes = scope_table(renamed).scopes
-        expected = set(scopes.values())
+        expected = set(reference_scope_table(renamed).scopes.values())
         subscripts = []
         derivable(f, on_visit=lambda s: subscripts.extend(_bracket_subscripts(s.context)))
         assert set(subscripts) <= expected, str(f)
-        # the search brackets with the very sets of the table it is given
-        shared = {id(bound) for bound in scopes.values()}
+        # the search brackets with the very sets its binders stored
         subscripts.clear()
-        engine = _Search(SearchStats(), scopes)
+        engine = _Search(SearchStats())
         engine.on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))
         engine.search(SeenSet(), Sequent(Context(), renamed))
-        assert all(id(bound) in shared for bound in subscripts), str(f)
+        stored = _stored_scope_ids(renamed)
+        assert all(id(bound) in stored for bound in subscripts), str(f)
         checked += len(subscripts)
     # brackets are rare in these searches: 62 subscripts in all
     assert checked > 50, checked
@@ -286,29 +285,37 @@ def test_formula_items_carry_the_head_and_arguments_of_negative_formulas(corpus)
 
 
 def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch):
-    calls, walk = [], syntax._binders
-
-    def counted_binders(f):
-        calls.append(f)
-        return walk(f)
-
-    # bound_vars and scope_table both read the one binder walk
-    monkeypatch.setattr(syntax, "_binders", counted_binders)
     n = 3000
-    f = parse_formula("".join(f"forall x{i}. " for i in range(1, n + 1)) + "Q -> Q")
+    prefix = "".join(f"forall x{i}. " for i in range(1, n + 1))
+    f = parse_formula(prefix + "Q -> Q")
+    # the prefix brackets nothing; under a hypothesis its goal is re-entered
+    # with P(x1) in the context, which each pass brackets with the scope of x1
+    g = parse_formula(f"(({prefix}(P(x1) -> Q)) -> Q) -> Q")
+    assert f.scope == frozenset(bound_vars(f)) and len(f.scope) == n
+    found, walk = [], syntax._outermost
+
+    def counted_outermost(root):
+        binders = walk(root)
+        found.extend(binders)
+        return binders
+
+    # the binders stored their scopes when parsed: renaming unites the scopes
+    # of the outermost ones, the search walks no binder, and the audit's depth
+    # loop finds each binder once
+    monkeypatch.setattr(syntax, "_outermost", counted_outermost)
+    monkeypatch.setattr(prover, "_outermost", counted_outermost)
+    assert barendregt_rename(f) is f and barendregt_rename(g) is g and len(found) == 2
     for audited in (False, True):
-        calls.clear()
+        found.clear()
         verdict, stats, _ = derivable(f, audit=audited)
         assert verdict and stats.visited == n + 2 and stats.audit_violations == []
-        # renaming checks the binders once and the one scope table of the
-        # query, which the search and the audit share, walks them once
-        assert len(calls) <= 2, (audited, len(calls))
-    every = frozenset(bound_vars(f))
-    calls.clear()
-    table = scope_table(barendregt_rename(f))
-    assert len(table.scopes) == n and table.scopes["x1"] == every
-    # one walk for renaming and one for scope_table
-    assert len(calls) <= 2, len(calls)
+        subscripts = []
+        on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))  # noqa: E731
+        verdict, stats, _ = derivable(g, audit=audited, on_visit=on_visit)
+        assert not verdict and stats.audit_violations == []
+        stored = _stored_scope_ids(g)
+        assert len(subscripts) > n and all(id(bound) in stored for bound in subscripts)
+        assert len(found) == (2 * (n + 1) if audited else 2), (audited, len(found))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +325,7 @@ def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch)
 def test_stats_depth_bounded_by_scope_table():
     for text in DERIVABLE_TRUE + DERIVABLE_FALSE:
         f = parse_formula(text)
-        table = scope_table(barendregt_rename(f))
+        table = reference_scope_table(barendregt_rename(f))
         _, stats, _ = derivable(f)
         assert stats.max_depth <= table.depth
 
@@ -330,38 +337,35 @@ def test_audit_clean_on_paper_example_search():
 
 def test_audit_flags_foreign_formula():
     f = barendregt_rename(parse_formula(DERIVABLE_FALSE[0]))
-    table = scope_table(f)
     alien = Sequent(
         Context((FormulaItem(parse_formula("Z -> Z")),)), parse_formula("Q")
     )
-    violations = _auditor(table, f)(alien)
+    violations = _auditor(f)(alien)
     assert len(violations) == 1
     assert "not a piece" in violations[0]
 
 
 def test_audit_flags_unknown_subscript_and_depth():
     f = barendregt_rename(parse_formula("forall x. (P(x) -> Q)"))
-    table = scope_table(f)
     bad = Sequent(normalize(parse_context("[P(x)]_{x,w}")), parse_formula("Q"))
-    messages = " ".join(_auditor(table, f)(bad))
+    messages = " ".join(_auditor(f)(bad))
     assert "subscript" in messages
     nested = Sequent(
         parse_context("[[P(x)]_{x}]_{x}"), parse_formula("Q")
     )
-    messages = " ".join(_auditor(table, f)(nested))
+    messages = " ".join(_auditor(f)(nested))
     assert "exceeds" in messages
 
 
 def test_audit_checks_nesting_by_binder_scope():
     # scope(x) = {x, y} and scope(y) = {y}: only the y bracket may sit in the x one
     f = barendregt_rename(parse_formula("forall x. forall y. (P(x, y) -> Q)"))
-    table = scope_table(f)
     outside = Sequent(parse_context("[[P(x, y)]_{x,y}]_{y}"), parse_formula("Q"))
     inside = Sequent(parse_context("[[P(x, y)]_{y}]_{x,y}"), parse_formula("Q"))
-    violations = _auditor(table, f)(outside)
+    violations = _auditor(f)(outside)
     assert len(violations) == 1 and violations[0].startswith("bracket outside the scope")
-    assert len(reference_audit(outside, table, f)) == 1
-    assert _auditor(table, f)(inside) == reference_audit(inside, table, f) == []
+    assert len(reference_audit(outside, f)) == 1
+    assert _auditor(f)(inside) == reference_audit(inside, f) == []
 
 
 def _nesting_rule_blind(violations: list[str]) -> list[str]:
@@ -377,13 +381,12 @@ def test_audit_matches_the_reference_on_random_dirty_sequents():
         root = barendregt_rename(generate_positive(seed, size=6 + seed % 9, quantifier_depth=3))
         if not root.nbinders:
             continue
-        table = scope_table(root)
-        check = prover._auditor(table, root)
+        check = prover._auditor(root)
         for _ in range(8):
-            s = random_bracket_sequent(rng, root, table)
-            got, expected = check(s), reference_audit(s, table, root)
+            s = random_bracket_sequent(rng, root)
+            got, expected = check(s), reference_audit(s, root)
             assert _nesting_rule_blind(got) == _nesting_rule_blind(expected), str(s)
-            assert _auditor(table, root)(s) == got
+            assert _auditor(root)(s) == got
             checked += 1
             flagged += bool(got)
             nested += "nested" in _nesting_rule_blind(got)
@@ -404,8 +407,7 @@ def test_audit_and_reference_find_no_violation_on_searched_sequents(kind, corpus
         _, stats, _ = derivable(f, audit=True, on_visit=seen.append)
         assert stats.audit_violations == [], str(f)
         renamed = barendregt_rename(f)
-        table = scope_table(renamed)
-        assert all(reference_audit(s, table, renamed) == [] for s in seen), str(f)
+        assert all(reference_audit(s, renamed) == [] for s in seen), str(f)
         visited += len(seen)
     assert visited > len(roots)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,9 +10,9 @@ from minpl.context import parse_context
 from minpl.syntax import (
     Atom,
     Forall,
+    Formula,
     Func,
     Imp,
-    NotBarendregt,
     NotNegative,
     ParseError,
     Polarity,
@@ -22,7 +24,6 @@ from minpl.syntax import (
     pieces,
     polarity,
     print_formula,
-    scope_table,
 )
 from minpl.systemf import parse_type, phi
 
@@ -33,6 +34,7 @@ from helpers import (
     INHABITED_TRUE,
     ROTATION_WITNESSES,
     bound_vars,
+    context_formulas,
     debruijn,
     formulas,
     ftypes,
@@ -45,6 +47,7 @@ from helpers import (
     reference_rename,
     reference_scope_table,
     scope_table_bruteforce,
+    stored_scopes,
     subnodes,
 )
 
@@ -527,67 +530,110 @@ def test_pieces_matches_the_recursive_reference(f):
 # Scope tables
 
 
-def test_scope_table_single_binder():
-    table = scope_table(parse_formula("forall x. (P(x) -> Q)"))
-    assert dict(table.scopes) == {"x": frozenset({"x"})}
-    assert table.depth == 1
+def test_scope_of_a_single_binder():
+    f = parse_formula("forall x. (P(x) -> Q)")
+    assert stored_scopes(f) == {"x": frozenset({"x"})}
+    assert reference_scope_table(f) == ({"x": frozenset({"x"})}, 1)
 
 
-def test_scope_table_prenex_prefix():
+def test_scopes_of_a_prenex_prefix():
     f = parse_formula(
         "forall X. forall Y. forall Z. (((((Y -> X) -> Z) -> ((Y -> Z) -> Z)) -> X) -> X)"
     )
-    table = scope_table(f)
-    assert table.scopes["X"] == {"X", "Y", "Z"}
-    assert table.scopes["Y"] == {"Y", "Z"}
-    assert table.scopes["Z"] == {"Z"}
-    assert table.depth == 3
+    assert f.scope == {"X", "Y", "Z"}
+    assert f.body.scope == {"Y", "Z"}
+    assert f.body.body.scope == {"Z"}
+    assert stored_scopes(f) == reference_scope_table(f).scopes
 
 
-def test_scope_table_rejects_duplicate_binders():
-    with pytest.raises(NotBarendregt):
-        scope_table(parse_formula("forall x. forall x. P(x)"))
+def test_scope_of_clashing_binders_is_the_set_of_their_names():
+    f = parse_formula("forall x. forall x. P(x)")
+    assert f.scope == f.body.scope == {"x"} and f.nbinders == 2
+    renamed = barendregt_rename(f)
+    assert renamed is not f and renamed.scope == {"x", "x_1"}
+
+
+def every_scope_matches_the_reference(f: Formula) -> int:
+    """Compare the stored scope of every binder in ``f`` with its bound
+    variables collected afresh, and, once renamed, the scope of each binder
+    with the reference table; the number of binders checked."""
+    binders = [g for g in subnodes(f) if isinstance(g, Forall)]
+    for g in binders:
+        assert g.scope == frozenset(reference_bound_vars(g)), str(g)
+    renamed = barendregt_rename(f)
+    assert stored_scopes(renamed) == reference_scope_table(renamed).scopes, str(f)
+    return len(binders)
 
 
 @given(formulas)
-def test_scope_table_matches_ancestor_scan(f):
+def test_stored_scopes_match_the_ancestor_scan(f):
     renamed = barendregt_rename(f)
-    table = scope_table(renamed)
-    scopes, depth = scope_table_bruteforce(renamed)
-    assert dict(table.scopes) == scopes
-    assert table.depth == depth
+    scopes, _ = scope_table_bruteforce(renamed)
+    assert stored_scopes(renamed) == scopes
+
+
+@given(formulas | clashing_formulas)
+def test_stored_scopes_match_the_reference_on_parsed_and_renamed_formulas(f):
+    # binders are drawn from four names, so most clash and renaming rebuilds them
+    every_scope_matches_the_reference(f)
+    every_scope_matches_the_reference(parse_formula(print_formula(f)))
+
+
+@given(ftypes)
+def test_stored_scopes_match_the_reference_on_translations(t):
+    every_scope_matches_the_reference(phi(t))
+
+
+@given(st.lists(formulas, min_size=1, max_size=4))
+def test_stored_scopes_match_the_reference_on_context_items(fs):
+    text = ", ".join(f"[{print_formula(f)}]_{{x}}" if i % 2 else print_formula(f)
+                     for i, f in enumerate(fs))
+    for item in context_formulas(parse_context(text)):
+        every_scope_matches_the_reference(item)
 
 
 @given(formulas)
-def test_scope_table_matches_the_recursive_reference(f):
-    renamed = barendregt_rename(f)
-    table, reference = scope_table(renamed), reference_scope_table(renamed)
-    assert table == reference
-    assert list(table.scopes) == list(reference.scopes)
+def test_stored_scopes_survive_copies_and_pickles(f):
+    for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert again == f
+        every_scope_matches_the_reference(again)
+        originals = [g for g in subnodes(f) if isinstance(g, Forall)]
+        copies = [g for g in subnodes(again) if isinstance(g, Forall)]
+        assert [g.scope for g in copies] == [g.scope for g in originals]
 
 
-def test_pieces_and_scope_table_of_long_prefixes_and_left_nesting():
+def test_stored_scopes_on_the_published_examples_and_witnesses():
+    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    roots += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
+    roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+    assert sum(map(every_scope_matches_the_reference, roots)) > 15
+
+
+def test_pieces_and_scopes_of_long_prefixes_and_left_nesting():
     prefix = parse_formula("".join(f"forall x{i}. " for i in range(1000)) + "(Q -> Q)")
     assert len(pieces(prefix)) == 1002
-    table = scope_table(prefix)
-    assert table.depth == 1000 and list(table.scopes) == [f"x{i}" for i in range(1000)]
-    assert table.scopes["x990"] == {f"x{i}" for i in range(990, 1000)}
+    scopes = stored_scopes(prefix)
+    assert list(scopes) == [f"x{i}" for i in range(1000)] and prefix.scope == set(scopes)
+    assert scopes["x990"] == {f"x{i}" for i in range(990, 1000)}
+    assert reference_scope_table(prefix).depth == 1000
     tail = "".join(f") -> forall y{i}. Q" for i in range(1, 1501))
     nested = parse_formula("(" * 1500 + "forall y0. Q" + tail)
     assert len(pieces(nested)) == 3002
-    table = scope_table(nested)
-    assert table.depth == 1 and list(table.scopes) == [f"y{i}" for i in range(1501)]
+    scopes = stored_scopes(nested)
+    assert list(scopes) == [f"y{i}" for i in range(1501)]
+    assert all(scopes[x] == {x} for x in scopes)
+    assert barendregt_rename(nested) is nested
 
 
 @given(formulas)
 def test_scope_linearity(f):
-    renamed = barendregt_rename(f)
-    table = scope_table(renamed)
-    names = list(table.scopes)
+    scopes = stored_scopes(barendregt_rename(f))
+    names = list(scopes)
     for x in names:
         for y in names:
             if x == y:
                 continue
-            shared = (table.scopes[x] & table.scopes[y]) - {x, y}
+            shared = (scopes[x] & scopes[y]) - {x, y}
             for _ in shared:
-                assert x in table.scopes[y] or y in table.scopes[x]
+                assert x in scopes[y] or y in scopes[x]
