@@ -23,7 +23,7 @@ from .prover import (
     derivable,
     derivation_to_json,
 )
-from .syntax import NotBarendregt, NotNegative, ParseError, free_vars, parse_formula
+from .syntax import ParseError, parse_formula
 
 
 def _at_least(convert, least: int, name: str):
@@ -154,8 +154,8 @@ def _run(config: argparse.Namespace) -> int:
             from . import systemf
             t = systemf.parse_type(text)
             f = systemf.phi(t)
-        if free_vars(f):
-            names = ", ".join(sorted(free_vars(f)))
+        if f.fv:
+            names = ", ".join(sorted(f.fv))
             warnings.append(
                 f"input is not closed; free variables ({names}) are treated "
                 "as constants"
@@ -171,7 +171,7 @@ def _run(config: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (NotPositive, NotNegative, NotBarendregt) as exc:
+    except NotPositive as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchTimeout as exc:

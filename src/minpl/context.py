@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _parse_formula
 from .syntax import _new, _set, decompose, print_formula
@@ -103,33 +103,41 @@ class Context(Node):
         _set(self, "depth", max(map(_depth, items), default=0))
 
     def __str__(self) -> str:
-        # what is left to print, the next on top: texts, and contexts still to spell out
-        out, stack = [], [self]
-        while stack:
-            top = stack.pop()
-            if isinstance(top, str):
-                out.append(top)
+        out = []
+        for item, _, closing in _walk(self.items):
+            if closing:
+                out.append(f"]_{{{','.join(sorted(item.bound))}}}")
                 continue
-            for index, item in enumerate(reversed(top.items)):
-                if index:
-                    stack.append(", ")
-                if isinstance(item, BracketItem):
-                    stack += (f"]_{{{','.join(sorted(item.bound))}}}", item.content, "[")
-                else:
-                    stack.append(str(item))
+            if out and out[-1] != "[":  # a separator, unless first in its level
+                out.append(", ")
+            out.append("[" if isinstance(item, BracketItem) else str(item))
         return "".join(out)
+
+
+def _walk(items: Iterable[Item]) -> Iterator[tuple[Item, int, bool]]:
+    """Every item of ``items`` and of their brackets in printed order, as
+    ``(item, depth, closing)``: a bracket comes once before its content and
+    once more, ``closing`` true, after it; ``depth`` counts the brackets around."""
+    # each open level: its items left to walk, and the bracket it is the content of
+    levels = [(iter(items), None)]
+    while levels:
+        for item in levels[-1][0]:
+            yield item, len(levels) - 1, False
+            if isinstance(item, BracketItem):
+                levels.append((iter(item.content.items), item))
+                break
+        else:
+            closed = levels.pop()[1]
+            if closed is not None:
+                yield closed, len(levels) - 1, True
 
 
 def measure(x: Context | Item) -> int:
     """Termination measure of cleaning: a formula weighs 1, a bracket weighs
-    one plus twice its content, a context the sum of its items."""
-    total, stack = 0, [(item, 1) for item in (x.items if isinstance(x, Context) else (x,))]
-    while stack:
-        item, weight = stack.pop()
-        total += weight
-        if isinstance(item, BracketItem):
-            stack += ((inner, 2 * weight) for inner in item.content.items)
-    return total
+    one plus twice its content, a context the sum of its items; so each item
+    weighs 2 to the number of brackets around it."""
+    items = x.items if isinstance(x, Context) else (x,)
+    return sum(1 << depth for _, depth, closing in _walk(items) if not closing)
 
 
 def _canonical(items: Iterable[Item]) -> Context:
@@ -145,20 +153,16 @@ def normalize(c: Context) -> Context:
     Deterministic and idempotent; the result is reachable from ``c`` by the
     three cleaning rules.
     """
-    # each open level: its items left to clean, those cleaned so far, and its bound set
-    levels = [(iter(c.items), [], None)]
-    while True:
-        items, flat, bound = levels[-1]
-        for item in items:
-            if isinstance(item, BracketItem):
-                levels.append((iter(item.content.items), [], item.bound))
-                break
-            flat.append(item)
+    levels = [[]]  # each open level's items cleaned so far
+    for item, _, closing in _walk(c.items):
+        if closing:
+            flat = levels.pop()
+            levels[-1] += bracket(_canonical(flat), item.bound).items
+        elif isinstance(item, BracketItem):
+            levels.append([])
         else:
-            del levels[-1]
-            if not levels:
-                return _canonical(flat)
-            levels[-1][1].extend(bracket(_canonical(flat), bound).items)
+            levels[-1].append(item)
+    return _canonical(levels[0])
 
 
 def fuse(a: Context, b: Context) -> Context:

@@ -17,7 +17,7 @@ import itertools
 import random
 from typing import Mapping, NamedTuple, Optional
 
-from .syntax import Atom, Forall, Formula, Imp, Var, _rename_term, decompose, free_vars
+from .syntax import Atom, Forall, Formula, Imp, Var, _rename_term, decompose
 from .syntax import print_formula
 
 
@@ -75,9 +75,7 @@ def _prove(ctx: frozenset[Formula], goal: Formula, d: int, names: FreshNames) ->
         return False
     if isinstance(goal, Forall):
         fresh = names.fresh(goal.var)
-        assert fresh not in free_vars(goal) and all(
-            fresh not in free_vars(g) for g in ctx
-        ), "eigenvariable not fresh"
+        assert all(fresh not in g.fv for g in (goal, *ctx)), "eigenvariable not fresh"
         body = _apply_renaming(goal.body, {goal.var: fresh})
         return _prove(ctx, body, d - 1, names)
     if isinstance(goal, Imp):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .context import BracketItem, Context, FormulaItem, bracket, fuse, insert
+from .context import BracketItem, Context, FormulaItem, _walk, bracket, fuse, insert
 from .syntax import Forall, Formula, Imp, Node, Polarity, _new, _outermost
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
@@ -302,26 +302,20 @@ def _auditor(root: Formula) -> Callable[[Sequent], list[str]]:
         limit, level = limit + 1, [inner for g in level for inner in _outermost(g.body)]
 
     def check(seq: Sequent) -> list[str]:
-        # each open level: its items left to check, and its subscript if a scope
-        violations, levels = [], [(iter(seq.context.items), None)]
-        while levels:
-            items, outer = levels[-1]
-            for item in items:
-                if isinstance(item, FormulaItem):
-                    if item.formula not in piece_set:
-                        violations.append(f"not a piece of the input: {item}")
-                    continue
-                bound = item.bound if item.bound in scopes else None
+        violations, outer = [], [None]  # the subscript around each open level, if a scope
+        for item, depth, closing in _walk(seq.context.items):
+            if isinstance(item, FormulaItem):
+                if item.formula not in piece_set:
+                    violations.append(f"not a piece of the input: {item}")
+            elif not closing:
+                bound, around = item.bound if item.bound in scopes else None, outer[depth]
                 if bound is None:
                     violations.append(f"bracket subscript is no binder scope: {item}")
-                if len(levels) > limit:
-                    violations.append(f"bracket nesting {len(levels)} exceeds bound {limit}")
-                if bound is not None and outer is not None and not bound < outer:
+                if depth >= limit:
+                    violations.append(f"bracket nesting {depth + 1} exceeds bound {limit}")
+                if bound is not None and around is not None and not bound < around:
                     violations.append(f"bracket outside the scope of the one around it: {item}")
-                levels.append((iter(item.content.items), bound))
-                break
-            else:
-                levels.pop()
+                outer[depth + 1 :] = [bound]
         if seq.goal not in piece_set:
             violations.append(f"goal is not a piece of the input: {seq.goal}")
         return violations

@@ -24,7 +24,6 @@ __all__ = [
     "Formula",
     "Func",
     "Imp",
-    "NotBarendregt",
     "NotNegative",
     "ParseError",
     "Polarity",
@@ -32,7 +31,6 @@ __all__ = [
     "Var",
     "barendregt_rename",
     "decompose",
-    "free_vars",
     "parse_formula",
     "pieces",
     "polarity",
@@ -50,10 +48,6 @@ class ParseError(ValueError):
 
 class NotNegative(ValueError):
     """Raised when a formula with a quantifier on its spine is decomposed."""
-
-
-class NotBarendregt(ValueError):
-    """Raised when an operation requires pairwise distinct binders."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +223,6 @@ def polarity(f: Formula) -> Polarity:
 # Variable analyses
 
 
-def free_vars(x: Term | Formula) -> frozenset[str]:
-    """Free variables of a term or formula."""
-    return x.fv
-
-
 def _outermost(f: Formula) -> list[Forall]:
     """The binders of ``f`` inside no other, left to right: a loop down the
     implications with binders, where right operands with binders wait on a
@@ -310,7 +299,7 @@ def barendregt_rename(f: Formula) -> Formula:
     names = _NO_VARS.union(*map(_scope_of, _outermost(f)))
     if len(names) == f.nbinders and f.fv.isdisjoint(names):
         return f
-    used = set(free_vars(f))
+    used = set(f.fv)
     counter = itertools.count(1)
 
     def go(g: Formula, env: dict[str, str]) -> Formula:

@@ -58,18 +58,23 @@ def phi(t: FType) -> Formula:
     """Translate a type to a formula over the unary predicate ``eps``; the
     translation makes one ``eps(X)`` atom per type variable ``X``."""
     atoms: dict[str, Atom] = {}
-
-    def go(t: FType) -> Formula:
-        spine = []
-        while not isinstance(t, TVar):
-            spine.append(t)
-            t = t.codomain if isinstance(t, TArrow) else t.body
-        f: Formula = atoms.get(t.name) or atoms.setdefault(t.name, Atom(EPS, (Var(t.name),)))
-        for s in reversed(spine):
-            f = Imp(go(s.domain), f) if isinstance(s, TArrow) else Forall(s.var, f)
-        return f
-
-    return go(t)
+    order, stack = [], [t]
+    while stack:  # the types in pre-order, a domain before its codomain
+        s = stack.pop()
+        order.append(s)
+        if isinstance(s, TArrow):
+            stack += (s.codomain, s.domain)
+        elif isinstance(s, TForall):
+            stack.append(s.body)
+    out: list[Formula] = []  # built from the last type, so a type's parts are on top
+    for s in reversed(order):
+        if isinstance(s, TArrow):
+            out.append(Imp(out.pop(), out.pop()))  # the domain was built last
+        elif isinstance(s, TForall):
+            out.append(Forall(s.var, out.pop()))
+        else:
+            out.append(atoms.get(s.name) or atoms.setdefault(s.name, Atom(EPS, (Var(s.name),))))
+    return out[0]
 
 
 def inhabited(

@@ -39,7 +39,6 @@ from minpl.syntax import (
     Var,
     barendregt_rename,
     decompose,
-    free_vars,
     parse_formula,
     print_formula,
 )
@@ -266,7 +265,7 @@ def _replay(d: Derivation, above: frozenset) -> None:
             siblings = Context(tuple(i for i in level.items if i != b))
             outside = bracket(fuse(outside, siblings), b.bound)
             level = b.content
-        assert not (free_vars(goal) & crossed), "goal has free variables under a crossed bracket"
+        assert not (goal.fv & crossed), "goal has free variables under a crossed bracket"
         assert FormulaItem(d.head) in level.items, "head not present at the opened level"
         head, args = decompose(d.head)
         assert head == goal, "selected head does not match the goal"
@@ -324,7 +323,7 @@ def reference_derivable(f: Formula, retain_opened: bool = False):
                 premise = Sequent(bracket(ctx, frozenset(bound_vars(goal))), goal.body)
             sub = search(premise, above)
             return None if sub is None else Derivation(rule, seq, (sub,))
-        for level, outside, path in _open_levels(ctx, free_vars(goal), retain_opened):
+        for level, outside, path in _open_levels(ctx, goal.fv, retain_opened):
             for item in level.items:
                 if not isinstance(item, FormulaItem):
                     continue

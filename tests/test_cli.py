@@ -11,7 +11,7 @@ import minpl
 from minpl.cli import main
 from minpl.prover import derivable
 from minpl.syntax import parse_formula, print_formula
-from minpl.systemf import inhabited, parse_type
+from minpl.systemf import inhabited, parse_type, phi
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -184,6 +184,11 @@ def test_oracle_check_agreement(capsys):
     assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
     assert main(["decide", IMPL_EXAMPLE, "--oracle-check", "8", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
+    # an inner binder shadows an outer one of the same name, directly (height 4)
+    # and under an implication (height 5), so the reference prover renames past it
+    for text in ("forall x. forall x. P(x) -> P(x)", "forall x. Q -> forall x. P(x) -> P(x)"):
+        assert main(["decide", text, "--oracle-check", "6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
 
 
 def test_oracle_check_disagreement_is_exit_four(capsys):
@@ -421,6 +426,28 @@ def test_long_type_chain_decided_by_cli(tmp_path, n):
     assert child.stdout.strip() == "inhabited"
 
 
+def left_nested(n: int, x: str) -> str:
+    """``forall X. (...((x) -> x)...) -> x`` with ``n`` arrows."""
+    text = x
+    for _ in range(n):
+        text = f"({text}) -> {x}"
+    return f"forall X. {text}"
+
+
+def test_deep_left_nested_type_decided_as_its_translation_by_cli(tmp_path):
+    # phi runs before derivable raises the recursion limit, so it may not
+    # recurse on the 1,500 nested arrow domains
+    assert phi(parse_type(left_nested(3, "X"))) == parse_formula(left_nested(3, "eps(X)"))
+    statuses = []
+    for mode, x in (("inhabit", "X"), ("decide", "eps(X)")):
+        path = tmp_path / f"{mode}.txt"
+        path.write_text(left_nested(1500, x), encoding="utf-8")
+        child = fresh_python("-m", "minpl.cli", mode, "--file", str(path))
+        assert child.returncode in (0, 1), child.stderr
+        statuses.append(child.returncode)
+    assert statuses == [1, 1]
+
+
 @pytest.mark.parametrize("depth", [600, 5000])
 def test_deep_parentheses_decided_by_cli(tmp_path, depth):
     path = tmp_path / "nested.txt"
@@ -534,6 +561,9 @@ def test_one_entry_point_per_job():
     gone += [(minpl, "ScopeTable"), (minpl, "scope_table"), (syntax, "scope_table")]
     gone += [(syntax, "_binders"), (minpl, "flatten"), (oracle, "flatten")]
     gone += [(oracle, "Sequent"), (oracle, "Context")]
+    # nothing raises NotBarendregt, and a node's free variables are its fv
+    gone += [(minpl, "NotBarendregt"), (syntax, "NotBarendregt")]
+    gone += [(minpl, "free_vars"), (syntax, "free_vars")]
     for module, name in gone:
         assert name not in getattr(module, "__all__", ()) and not hasattr(module, name), name
 

@@ -14,7 +14,6 @@ from minpl.syntax import (
     Atom,
     ParseError,
     Polarity,
-    free_vars,
     parse_formula,
     polarity,
 )
@@ -97,7 +96,7 @@ def test_flattenings_with_different_counters_are_renamings():
 def test_flatten_nested_brackets():
     ctx = normalize(parse_context("[[P(x) -> P(y)]_{y}, S(x)]_{x}"))
     flat = flatten(Sequent(ctx, parse_formula("Q")))
-    assert all("#" in name for f in flat.context for name in free_vars(f))
+    assert all("#" in name for f in flat.context for name in f.fv)
     assert renaming_bijection(
         flat,
         FlatSequent(
@@ -127,7 +126,7 @@ def test_size_one_is_an_atom():
 def test_generated_formulas_closed_positive_and_bounded(seed):
     f = generate_positive(seed, size=9, quantifier_depth=3)
     assert polarity(f) in (Polarity.POSITIVE, Polarity.BOTH)
-    assert not free_vars(f)
+    assert not f.fv
     assert connectives(f) <= 9
 
 

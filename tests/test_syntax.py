@@ -19,7 +19,6 @@ from minpl.syntax import (
     Var,
     barendregt_rename,
     decompose,
-    free_vars,
     parse_formula,
     pieces,
     polarity,
@@ -272,19 +271,19 @@ def test_print_parse_round_trip(f):
 
 
 def test_free_vars_open_implication():
-    assert free_vars(parse_formula("P(x) -> Q")) == {"x"}
+    assert parse_formula("P(x) -> Q").fv == {"x"}
 
 
 def test_free_vars_closed_by_quantifier():
-    assert free_vars(parse_formula("forall x. (P(x) -> Q)")) == frozenset()
+    assert parse_formula("forall x. (P(x) -> Q)").fv == frozenset()
 
 
 def test_free_vars_flattening_component():
-    assert free_vars(parse_formula("P(x') -> P(y')")) == {"x'", "y'"}
+    assert parse_formula("P(x') -> P(y')").fv == {"x'", "y'"}
 
 
 def test_free_vars_on_terms():
-    assert free_vars(Func("f", (Var("x"), Func("g", (Var("y"),))))) == {"x", "y"}
+    assert Func("f", (Var("x"), Func("g", (Var("y"),)))).fv == {"x", "y"}
 
 
 def test_bound_vars_single_binder():
@@ -427,10 +426,10 @@ def test_rename_establishes_barendregt_condition(f):
     renamed = barendregt_rename(f)
     bound = bound_vars(renamed)
     assert len(bound) == len(set(bound))
-    assert not (set(bound) & free_vars(renamed))
+    assert not (set(bound) & renamed.fv)
     # alpha-equivalent to the input and free variables untouched
     assert debruijn(renamed) == debruijn(f)
-    assert free_vars(renamed) == free_vars(f)
+    assert renamed.fv == f.fv
 
 
 clashing_names = st.sampled_from(("x", "x_1", "x_2", "y"))
@@ -474,7 +473,7 @@ def test_rename_shares_untouched_subtrees(f):
     renamed = barendregt_rename(f)
     _shares_what_it_keeps(renamed, f)
     bound = bound_vars(f)
-    if len(bound) == len(set(bound)) and not set(bound) & free_vars(f):
+    if len(bound) == len(set(bound)) and not set(bound) & f.fv:
         assert renamed is f
     # the input itself exactly when the rebuilding reference renames nothing
     assert (renamed is f) == (reference_rename(f) == f)
