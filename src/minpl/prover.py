@@ -22,8 +22,8 @@ whose binders are apart: a universal goal brackets the context with the scope
 its binder stored when it was built, which the audit reads too.  A hypothesis
 gets one context item per query, carrying its head and arguments; ``insert``
 adds it, deriving hash and depth in O(1).  A parse shares its equal atoms and
-variables, a translated type its ``eps(X)`` atoms, and head selection tests a
-head against its goal by identity, then hash.
+variables, a parsed type one ``TVar`` and so one ``eps(X)`` atom per name, and
+head selection tests a head against its goal by identity, then hash.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .context import BracketItem, Context, FormulaItem, _walk, bracket, fuse, insert
-from .syntax import Forall, Formula, Imp, Node, Polarity, _new, _outermost
+from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new, _outermost
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
 __all__ = [
@@ -88,8 +88,8 @@ class SeenSet(dict):
     return, so sibling branches never see each other's."""
 
 
-@dataclass(frozen=True)
-class Derivation:
+@dataclass(frozen=True, init=False, eq=False)  # Node's equality; no slots, for ``sequents``
+class Derivation(Node):
     """One rule application; ``premises`` hold the sub-derivations in order.
 
     For ``Limp`` nodes, ``head`` is the selected head formula and ``path``
@@ -97,11 +97,20 @@ class Derivation:
     the outer level).  A ``Limp`` node whose head has no arguments is a leaf.
     """
 
+    _fields = ("rule", "conclusion", "premises", "head", "path")
     rule: str
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
     head: Optional[Formula] = None
     path: tuple[BracketItem, ...] = ()
+
+    def __new__(cls, rule, conclusion, premises=(), head=None, path=()) -> Derivation:
+        self = _new(cls._twin)
+        self.rule, self.conclusion, self.premises = rule, conclusion, premises
+        self.head, self.path = head, path
+        self._hash = hash((rule, conclusion._hash, *map(_hash_of, premises)))
+        self.__class__ = cls
+        return self
 
     @cached_property
     def sequents(self) -> frozenset[Sequent]:

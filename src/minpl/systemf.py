@@ -2,11 +2,11 @@
 
 A type is translated homomorphically into a formula over a single unary
 predicate ``eps``: a type variable ``X`` becomes ``eps(X)``, arrows become
-implications, quantifiers stay quantifiers.  In the positive fragment no
-variable is ever substituted, so a positive type is inhabited exactly when its
-translation is derivable, and the decision engine answers inhabitation
-directly.  General inhabitation is undecidable, so non-positive types are
-refused rather than guessed at.
+implications, quantifiers stay quantifiers; each type builds its translation
+from its parts' as it is built.  In the positive fragment no variable is ever
+substituted, so a positive type is inhabited exactly when its translation is
+derivable, and the decision engine answers inhabitation directly.  General
+inhabitation is undecidable, so non-positive types are refused, not guessed at.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ EPS = "eps"
 
 
 class FType(Node):
-    __slots__ = ()
+    """``formula`` is the translation; not a field, so equality, hash, repr and
+    pickles skip it, and a copy recomputes it."""
+
+    __slots__ = ("formula",)
 
     def __str__(self) -> str:
         return print_type(self)
@@ -34,6 +37,7 @@ class TVar(FType):
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
         _set(self, "_hash", hash(("tv", name)))
+        _set(self, "formula", Atom(EPS, (Var(name),)))
 
 
 class TArrow(FType):
@@ -43,6 +47,7 @@ class TArrow(FType):
         _set(self, "domain", domain)
         _set(self, "codomain", codomain)
         _set(self, "_hash", hash((domain._hash, "->", codomain._hash)))
+        _set(self, "formula", Imp(domain.formula, codomain.formula))
 
 
 class TForall(FType):
@@ -52,29 +57,13 @@ class TForall(FType):
         _set(self, "var", var)
         _set(self, "body", body)
         _set(self, "_hash", hash((var, "all", body._hash)))
+        _set(self, "formula", Forall(var, body.formula))
 
 
 def phi(t: FType) -> Formula:
-    """Translate a type to a formula over the unary predicate ``eps``; the
-    translation makes one ``eps(X)`` atom per type variable ``X``."""
-    atoms: dict[str, Atom] = {}
-    order, stack = [], [t]
-    while stack:  # the types in pre-order, a domain before its codomain
-        s = stack.pop()
-        order.append(s)
-        if isinstance(s, TArrow):
-            stack += (s.codomain, s.domain)
-        elif isinstance(s, TForall):
-            stack.append(s.body)
-    out: list[Formula] = []  # built from the last type, so a type's parts are on top
-    for s in reversed(order):
-        if isinstance(s, TArrow):
-            out.append(Imp(out.pop(), out.pop()))  # the domain was built last
-        elif isinstance(s, TForall):
-            out.append(Forall(s.var, out.pop()))
-        else:
-            out.append(atoms.get(s.name) or atoms.setdefault(s.name, Atom(EPS, (Var(s.name),))))
-    return out[0]
+    """The translation of ``t``, a formula over the unary predicate ``eps``,
+    as stored when ``t`` was built: one ``eps(X)`` atom per ``TVar`` object."""
+    return t.formula
 
 
 def inhabited(
@@ -100,8 +89,9 @@ def inhabited(
 
 
 def parse_type(text: str) -> FType:
-    ts = _TokenStream(text)
-    t = _parse_spine(ts, lambda ts, name, i: (TVar(name), i), TForall, TArrow)
+    ts, tvars = _TokenStream(text), {}  # one TVar, so one eps(X) atom, per name
+    t = _parse_spine(ts, lambda ts, x, i: (tvars.get(x) or tvars.setdefault(x, TVar(x)), i),
+                     TForall, TArrow)
     ts.finish()
     return t
 
@@ -109,7 +99,7 @@ def parse_type(text: str) -> FType:
 def print_type(t: FType) -> str:
     """Canonical text form of a type; ``parse_type`` inverts it.  It is the
     printed translation with ``eps(X)`` shown as ``X``."""
-    return elide_eps(print_formula(phi(t)))
+    return elide_eps(print_formula(t.formula))
 
 
 # ---------------------------------------------------------------------------

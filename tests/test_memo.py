@@ -4,6 +4,8 @@ it only ever saves visits.  The golden traces cannot show a cache fault,
 since none of their queries reuses a success.  A reused success is shared, so
 the sequent set the cache checks is collected over distinct nodes."""
 
+import copy
+import pickle
 import time
 
 from minpl.oracle import generate_positive
@@ -108,6 +110,16 @@ def test_chain_is_decided_over_distinct_nodes():
     nodes = distinct_nodes(derivation)
     assert len(nodes) == 2 * n + 2
     assert sum("sequents" in node.__dict__ for node in nodes) == n
+
+
+def test_chain_derivation_hashes_over_distinct_nodes():
+    # a derivation stores its hash from its premises', so the DAG of 2n + 2
+    # nodes is not hashed as its tree of about 2 ** 41
+    _, _, derivation = derivable(parse_formula(chain(40)))
+    start = time.perf_counter()
+    h = hash(derivation)
+    assert time.perf_counter() - start < 0.1
+    assert h == hash(copy.copy(derivation)) == hash(pickle.loads(pickle.dumps(derivation)))
 
 
 def test_sets_are_collected_only_for_reused_successes():

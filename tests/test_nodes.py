@@ -153,6 +153,7 @@ def test_types_copy_and_pickle_with_equal_hashes():
     t = parse_type("forall X. ((X -> Y) -> X) -> X")
     for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
         assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+        assert phi(again) == phi(t) and "formula" not in repr(again)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,7 @@ def test_fields_cannot_be_assigned_or_deleted():
         (t, "body"),
         (t.body, "domain"),
         (t.body.domain, "name"),
+        (t, "formula"),
         (FlatSequent((), f), "goal"),
         (f, "scope"),
         (renamed.right, "scope"),

@@ -47,7 +47,11 @@ def test_phi_on_identity_type():
 
 
 def test_phi_on_variable():
-    assert phi(TVar("X")) == parse_formula("eps(X)")
+    x = TVar("X")
+    assert phi(x) == parse_formula("eps(X)") and phi(x) is phi(x)
+    # a hand-built type shares the atom of each TVar object it reuses
+    f = phi(TArrow(x, x))
+    assert f.left is f.right is phi(x)
 
 
 @given(ftypes, ftypes)
