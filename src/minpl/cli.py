@@ -16,13 +16,7 @@ import sys
 from typing import Optional
 
 from .context import measure, normalize, parse_context
-from .prover import (
-    NotPositive,
-    SearchStats,
-    SearchTimeout,
-    derivable,
-    derivation_to_json,
-)
+from .prover import NotPositive, SearchStats, SearchTimeout, derivable, derivation_to_json
 from .syntax import ParseError, parse_formula
 
 

@@ -26,8 +26,8 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _parse_formula
-from .syntax import _new, _set, decompose, print_formula
+from .syntax import Forall, Formula, Imp, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _new
+from .syntax import _parse_atom, _parse_spine, decompose, print_formula
 
 _key, _depth = attrgetter("key"), attrgetter("depth")
 # a context's hash is the sum of its items' hashes, kept below this mask
@@ -78,13 +78,14 @@ class FormulaItem(Item):
 class BracketItem(Item):
     __slots__ = _fields = ("content", "bound")
 
-    def __init__(self, content: "Context", bound: frozenset[str]) -> None:
-        _set(self, "content", content)
-        _set(self, "bound", bound)
-        _set(self, "_hash", hash((content._hash, bound)))
-        _set(self, "fv", _NO_VARS.union(*map(_fv_of, content.items)).difference(bound))
-        _set(self, "key", (1, tuple(sorted(bound)), tuple(map(_key, content.items))))
-        _set(self, "depth", content.depth + 1)
+    def __new__(cls, content: Context, bound: frozenset[str]) -> BracketItem:
+        self = _new(cls._twin)
+        self.content, self.bound, self.depth = content, bound, content.depth + 1
+        self._hash = hash((content._hash, bound))
+        self.fv = _NO_VARS.union(*map(_fv_of, content.items)).difference(bound)
+        self.key = (1, tuple(sorted(bound)), tuple(map(_key, content.items)))
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         return str(Context((self,)))
@@ -97,10 +98,12 @@ class Context(Node):
     __slots__ = ("items", "depth")
     _fields = ("items",)
 
-    def __init__(self, items: tuple[Item, ...] = ()) -> None:
-        _set(self, "items", items)
-        _set(self, "_hash", sum(map(_hash_of, items)) & _MASK)
-        _set(self, "depth", max(map(_depth, items), default=0))
+    def __new__(cls, items: tuple[Item, ...] = ()) -> Context:
+        self = _new(cls._twin)
+        self.items, self._hash = items, sum(map(_hash_of, items)) & _MASK
+        self.depth = max(map(_depth, items), default=0)
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         out = []
@@ -197,11 +200,11 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
     created at all.
     """
     v = frozenset(bound)
-    inside = tuple(i for i in c.items if i.fv & v)
+    inside = [i for i in c.items if i.fv & v]
     if not inside:
         return c
-    outside = Context(tuple(i for i in c.items if not i.fv & v))
-    return insert(outside, BracketItem(Context(inside), v))
+    outside = Context(tuple([i for i in c.items if not i.fv & v]))
+    return insert(outside, BracketItem(Context(tuple(inside)), v))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ def parse_context(text: str) -> Context:
             stack.append(items)
             items = []
         if items or not stack or ts.peek() != "]":  # else a bracket closes empty
-            items.append(FormulaItem(_parse_formula(ts)))
+            items.append(FormulaItem(_parse_spine(ts, _parse_atom, Forall, Imp)))
         while stack and ts.peek() != ",":
             for token in "]_{":
                 ts.expect(token)

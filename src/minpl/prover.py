@@ -63,7 +63,7 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(frozen=True, init=False, eq=False)  # equality, hash and pickling are Node's
+@dataclass(init=False, repr=False, eq=False)  # a face for ``replace``; the rest is Node's
 class Sequent(Node):
     __slots__ = _fields = ("context", "goal")
     context: Context
@@ -84,11 +84,11 @@ class Sequent(Node):
 
 class SeenSet(dict):
     """The sequents on the current branch, each mapped to its depth there (-1
-    for a caller's): the search adds a sequent on entry and deletes it on
-    return, so sibling branches never see each other's."""
+    for a caller's).  The search pushes a sequent on entry and pops it on return
+    with ``popitem``, which hashes nothing, so siblings never see each other's."""
 
 
-@dataclass(frozen=True, init=False, eq=False)  # Node's equality; no slots, for ``sequents``
+@dataclass(init=False, repr=False, eq=False)  # Node's otherwise; no slots, for ``sequents``
 class Derivation(Node):
     """One rule application; ``premises`` hold the sub-derivations in order.
 
@@ -214,7 +214,7 @@ class _Search:
                 self.memo[seq] = found
             return found
         finally:
-            del seen[seq]
+            seen.popitem()
             self.low = min(self.low, outer_low)
 
     def select_head(
@@ -289,7 +289,7 @@ def derivable(
     engine = _Search(stats, deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
     try:
-        derivation = engine.search(SeenSet(), Sequent(Context(), renamed))
+        derivation = engine.search(SeenSet(), Sequent(_EMPTY, renamed))
     finally:
         stats.elapsed = time.monotonic() - start
     return derivation is not None, stats, derivation

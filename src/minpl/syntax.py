@@ -6,8 +6,8 @@ for a variable; quantifiers are handled purely by scoping, so each analysis
 here is at most one walk over the tree.  A binder stores its scope, the
 variables bound in its subtree, as it is built.  The binder loop, ``pieces``
 and the parsers are loops with explicit stacks; renaming and printing still
-recurse.  Nodes are immutable, yet the constructors run most build them by
-plain slot stores (``Node``).
+recurse.  Nodes are immutable, yet every constructor builds its node by plain
+slot stores (``Node``).
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ class NotNegative(ValueError):
 # its scope, all computed once from its children's.
 
 _NO_VARS: frozenset[str] = frozenset()
-_set, _new = object.__setattr__, object.__new__
-_WRITABLE = {"__setattr__": _set, "__delattr__": object.__delattr__}  # a twin overrides these
+_new = object.__new__
+_WRITABLE = {"__setattr__": object.__setattr__, "__delattr__": object.__delattr__}
 _hash_of, _fv_of, _scope_of = attrgetter("_hash"), attrgetter("fv"), attrgetter("scope")
 
 
 class Node:
     """An immutable value with slots, set once by the constructor with its
-    ``_fields`` and ``_hash``.  A constructor run often fills a bare ``_twin`` of
+    ``_fields`` and ``_hash``.  Each constructor fills a bare ``_twin`` of
     its class (same base and slots, but ``object``'s ``__setattr__`` and
     ``__delattr__``, as one type slot serves both) by plain slot stores, a tenth
     of the cost of ``object.__setattr__``, then seals it by assigning the class to
@@ -110,10 +110,11 @@ class Term(Node):
 class Var(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_hash", hash(("v", name)))
-        _set(self, "fv", frozenset((name,)))
+    def __new__(cls, name: str) -> Var:
+        self = _new(cls._twin)
+        self.name, self._hash, self.fv = name, hash(("v", name)), frozenset((name,))
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         return self.name
@@ -122,11 +123,12 @@ class Var(Term):
 class Func(Term):
     __slots__ = _fields = ("name", "args")
 
-    def __init__(self, name: str, args: tuple[Term, ...]) -> None:
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((name, *map(_hash_of, args))))
-        _set(self, "fv", args[0].fv if len(args) == 1 else _NO_VARS.union(*map(_fv_of, args)))
+    def __new__(cls, name: str, args: tuple[Term, ...]) -> Func:
+        self = _new(cls._twin)
+        self.name, self.args, self._hash = name, args, hash((name, *map(_hash_of, args)))
+        self.fv = args[0].fv if len(args) == 1 else _NO_VARS.union(*map(_fv_of, args))
+        self.__class__ = cls
+        return self
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(map(str, self.args))})"
@@ -155,12 +157,12 @@ class Atom(Formula):
 
     def __new__(cls, pred: str, terms: tuple[Term, ...] = ()) -> Atom:
         self = _new(cls._twin)
-        self.pred = pred
-        self.terms = terms
-        self._hash = hash((pred, *map(_hash_of, terms)))
-        self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
-        self.pol = 3
-        self.nbinders = 0
+        self.pred, self.terms, self.pol, self.nbinders = pred, terms, 3, 0
+        if not terms:  # what the general path below computes, without its map and union
+            self._hash, self.fv = hash((pred,)), _NO_VARS
+        else:
+            self._hash = hash((pred, *map(_hash_of, terms)))
+            self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
         self.__class__ = cls
         return self
 
@@ -424,10 +426,6 @@ def _parse_spine(ts: _TokenStream, atom, quantifier, arrow):
         spine.append(x)
 
 
-def _parse_formula(ts: _TokenStream) -> Formula:
-    return _parse_spine(ts, _parse_atom, Forall, Imp)
-
-
 def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
     """The atom ``pred``, whose argument list opens at token ``i`` if it has
     one, and the index after it; each open application waits on ``stack``."""
@@ -462,7 +460,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
 def parse_formula(text: str) -> Formula:
     """Parse a formula; see the grammar above for the concrete syntax."""
     ts = _TokenStream(text)
-    f = _parse_formula(ts)
+    f = _parse_spine(ts, _parse_atom, Forall, Imp)
     ts.finish()
     return f
 

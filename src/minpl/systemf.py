@@ -15,8 +15,8 @@ import re
 from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
-from .syntax import Atom, Forall, Formula, Imp, Node, Var, _TokenStream, _parse_spine
-from .syntax import _set, print_formula
+from .syntax import Atom, Forall, Formula, Imp, Node, Var, _TokenStream, _new, _parse_spine
+from .syntax import print_formula
 
 EPS = "eps"
 
@@ -34,30 +34,34 @@ class FType(Node):
 class TVar(FType):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_hash", hash(("tv", name)))
-        _set(self, "formula", Atom(EPS, (Var(name),)))
+    def __new__(cls, name: str) -> TVar:
+        self = _new(cls._twin)
+        self.name, self._hash, self.formula = name, hash(("tv", name)), Atom(EPS, (Var(name),))
+        self.__class__ = cls
+        return self
 
 
 class TArrow(FType):
     __slots__ = _fields = ("domain", "codomain")
 
-    def __init__(self, domain: FType, codomain: FType) -> None:
-        _set(self, "domain", domain)
-        _set(self, "codomain", codomain)
-        _set(self, "_hash", hash((domain._hash, "->", codomain._hash)))
-        _set(self, "formula", Imp(domain.formula, codomain.formula))
+    def __new__(cls, domain: FType, codomain: FType) -> TArrow:
+        self = _new(cls._twin)
+        self.domain, self.codomain = domain, codomain
+        self._hash = hash((domain._hash, "->", codomain._hash))
+        self.formula = Imp(domain.formula, codomain.formula)
+        self.__class__ = cls
+        return self
 
 
 class TForall(FType):
     __slots__ = _fields = ("var", "body")
 
-    def __init__(self, var: str, body: FType) -> None:
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_hash", hash((var, "all", body._hash)))
-        _set(self, "formula", Forall(var, body.formula))
+    def __new__(cls, var: str, body: FType) -> TForall:
+        self = _new(cls._twin)
+        self.var, self.body, self.formula = var, body, Forall(var, body.formula)
+        self._hash = hash((var, "all", body._hash))
+        self.__class__ = cls
+        return self
 
 
 def phi(t: FType) -> Formula:

@@ -341,6 +341,7 @@ def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
     types.append(parse_type(ROTATION_WITNESSES["type"]))
     roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
     roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
+    roots.append(parse_formula("forall x. (P(f(x)) -> P(f(x)))"))  # a function symbol
     roots += [phi(t) for t in types] + list(corpus[:300])
     reached = list(types)
     for f in roots:
@@ -353,8 +354,8 @@ def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
         if isinstance(x, (Node, Derivation)):
             assert all(_sealed(x, name) for name in _fields(x)), repr(x)
             checked.add(type(x).__name__)
-    assert checked >= {"Var", "Atom", "Imp", "Forall", "FormulaItem", "BracketItem", "Context",
-                       "Sequent", "Derivation", "TVar", "TArrow", "TForall"}
+    assert checked >= {"Var", "Func", "Atom", "Imp", "Forall", "FormulaItem", "BracketItem",
+                       "Context", "Sequent", "Derivation", "TVar", "TArrow", "TForall"}
 
 
 def test_search_built_sequents_contexts_and_brackets_copy_and_pickle():

@@ -111,6 +111,29 @@ def test_search_leaves_the_callers_seen_set_unchanged():
     assert seen == {s: -1}
 
 
+@pytest.mark.parametrize("error", [SearchTimeout, KeyError])
+def test_an_exception_unwinds_only_the_searchs_own_branch_entries(error):
+    # the search pops its entries off the end of the branch map, so an error
+    # raised mid-search must leave the caller's entries, and only them
+    root = Sequent(Context(), barendregt_rename(parse_formula(DERIVABLE_FALSE[1])))
+    callers = [seq("Q", "Q"), seq("P(x)", "R"), seq("Q -> Q", "Q"), seq("[P(x)]_{x}", "Q")]
+    entries = [(s, -1) for s in callers]
+    stats = SearchStats()
+    _Search(stats).search(SeenSet(entries), root)
+    assert stats.visited > stats.max_seen - len(entries) > 3  # deep, and some pops
+    for k in range(2, stats.visited + 1):
+        seen, visits = SeenSet(entries), []
+
+        def hook(s: Sequent) -> None:
+            visits.append(s)
+            if len(visits) == k:
+                raise error(f"visit {k}")
+
+        with pytest.raises(error):
+            _Search(SearchStats(), on_visit=hook).search(seen, root)
+        assert list(seen.items()) == entries, k
+
+
 def test_search_atom_with_empty_context_fails():
     assert search(SeenSet(), Sequent(Context(), parse_formula("P"))) is None
 
