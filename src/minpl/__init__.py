@@ -6,7 +6,8 @@ a bracket that binds the goal's bound variables.  Contexts are kept in a
 canonical cleaned form, so pruning branches that repeat a sequent is a plain
 equality test and suffices for termination.  A bounded reference prover with
 explicit eigenvariables serves as an independent cross-check, and a System F
-front-end decides inhabitation of positive types by translation.
+front-end parses a positive type straight into its translation, a formula,
+and decides inhabitation by deriving it.
 """
 
 from importlib import import_module
@@ -19,7 +20,7 @@ from .syntax import *
 # ``import minpl`` and a ``decide`` query do without them.
 _LAZY = {
     "oracle": "FlatSequent FreshNames first_provable_depth generate_positive ljplus_prove",
-    "systemf": "FType TArrow TForall TVar inhabited parse_type phi print_type",
+    "systemf": "inhabited parse_type phi print_type",
 }
 
 

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("normalize", help="clean a context written as [G]_{x,y} items")
     add_common(norm)
-    norm.set_defaults(trace=False, audit=False, oracle_check=None, timeout=None)
     return parser
 
 
@@ -143,25 +142,17 @@ def _run(config: argparse.Namespace) -> int:
 
         warnings: list[str] = []
         if config.mode == "decide":
-            f = parse_formula(text)
+            f, search = parse_formula(text), derivable
         else:
             from . import systemf
-            t = systemf.parse_type(text)
-            f = systemf.phi(t)
+            f, search = systemf.parse_type(text), systemf.inhabited
         if f.fv:
             names = ", ".join(sorted(f.fv))
             warnings.append(
                 f"input is not closed; free variables ({names}) are treated "
                 "as constants"
             )
-        if config.mode == "inhabit":
-            verdict, stats, derivation = systemf.inhabited(
-                t, audit=config.audit, timeout=config.timeout
-            )
-        else:
-            verdict, stats, derivation = derivable(
-                f, audit=config.audit, timeout=config.timeout
-            )
+        verdict, stats, derivation = search(f, audit=config.audit, timeout=config.timeout)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

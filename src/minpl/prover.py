@@ -22,8 +22,8 @@ whose binders are apart: a universal goal brackets the context with the scope
 its binder stored when it was built, which the audit reads too.  A hypothesis
 gets one context item per query, carrying its head and arguments; ``insert``
 adds it, deriving hash and depth in O(1).  A parse shares its equal atoms and
-variables, a parsed type one ``TVar`` and so one ``eps(X)`` atom per name, and
-head selection tests a head against its goal by identity, then hash.
+variables, a parsed type its one ``eps(X)`` atom per name, and head selection
+tests a head against its goal by identity, then hash.
 """
 
 from __future__ import annotations

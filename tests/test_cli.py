@@ -11,7 +11,7 @@ import minpl
 from minpl.cli import main
 from minpl.prover import derivable
 from minpl.syntax import parse_formula, print_formula
-from minpl.systemf import inhabited, parse_type, phi
+from minpl.systemf import inhabited, parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -234,12 +234,12 @@ def test_main_builds_the_config_from_every_flag(monkeypatch):
     assert main(["normalize", "[Q]_{x}", "--json", "--stats"]) == 0
     assert main(["normalize", "--file", "c.txt"]) == 0
     every = dict(json_out=True, stats=True, trace=True, audit=True, oracle_check=3, timeout=2.5)
-    unset = dict(trace=False, audit=False, oracle_check=None, timeout=None)
     assert configs == [
         dict(mode="decide", text="Q -> Q", file=None, **every),
         dict(mode="inhabit", text=None, file="t.txt", **every),
-        dict(mode="normalize", text="[Q]_{x}", file=None, json_out=True, stats=True, **unset),
-        dict(mode="normalize", text=None, file="c.txt", json_out=False, stats=False, **unset),
+        # normalize takes no search options, so its config holds none
+        dict(mode="normalize", text="[Q]_{x}", file=None, json_out=True, stats=True),
+        dict(mode="normalize", text=None, file="c.txt", json_out=False, stats=False),
     ]
 
 
@@ -435,9 +435,9 @@ def left_nested(n: int, x: str) -> str:
 
 
 def test_deep_left_nested_type_decided_as_its_translation_by_cli(tmp_path):
-    # phi runs before derivable raises the recursion limit, so it may not
+    # parse_type runs before derivable raises the recursion limit, so it may not
     # recurse on the 1,500 nested arrow domains
-    assert phi(parse_type(left_nested(3, "X"))) == parse_formula(left_nested(3, "eps(X)"))
+    assert parse_type(left_nested(3, "X")) == parse_formula(left_nested(3, "eps(X)"))
     statuses = []
     for mode, x in (("inhabit", "X"), ("decide", "eps(X)")):
         path = tmp_path / f"{mode}.txt"

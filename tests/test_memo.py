@@ -11,7 +11,7 @@ import time
 from minpl.oracle import generate_positive
 from minpl.prover import derivable, derivation_to_json
 from minpl.syntax import parse_formula
-from minpl.systemf import parse_type, phi
+from minpl.systemf import parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -84,7 +84,7 @@ def test_sequents_match_the_tree_walk(corpus):
     published = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
     witnesses = [
         parse_formula(ROTATION_WITNESSES["formula"]),
-        phi(parse_type(ROTATION_WITNESSES["type"])),
+        parse_type(ROTATION_WITNESSES["type"]),
     ]
     checked = reused = 0
     for f in published + witnesses + corpus[:200] + [parse_formula(chain(8))]:

@@ -26,7 +26,7 @@ from minpl.oracle import FlatSequent
 from minpl.prover import Derivation, SearchStats, Sequent, derivable
 from minpl.syntax import Atom, Formula, Func, Node, Term, Var, barendregt_rename, parse_formula
 from minpl.syntax import print_formula
-from minpl.systemf import TVar, parse_type, phi
+from minpl.systemf import parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -49,7 +49,7 @@ NODE_TYPES = (Term, Formula, Item, Context, Sequent)
 def test_stored_analyses_match_recomputation_on_visited_sequents(corpus):
     inputs = list(corpus[:120])
     inputs += [parse_formula(text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    inputs += [phi(parse_type(text)) for text in INHABITED_TRUE + INHABITED_FALSE]
+    inputs += [parse_type(text) for text in INHABITED_TRUE + INHABITED_FALSE]
     checked = 0
     for f in inputs:
         visited = []
@@ -153,7 +153,8 @@ def test_types_copy_and_pickle_with_equal_hashes():
     t = parse_type("forall X. ((X -> Y) -> X) -> X")
     for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
         assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
-        assert phi(again) == phi(t) and "formula" not in repr(again)
+        # the one eps(X) atom of the parse stays one object
+        assert again.body.right is again.body.left.right is again.body.left.left.left
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +185,6 @@ REPRS = [
         f"(FormulaItem(formula={PX_REPR}),)), bound=frozenset({{'x'}}))))",
     ),
     (lambda: Context(), "Context(items=())"),
-    (lambda: parse_type("X"), "TVar(name='X')"),
-    (
-        lambda: parse_type("forall X. (X -> Y) -> X"),
-        "TForall(var='X', body=TArrow(domain=TArrow(domain=TVar(name='X'),"
-        " codomain=TVar(name='Y')), codomain=TVar(name='X')))",
-    ),
     (
         lambda: FlatSequent((parse_formula("Q"),), parse_formula("Q")),
         f"FlatSequent(context=({Q_REPR},), goal={Q_REPR})",
@@ -220,14 +215,13 @@ def test_equality_between_node_types_is_false():
         FormulaItem(Atom("x")),
         Context(),
         Context((FormulaItem(Atom("x")),)),
-        TVar("x"),
         FlatSequent((), Atom("x")),
     ]
     for a in nodes:
         for b in nodes:
             assert (a == b) is (a is b), (a, b)
             assert (a != b) is (a is not b), (a, b)
-    assert x == Var("x") and Atom("x") == Atom("x") and TVar("x") == TVar("x")
+    assert x == Var("x") and Atom("x") == Atom("x")
     assert Atom("x") != "x" and Var("x") != ("x",)
 
 
@@ -245,7 +239,6 @@ def test_fields_cannot_be_assigned_or_deleted():
         (bracket(clean, {"x"}), "depth"),
         (fuse(clean, parse_context("R")), "items"),
         (renamed.right, "body"),
-        (phi(t).body.left, "terms"),
         (derivation, "rule"),
         (f, "var"),
         (f.body, "left"),
@@ -256,9 +249,8 @@ def test_fields_cannot_be_assigned_or_deleted():
         (bracket_item, "bound"),
         (bracket_item.content, "items"),
         (t, "body"),
-        (t.body, "domain"),
-        (t.body.domain, "name"),
-        (t, "formula"),
+        (t.body, "left"),
+        (t.body.left, "terms"),
         (FlatSequent((), f), "goal"),
         (f, "scope"),
         (renamed.right, "scope"),
@@ -337,13 +329,13 @@ def _sealed(x, name: str) -> bool:
 def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
     twins = _twins()
     assert {Atom._twin, Sequent._twin, FormulaItem._twin, Context._twin} <= twins
-    types = [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    types.append(parse_type(ROTATION_WITNESSES["type"]))
     roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
     roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
     roots.append(parse_formula("forall x. (P(f(x)) -> P(f(x)))"))  # a function symbol
-    roots += [phi(t) for t in types] + list(corpus[:300])
-    reached = list(types)
+    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots.append(parse_type(ROTATION_WITNESSES["type"]))
+    roots += list(corpus[:300])
+    reached = []
     for f in roots:
         visited = []
         _, _, derivation = derivable(f, on_visit=visited.append)
@@ -355,7 +347,7 @@ def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
             assert all(_sealed(x, name) for name in _fields(x)), repr(x)
             checked.add(type(x).__name__)
     assert checked >= {"Var", "Func", "Atom", "Imp", "Forall", "FormulaItem", "BracketItem",
-                       "Context", "Sequent", "Derivation", "TVar", "TArrow", "TForall"}
+                       "Context", "Sequent", "Derivation"}
 
 
 def test_search_built_sequents_contexts_and_brackets_copy_and_pickle():

@@ -26,7 +26,7 @@ from minpl.syntax import (
     polarity,
 )
 from minpl.oracle import generate_positive
-from minpl.systemf import parse_type, phi
+from minpl.systemf import parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -250,9 +250,9 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
 
 def _published_and_witnesses() -> list:
     roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
     roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
-    roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+    roots.append(parse_type(ROTATION_WITNESSES["type"]))
     return roots
 
 
@@ -421,7 +421,7 @@ def test_audit_matches_the_reference_on_random_dirty_sequents():
 def test_audit_and_reference_find_no_violation_on_searched_sequents(kind, corpus):
     if kind == "witnesses":
         roots = [parse_formula(ROTATION_WITNESSES["formula"])]
-        roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+        roots.append(parse_type(ROTATION_WITNESSES["type"]))
     else:
         roots = corpus[:300]
     visited = 0
@@ -438,8 +438,7 @@ def test_audit_and_reference_find_no_violation_on_searched_sequents(kind, corpus
 def test_observed_bracket_depth_on_quantified_type_search():
     # the empty-type example stays within nesting two even though its scope
     # table allows three
-    t = parse_type(INHABITED_FALSE[0])
-    f = phi(t)
+    f = parse_type(INHABITED_FALSE[0])
     depths = []
     verdict, stats, _ = derivable(f, on_visit=lambda s: depths.append(s.context.depth))
     assert not verdict

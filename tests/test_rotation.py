@@ -7,7 +7,7 @@ import pytest
 from minpl.oracle import FlatSequent, first_provable_depth
 from minpl.prover import RULE_LIMP, derivable, derivation_to_json
 from minpl.syntax import parse_formula
-from minpl.systemf import inhabited, parse_type, phi
+from minpl.systemf import inhabited, parse_type
 
 from helpers import ROTATION_WITNESSES, reference_derivable, replay
 
@@ -18,7 +18,7 @@ def decided(kind: str):
         f = parse_formula(text)
         return f, derivable(f)
     t = parse_type(text)
-    return phi(t), inhabited(t)
+    return t, inhabited(t)
 
 
 def nodes(d):

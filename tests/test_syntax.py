@@ -24,7 +24,7 @@ from minpl.syntax import (
     polarity,
     print_formula,
 )
-from minpl.systemf import parse_type, phi
+from minpl.systemf import parse_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -43,6 +43,7 @@ from helpers import (
     reference_pieces,
     reference_polarity,
     reference_pos_neg,
+    reference_print_type,
     reference_rename,
     reference_scope_table,
     scope_table_bruteforce,
@@ -220,9 +221,9 @@ def test_atoms_with_arguments_are_shared_by_their_tokens():
 
 @pytest.mark.parametrize("text", INHABITED_TRUE + INHABITED_FALSE + (ROTATION_WITNESSES["type"],))
 def test_one_translation_makes_one_eps_atom_per_type_variable(text):
-    f = phi(parse_type(text))
+    f = parse_type(text)
     assert_atoms_and_vars_shared(f)
-    assert {id(n) for n in subnodes(f)}.isdisjoint(id(n) for n in subnodes(phi(parse_type(text))))
+    assert {id(n) for n in subnodes(f)}.isdisjoint(id(n) for n in subnodes(parse_type(text)))
 
 
 @pytest.mark.parametrize("text", PUBLISHED)
@@ -344,15 +345,15 @@ def assert_stored_analyses_match_the_references(f) -> None:
 @given(formulas, ftypes)
 def test_polarity_matches_recursive_reference(f, t):
     assert polarity(f) == reference_polarity(f)
-    assert polarity(phi(t)) == reference_polarity(t)
+    assert polarity(parse_type(reference_print_type(t))) == reference_polarity(t)
     assert_stored_analyses_match_the_references(f)
-    assert_stored_analyses_match_the_references(phi(t))
+    assert_stored_analyses_match_the_references(t)
 
 
 def test_stored_polarity_and_binder_count_on_published_and_generated_formulas(corpus):
     published = [parse_formula(text) for text in PUBLISHED]
     types = INHABITED_TRUE + INHABITED_FALSE + (ROTATION_WITNESSES["type"],)
-    published += [phi(parse_type(text)) for text in types]
+    published += [parse_type(text) for text in types]
     for f in published + list(corpus):
         assert_stored_analyses_match_the_references(f)
 
@@ -580,7 +581,7 @@ def test_stored_scopes_match_the_reference_on_parsed_and_renamed_formulas(f):
 
 @given(ftypes)
 def test_stored_scopes_match_the_reference_on_translations(t):
-    every_scope_matches_the_reference(phi(t))
+    every_scope_matches_the_reference(parse_type(reference_print_type(t)))
 
 
 @given(st.lists(formulas, min_size=1, max_size=4))
@@ -603,9 +604,9 @@ def test_stored_scopes_survive_copies_and_pickles(f):
 
 def test_stored_scopes_on_the_published_examples_and_witnesses():
     roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots += [phi(parse_type(t)) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
     roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
-    roots.append(phi(parse_type(ROTATION_WITNESSES["type"])))
+    roots.append(parse_type(ROTATION_WITNESSES["type"]))
     assert sum(map(every_scope_matches_the_reference, roots)) > 15
 
 

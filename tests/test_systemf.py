@@ -7,16 +7,8 @@ from hypothesis import given
 from minpl.oracle import generate_positive
 from minpl.prover import NotPositive
 from minpl.syntax import Atom, Imp, ParseError, Polarity, parse_formula, polarity, print_formula
-from minpl.systemf import (
-    TArrow,
-    TForall,
-    TVar,
-    elide_eps,
-    inhabited,
-    parse_type,
-    phi,
-    print_type,
-)
+from minpl.syntax import Forall
+from minpl.systemf import elide_eps, inhabited, parse_type, print_type
 
 from helpers import (
     DERIVABLE_FALSE,
@@ -29,10 +21,12 @@ from helpers import (
     ftypes,
     random_type,
     reference_elide,
+    reference_parse,
     reference_polarity,
     reference_print_type,
     reference_render_sequent,
-    type_connectives,
+    subnodes,
+    tvar,
 )
 
 
@@ -41,27 +35,41 @@ from helpers import (
 
 
 def test_phi_on_identity_type():
-    assert phi(parse_type("forall X. X -> X")) == parse_formula(
-        "forall X. (eps(X) -> eps(X))"
-    )
+    t = parse_type("forall X. X -> X")
+    assert t == reference_parse("forall X. X -> X", "type")
+    assert t == parse_formula("forall X. (eps(X) -> eps(X))")
 
 
 def test_phi_on_variable():
-    x = TVar("X")
-    assert phi(x) == parse_formula("eps(X)") and phi(x) is phi(x)
-    # a hand-built type shares the atom of each TVar object it reuses
-    f = phi(TArrow(x, x))
-    assert f.left is f.right is phi(x)
+    assert parse_type("X") == tvar("X") == parse_formula("eps(X)")
+
+
+def eps_text(text: str) -> str:
+    """A type's text written as its translation's: ``X`` becomes ``eps(X)``,
+    binders stay."""
+    return re.sub(r"forall\s+\w+|([A-Za-z_][A-Za-z0-9_']*)",
+                  lambda m: f"eps({m[1]})" if m[1] else m[0], text)
+
+
+@pytest.mark.parametrize("text", INHABITED_TRUE + INHABITED_FALSE + (ROTATION_WITNESSES["type"],))
+def test_a_parsed_type_is_its_translation_with_one_atom_per_name(text):
+    t = parse_type(text)
+    assert t == parse_formula(eps_text(text)), eps_text(text)
+    atoms = {id(a): a for a in subnodes(t) if isinstance(a, Atom)}.values()
+    assert sorted(a.terms[0].name for a in atoms) == sorted(set(re.findall(r"\b[A-Z]\w*", text)))
+    assert parse_type(print_type(t)) == t
 
 
 @given(ftypes, ftypes)
 def test_phi_is_an_arrow_homomorphism(t, u):
-    assert phi(TArrow(t, u)) == parse_formula(f"({phi(t)}) -> ({phi(u)})")
+    text = f"({reference_print_type(t)}) -> ({reference_print_type(u)})"
+    assert parse_type(text) == parse_formula(f"({t}) -> ({u})") == Imp(t, u)
 
 
 @given(ftypes)
 def test_phi_preserves_connective_count(t):
-    assert connectives(phi(t)) == type_connectives(t)
+    text = reference_print_type(t)
+    assert connectives(parse_type(text)) == text.count("->") + text.count("forall")
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +77,16 @@ def test_phi_preserves_connective_count(t):
 
 
 def test_identity_type_is_positive():
-    assert polarity(phi(parse_type("forall X. X -> X"))).value == "positive"
+    assert polarity(parse_type("forall X. X -> X")).value == "positive"
 
 
 def test_empty_type_is_positive():
-    assert polarity(phi(parse_type("forall X. X"))).value == "positive"
+    assert polarity(parse_type("forall X. X")).value == "positive"
 
 
 @given(ftypes)
 def test_type_polarity_commutes_with_translation(t):
-    assert polarity(phi(t)) == reference_polarity(t)
+    assert polarity(parse_type(reference_print_type(t))) == reference_polarity(t)
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +141,17 @@ def test_type_print_parse_round_trip(t):
     assert parse_type(print_type(t)) == t
 
 
-X, Y = TVar("X"), TVar("Y")
+X, Y = tvar("X"), tvar("Y")
 
 
 @pytest.mark.parametrize(
     "t, text",
     [
-        (TArrow(TArrow(TArrow(X, Y), X), Y), "((X -> Y) -> X) -> Y"),
-        (TArrow(TForall("X", TArrow(X, X)), Y), "(forall X. (X -> X)) -> Y"),
-        (TForall("X", TForall("Y", X)), "forall X. forall Y. X"),
-        (TArrow(X, TForall("Y", TArrow(Y, X))), "X -> forall Y. (Y -> X)"),
-        (TForall("X", TArrow(TForall("Y", Y), X)), "forall X. ((forall Y. Y) -> X)"),
+        (Imp(Imp(Imp(X, Y), X), Y), "((X -> Y) -> X) -> Y"),
+        (Imp(Forall("X", Imp(X, X)), Y), "(forall X. (X -> X)) -> Y"),
+        (Forall("X", Forall("Y", X)), "forall X. forall Y. X"),
+        (Imp(X, Forall("Y", Imp(Y, X))), "X -> forall Y. (Y -> X)"),
+        (Forall("X", Imp(Forall("Y", Y), X)), "forall X. ((forall Y. Y) -> X)"),
     ],
 )
 def test_print_type_examples(t, text):
@@ -169,8 +177,8 @@ def test_parse_type_rejects_applications():
 
 
 def test_parse_type_examples():
-    assert parse_type("X -> Y -> Z") == TArrow(TVar("X"), TArrow(TVar("Y"), TVar("Z")))
-    assert parse_type("forall X. X -> X") == TForall("X", TArrow(TVar("X"), TVar("X")))
+    assert parse_type("X -> Y -> Z") == Imp(tvar("X"), Imp(tvar("Y"), tvar("Z")))
+    assert parse_type("forall X. X -> X") == Forall("X", Imp(tvar("X"), tvar("X")))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +186,7 @@ def test_parse_type_examples():
 
 
 def test_elide_eps_elides_the_predicate():
-    f = phi(parse_type("forall X. X -> X"))
+    f = parse_type("forall X. X -> X")
     assert elide_eps(print_formula(f)) == "forall X. (X -> X)"
 
 
@@ -194,12 +202,13 @@ def test_elide_eps_keeps_other_atoms_intact():
 
 
 def as_type(f):
-    """A formula read as a type: ``P(x)`` becomes ``x``, a nullary ``Q`` becomes ``Q``."""
+    """A formula read as a type, translated: ``P(x)`` becomes ``eps(x)``, a
+    nullary ``Q`` becomes ``eps(Q)``."""
     if isinstance(f, Atom):
-        return TVar(f.terms[0].name if f.terms else f.pred)
+        return tvar(f.terms[0].name if f.terms else f.pred)
     if isinstance(f, Imp):
-        return TArrow(as_type(f.left), as_type(f.right))
-    return TForall(f.var, as_type(f.body))
+        return Imp(as_type(f.left), as_type(f.right))
+    return Forall(f.var, as_type(f.body))
 
 
 def test_rendering_is_the_printer_with_eps_elided_as_text():
@@ -225,11 +234,11 @@ def test_rendering_equals_the_structural_elision():
     rng, randoms = random.Random(8), []
     while len(randoms) < 300:
         t = random_type(rng, rng.randint(5, 25))
-        if polarity(phi(t)) in (Polarity.POSITIVE, Polarity.BOTH):
+        if polarity(t) in (Polarity.POSITIVE, Polarity.BOTH):
             randoms.append(t)
     brackets = 0
     for t in types + randoms:
-        assert print_type(t) == print_formula(reference_elide(phi(t)))
+        assert print_type(t) == print_formula(reference_elide(t))
         visited = []
         inhabited(t, on_visit=visited.append)
         for seq in visited:
