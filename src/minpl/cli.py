@@ -5,13 +5,12 @@ and ``normalize`` a context written in the debug syntax.  The verdict doubles
 as the exit status so shell harnesses need no output parsing: 0 derivable,
 1 not derivable, 2 usage or input errors, 3 timeout, 4 oracle disagreement,
 5 internal error (an unexpected exception, reported on stderr).  The
-reference prover and System F are imported only by the queries that use them.
+reference prover, System F and ``json`` load only for queries that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -104,6 +103,7 @@ def _run_normalize(config: argparse.Namespace, text: str) -> int:
     ctx = parse_context(text)
     cleaned = normalize(ctx)
     if config.json_out:
+        import json
         payload = {
             "input": text,
             "mode": "normalize",
@@ -173,6 +173,7 @@ def _run(config: argparse.Namespace) -> int:
 
     trace = derivation_to_json(derivation) if config.trace and derivation is not None else None
     if config.json_out:
+        import json
         payload = {
             "input": text,
             "mode": config.mode,

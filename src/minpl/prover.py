@@ -157,7 +157,12 @@ _EMPTY = Context()
 
 class _Search:
     """Search state of one query: statistics, deadline, success cache and
-    items.  ``low`` is the shallowest branch depth a prune hit below."""
+    items.  ``low`` is the shallowest branch depth a prune hit below.
+
+    ``search`` takes one frame per sequent.  An atomic goal tries the heads it
+    can reach in canonical order, outer level first, and enters a bracket whose
+    bound set misses the goal's free variables, rebracketing all outside it (the
+    level's ``outside`` and the bracket's siblings) with that set; first wins."""
 
     def __init__(
         self,
@@ -209,50 +214,37 @@ class _Search:
                 sub = self.search(seen, premise)
                 found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
             else:
-                found = self.select_head(seen, seq, seq.context)
+                found, key, levels = None, goal._hash, [(seq.context, _EMPTY, (), 0)]
+                while found is None and levels:
+                    level, outside, path, start = levels.pop()
+                    items = level.items
+                    for index in range(start, len(items)):
+                        item = items[index]
+                        if isinstance(item, FormulaItem):
+                            head = item.head  # None if not negative; __eq__ only on equal hashes
+                            if not (head is goal or head and head._hash == key and head == goal):
+                                continue
+                            premise_ctx, subs = fuse(level, outside), []
+                            for arg in item.args:
+                                sub = self.search(seen, Sequent(premise_ctx, arg))
+                                if sub is None:
+                                    break
+                                subs.append(sub)
+                            else:
+                                found = Derivation(RULE_LIMP, seq, tuple(subs), item.formula, path)
+                                break
+                        elif not goal.fv & item.bound:  # enter it; this level resumes after it
+                            siblings = Context(items[:index] + items[index + 1 :])
+                            rotated = bracket(fuse(outside, siblings), item.bound)
+                            levels.append((level, outside, path, index + 1))
+                            levels.append((item.content, rotated, path + (item,), 0))
+                            break
             if found is not None and self.low >= here:
                 self.memo[seq] = found
             return found
         finally:
             seen.popitem()
             self.low = min(self.low, outer_low)
-
-    def select_head(
-        self, seen: SeenSet, seq: Sequent, level: Context, outside=_EMPTY, path=()
-    ) -> Optional[Derivation]:
-        """Try every head reachable from ``level``, at first the context of
-        ``seq``, for the atomic goal of ``seq``; first success wins.
-
-        Heads are tried in canonical item order, outer level first; a bracket
-        is entered only when the goal has no free variable in its bound set.
-        Entering a bracket rebrackets everything outside it (the accumulated
-        ``outside`` and the bracket's siblings) with that bracket's bound set,
-        so premises see the rotated context; ``path`` lists the brackets
-        opened to reach ``level``.
-        """
-        goal = seq.goal
-        items, key = level.items, goal._hash
-        for index, item in enumerate(items):
-            if isinstance(item, FormulaItem):
-                head = item.head  # None if not negative; Node.__eq__ only on equal hashes
-                if head is not goal and (head is None or head._hash != key or head != goal):
-                    continue
-                premise_ctx = fuse(level, outside)
-                subs: list[Derivation] = []
-                for arg in item.args:
-                    sub = self.search(seen, Sequent(premise_ctx, arg))
-                    if sub is None:
-                        break
-                    subs.append(sub)
-                if len(subs) == len(item.args):
-                    return Derivation(RULE_LIMP, seq, tuple(subs), head=item.formula, path=path)
-            elif not goal.fv & item.bound:
-                siblings = Context(items[:index] + items[index + 1 :])
-                rotated = bracket(fuse(outside, siblings), item.bound)
-                found = self.select_head(seen, seq, item.content, rotated, path + (item,))
-                if found is not None:
-                    return found
-        return None
 
 
 def derivable(

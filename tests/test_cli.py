@@ -534,6 +534,20 @@ def test_decide_loads_neither_oracle_nor_systemf():
     assert "0 ['minpl.oracle']" in lines and "oracle agrees: yes" in lines
 
 
+def test_decide_loads_json_only_for_a_json_report():
+    code = (
+        "import sys, minpl.cli\n"
+        "print(minpl.cli.main(['decide', 'Q -> Q']), 'json' in sys.modules)\n"
+        "print(minpl.cli.main(['decide', 'Q -> Q', '--trace', '--stats']), 'json' in sys.modules)\n"
+        "print(minpl.cli.main(['decide', 'Q -> Q', '--json']), 'json' in sys.modules)\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[:2] == ["derivable", "0 False"] and lines[-1] == "0 True"
+    assert lines.count("0 False") == 2
+
+
 def test_package_names_work_on_first_access():
     code = (
         "import sys, minpl\n"

@@ -11,15 +11,25 @@ rule relates the verdict of ``F`` to that of a formula built from it:
 
 They run over the benchmark's ``corpus`` formulas and over System F types,
 which parse to their translations, so swapping the arguments of a type is
-exchange.  Every derived formula is checked to be in the positive fragment.
+exchange.  Renamings keep the verdict too, and they run over ``corpus`` and
+the ``hard`` and ``quantified`` inputs:
+
+- alpha-renaming: every binder gets a fresh name, in shuffled order;
+- predicate renaming: a bijection that reverses the predicates' order, and
+  so the canonical order of the context and the order of the search;
+- a vacuous ``forall z.`` in front, ``z`` fresh;
+- swapping two adjacent binders of the outer prefix.
+
+Every derived formula is checked to be in the positive fragment.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
 
 from minpl.prover import _Search, derivable
-from minpl.syntax import Forall, Imp, Polarity, parse_formula, polarity
+from minpl.syntax import Atom, Forall, Imp, Polarity, _rename_term, parse_formula, pieces, polarity
 from minpl.systemf import parse_type
 
 from helpers import INHABITED_FALSE, INHABITED_TRUE, ROTATION_WITNESSES, random_type
@@ -32,6 +42,12 @@ SAID = {True: "derivable", False: "not derivable"}
 def corpus_formulas(n: int) -> list:
     queries = json.loads(CORPUS.read_text(encoding="utf-8"))["queries"]
     return [parse_formula(q["text"]) for q in queries[:n]]
+
+
+def workload_inputs(name: str) -> list:
+    """The formulas of a benchmark workload, types as their translations."""
+    queries = json.loads((CORPUS.parent / f"{name}.json").read_text(encoding="utf-8"))["queries"]
+    return [(parse_type if q["kind"] == "type" else parse_formula)(q["text"]) for q in queries]
 
 
 def types() -> list:
@@ -88,27 +104,82 @@ def derived(f, holds: bool, rng: random.Random, donors: list, lemmas: list):
         yield "cut", Imp(rng.choice(lemmas), f), False
 
 
+def rewrite(f, preds: dict, binders, env: dict):
+    """``f`` with each predicate renamed by ``preds`` and, unless ``binders``
+    is None, each binder renamed to the next fresh name it yields; ``env``
+    maps the bound variables renamed so far."""
+    if isinstance(f, Atom):
+        return Atom(preds.get(f.pred, f.pred), tuple(_rename_term(t, env) for t in f.terms))
+    if isinstance(f, Imp):
+        return Imp(rewrite(f.left, preds, binders, env), rewrite(f.right, preds, binders, env))
+    var = f.var if binders is None else next(binders)
+    return Forall(var, rewrite(f.body, preds, binders, {**env, f.var: var}))
+
+
+def renamings(f, rng: random.Random):
+    """Each renaming of ``f``, all of which keep its verdict."""
+    parts = pieces(f)
+    used = f.fv | {g.var for g in parts if isinstance(g, Forall)}
+    fresh = (v for v in (f"v{k}" for k in itertools.count()) if v not in used)
+    if f.nbinders:
+        names = list(itertools.islice(fresh, f.nbinders))
+        rng.shuffle(names)
+        yield "alpha-renaming", rewrite(f, {}, iter(names), {})
+    preds = sorted({g.pred for g in parts if isinstance(g, Atom)})
+    targets = [f"R{k:04d}" for k in reversed(range(len(preds)))]
+    yield "predicate renaming", rewrite(f, dict(zip(preds, targets)), None, {})
+    yield "vacuous forall", Forall(next(fresh), f)
+    binders, antecedents, goal = split(f)
+    if len(binders) > 1:
+        i = rng.randrange(len(binders) - 1)
+        if binders[i] != binders[i + 1]:
+            binders[i], binders[i + 1] = binders[i + 1], binders[i]
+            yield "binder swap", join(binders, antecedents, goal)
+
+
+def broken(checks, first_only: bool = False) -> tuple[list, int]:
+    """The broken ones of ``checks``, ``(relation, f, f_holds, g, g_must_hold)``
+    each, naming both formulas and both verdicts, and the number checked."""
+    failures, checked = [], 0
+    for name, f, f_holds, g, expected in checks:
+        assert polarity(g) in POSITIVE, f"{name} left the positive fragment: {g}"
+        g_holds = verdict(g)
+        checked += 1
+        if g_holds != expected:
+            failures.append(f"{name}: {f} is {SAID[f_holds]}, but {g} is {SAID[g_holds]}")
+            if first_only:
+                break
+    return failures, checked
+
+
 def broken_relations(formulas: list, seed: int, first_only: bool = False) -> tuple[list, int]:
-    """The relations broken over ``formulas``, each naming both formulas and
-    both verdicts, and the number checked.  Donors and lemmas come from the
-    same formulas: every antecedent, and every quantifier-free body that holds."""
+    """The structural rules broken over ``formulas``, and the number checked.
+    Donors and lemmas come from the same formulas: every antecedent, and every
+    quantifier-free body that holds."""
     rng = random.Random(seed)
     holds = [verdict(f) for f in formulas]
     donors = [a for f in formulas for a in split(f)[1]]
     bodies = {join([], *split(f)[1:]) for f in formulas}
     lemmas = sorted((a for a in bodies if not a.nbinders and verdict(a)), key=str)
     assert donors and lemmas
-    failures, checked = [], 0
-    for f, f_holds in zip(formulas, holds):
-        for name, g, expected in derived(f, f_holds, rng, donors, lemmas):
-            assert polarity(g) in POSITIVE, f"{name} left the positive fragment: {g}"
-            g_holds = verdict(g)
-            checked += 1
-            if g_holds != expected:
-                failures.append(f"{name}: {f} is {SAID[f_holds]}, but {g} is {SAID[g_holds]}")
-                if first_only:
-                    return failures, checked
-    return failures, checked
+    checks = (
+        (name, f, f_holds, g, expected)
+        for f, f_holds in zip(formulas, holds)
+        for name, g, expected in derived(f, f_holds, rng, donors, lemmas)
+    )
+    return broken(checks, first_only)
+
+
+def broken_renamings(formulas: list, seed: int) -> tuple[list, int]:
+    """The renamings that changed a verdict over ``formulas``, and the number checked."""
+    rng = random.Random(seed)
+    checks = (
+        (name, f, holds, g, holds)
+        for f in formulas
+        for holds in (verdict(f),)
+        for name, g in renamings(f, rng)
+    )
+    return broken(checks)
 
 
 def test_structural_rules_hold_on_corpus_formulas():
@@ -121,6 +192,18 @@ def test_structural_rules_hold_on_types():
     failures, checked = broken_relations(types(), seed=2)
     assert not failures, "\n".join(failures[:10])
     assert checked > 1000, checked
+
+
+def test_renamings_keep_the_verdict_on_corpus_formulas():
+    failures, checked = broken_renamings(corpus_formulas(3000), seed=3)
+    assert not failures, "\n".join(failures[:10])
+    assert checked > 8000, checked
+
+
+def test_renamings_keep_the_verdict_on_hard_and_quantified_inputs():
+    failures, checked = broken_renamings(workload_inputs("hard") + workload_inputs("quantified"), 4)
+    assert not failures, "\n".join(failures[:10])
+    assert checked > 3000, checked
 
 
 def test_a_depth_capped_search_breaks_a_relation(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -107,7 +108,6 @@ def test_search_leaves_the_callers_seen_set_unchanged():
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
     seen = SeenSet({s: -1})
     assert search(seen, t) is None
-    assert _Search(SearchStats()).select_head(seen, t, t.context) is None
     assert seen == {s: -1}
 
 
@@ -146,20 +146,20 @@ def test_select_head_degenerate_candidate_premise():
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, P(x) -> Q", "Q")
-    found = engine.select_head(SeenSet(), s, s.context)
+    found = engine.search(SeenSet(), s)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
     assert found is None
 
 
 def test_select_head_never_enters_bracket_capturing_the_goal():
     # goal P(x) has x free, so the bracket binding x is not entered and no
-    # other head matches: nothing is even visited
+    # other head matches: nothing is visited after the sequent itself
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
-    found = engine.select_head(SeenSet(), s, s.context)
+    found = engine.search(SeenSet(), s)
     assert found is None
-    assert visited == []
+    assert visited == [s]
 
 
 def test_select_head_rotates_brackets_for_inner_head():
@@ -168,7 +168,7 @@ def test_select_head_rotates_brackets_for_inner_head():
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
-    engine.select_head(SeenSet(), s, s.context)
+    engine.search(SeenSet(), s)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
 
 
@@ -176,14 +176,14 @@ def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
     engine = _Search(SearchStats(), on_visit=visited.append)
     s = seq("Q(x), [Q(x) -> P]_{x}", "P")
-    found = engine.select_head(SeenSet(), s, s.context)
+    found = engine.search(SeenSet(), s)
     assert found is None
-    assert visited == [seq("[Q(x)]_{x}, Q(x) -> P", "Q(x)")]
+    assert visited == [s, seq("[Q(x)]_{x}, Q(x) -> P", "Q(x)")]
 
 
 def test_select_head_finds_zero_premise_head():
     s = seq("P", "P")
-    derivation = _Search(SearchStats()).select_head(SeenSet(), s, s.context)
+    derivation = _Search(SearchStats()).search(SeenSet(), s)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -208,6 +208,36 @@ def test_head_scan_passes_over_other_heads_without_comparing_them(monkeypatch):
     assert len(calls) < 10_000, len(calls)
     monkeypatch.undo()
     replay(derivation)
+
+
+def _atom_chain(n: int) -> str:
+    # A0 -> (A0 -> A1) -> ... -> (A(n-1) -> An) -> An
+    return " -> ".join(["A0"] + [f"(A{i - 1} -> A{i})" for i in range(1, n + 1)] + [f"A{n}"])
+
+
+def _left_nested(n: int) -> str:
+    # ((...((Q -> Q) -> Q)...) -> Q) with n arrows
+    return "(" * (n - 1) + "Q" + " -> Q)" * (n - 1) + " -> Q"
+
+
+@pytest.mark.parametrize("family", [_atom_chain, _left_nested])
+def test_search_takes_one_frame_per_branch_sequent(family):
+    # the frames under the deepest visit, less the sequents on its branch, do
+    # not grow with the input: head selection and rotation add no frame
+    extra = set()
+    for n in (100, 200):
+        deepest = [0]
+
+        def hook(s: Sequent) -> None:
+            frame, frames = sys._getframe(), 0
+            while frame is not None:
+                frame, frames = frame.f_back, frames + 1
+            deepest[0] = max(deepest[0], frames)
+
+        _, stats, _ = derivable(parse_formula(family(n)), on_visit=hook)
+        assert stats.max_seen > n, (n, stats)
+        extra.add(deepest[0] - stats.max_seen)
+    assert len(extra) == 1, extra
 
 
 # ---------------------------------------------------------------------------
