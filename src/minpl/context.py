@@ -26,7 +26,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .syntax import Forall, Formula, Imp, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _new
+from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _new
 from .syntax import _parse_atom, _parse_spine, decompose, print_formula
 
 _key, _depth = attrgetter("key"), attrgetter("depth")
@@ -135,12 +135,11 @@ def _walk(items: Iterable[Item]) -> Iterator[tuple[Item, int, bool]]:
                 yield closed, len(levels) - 1, True
 
 
-def measure(x: Context | Item) -> int:
+def measure(c: Context) -> int:
     """Termination measure of cleaning: a formula weighs 1, a bracket weighs
     one plus twice its content, a context the sum of its items; so each item
     weighs 2 to the number of brackets around it."""
-    items = x.items if isinstance(x, Context) else (x,)
-    return sum(1 << depth for _, depth, closing in _walk(items) if not closing)
+    return sum(1 << depth for _, depth, closing in _walk(c.items) if not closing)
 
 
 def _canonical(items: Iterable[Item]) -> Context:
@@ -228,7 +227,7 @@ def parse_context(text: str) -> Context:
             stack.append(items)
             items = []
         if items or not stack or ts.peek() != "]":  # else a bracket closes empty
-            items.append(FormulaItem(_parse_spine(ts, _parse_atom, Forall, Imp)))
+            items.append(FormulaItem(_parse_spine(ts, _parse_atom)))
         while stack and ts.peek() != ",":
             for token in "]_{":
                 ts.expect(token)

@@ -134,7 +134,7 @@ def derivation_to_json(d: Derivation) -> dict:
     node: dict = {"rule": d.rule, "sequent": str(d.conclusion)}
     if d.head is not None:
         node["head"] = print_formula(d.head)
-    node["premises"] = [derivation_to_json(p) for p in d.premises]
+    node["premises"] = list(map(derivation_to_json, d.premises))
     return node
 
 

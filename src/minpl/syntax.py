@@ -384,13 +384,13 @@ class _TokenStream:
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
 
 
-def _parse_spine(ts: _TokenStream, atom, quantifier, arrow):
-    """The ``formula`` rule of the grammar above, over the given atoms and
-    constructors, without recursion: the binders and antecedents of the
-    current spine wait on ``spine``, every open parenthesis keeps the spine
-    it interrupted on ``stack``, and a finished spine folds from the right.
-    ``atom(ts, name, i)`` reads the rest of an atom whose identifier ``name``
-    ends before token ``i`` and returns it with the index after it."""
+def _parse_spine(ts: _TokenStream, atom):
+    """The ``formula`` rule of the grammar above, over the given atoms,
+    without recursion: the binders and antecedents of the current spine wait
+    on ``spine``, every open parenthesis keeps the spine it interrupted on
+    ``stack``, and a finished spine folds from the right into ``Forall`` and
+    ``Imp`` nodes.  ``atom(ts, name, i)`` returns the atom whose identifier
+    ``name`` ends before token ``i``, and the index after it."""
     toks, i = ts.tokens, ts.index
     stack, spine = [], []
     while True:
@@ -414,7 +414,7 @@ def _parse_spine(ts: _TokenStream, atom, quantifier, arrow):
         x, i = atom(ts, tok, i + 1)
         while toks[i] != "->":
             for step in reversed(spine):
-                x = quantifier(step, x) if isinstance(step, str) else arrow(step, x)
+                x = Forall(step, x) if isinstance(step, str) else Imp(step, x)
             if not stack:
                 ts.index = i
                 return x
@@ -460,7 +460,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
 def parse_formula(text: str) -> Formula:
     """Parse a formula; see the grammar above for the concrete syntax."""
     ts = _TokenStream(text)
-    f = _parse_spine(ts, _parse_atom, Forall, Imp)
+    f = _parse_spine(ts, _parse_atom)
     ts.finish()
     return f
 

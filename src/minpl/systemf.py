@@ -15,7 +15,7 @@ import re
 from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
-from .syntax import Atom, Forall, Formula, Imp, Var, _TokenStream, _parse_spine, print_formula
+from .syntax import Atom, Formula, Var, _TokenStream, _parse_spine, print_formula
 
 EPS = "eps"
 
@@ -53,8 +53,7 @@ def parse_type(text: str) -> Formula:
     """The translation of the type ``text``, with one ``eps(X)`` atom per name."""
     ts = _TokenStream(text)
     tv = ts.atoms  # the parse's eps(X) atoms, keyed by X
-    t = _parse_spine(ts, lambda ts, x, i: (tv.get(x) or tv.setdefault(x, Atom(EPS, (Var(x),))), i),
-                     Forall, Imp)
+    t = _parse_spine(ts, lambda ts, x, i: (tv.get(x) or tv.setdefault(x, Atom(EPS, (Var(x),))), i))
     ts.finish()
     return t
 

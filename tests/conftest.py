@@ -1,8 +1,19 @@
+import sys
+
 import pytest
 
 from minpl.prover import derivable
 
 from helpers import CORPUS_SIZE, corpus_formula
+
+_START_LIMIT = sys.getrecursionlimit()
+
+
+@pytest.fixture(autouse=True)
+def _starting_recursion_limit():
+    """Every test starts at the session's starting recursion limit, so none
+    relies on a limit that an earlier ``derivable`` call left raised."""
+    sys.setrecursionlimit(_START_LIMIT)
 
 
 @pytest.fixture(scope="session")

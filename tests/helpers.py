@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -592,22 +594,22 @@ class _ReferenceTokens:
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
 
 
-def _reference_spine(ts: _ReferenceTokens, atom, quantifier, arrow):
+def _reference_spine(ts: _ReferenceTokens, atom):
     """Recursive descent, one call per binder, arrow and parenthesis."""
     if ts.peek() == "forall":
         ts.advance()
         var = ts.ident()
         ts.expect(".")
-        return quantifier(var, _reference_spine(ts, atom, quantifier, arrow))
+        return Forall(var, _reference_spine(ts, atom))
     if ts.peek() == "(":
         ts.advance()
-        left = _reference_spine(ts, atom, quantifier, arrow)
+        left = _reference_spine(ts, atom)
         ts.expect(")")
     else:
         left = atom(ts)
     if ts.peek() == "->":
         ts.advance()
-        return arrow(left, _reference_spine(ts, atom, quantifier, arrow))
+        return Imp(left, _reference_spine(ts, atom))
     return left
 
 
@@ -636,9 +638,9 @@ def reference_parse(text: str, kind: str) -> Formula:
     a type variable ``X`` becomes a fresh ``eps(X)`` atom at each occurrence."""
     ts = _ReferenceTokens(text)
     if kind == "type":
-        out = _reference_spine(ts, lambda ts: tvar(ts.ident()), Forall, Imp)
+        out = _reference_spine(ts, lambda ts: tvar(ts.ident()))
     else:
-        out = _reference_spine(ts, _reference_atom, Forall, Imp)
+        out = _reference_spine(ts, _reference_atom)
     ts.finish()
     return out
 
@@ -781,6 +783,18 @@ class ScopeTable(NamedTuple):
 
     scopes: dict[str, frozenset[str]]
     depth: int
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    """Run a recursive reference on deep input under ``limit``, then put the
+    interpreter's limit back as it was."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def reference_scope_table(f: Formula) -> ScopeTable:

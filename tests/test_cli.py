@@ -310,6 +310,27 @@ def test_long_chain_decided_by_cli(tmp_path, n):
     assert child.stdout.strip() == "derivable"
 
 
+def test_trace_encoder_takes_one_frame_per_level():
+    # 599 Rimp levels over one Limp leaf fit under a limit of 700 only if the
+    # encoder adds no second frame, such as a comprehension's, per level
+    code = (
+        "import sys\n"
+        "from minpl.prover import derivable, derivation_to_json\n"
+        "from minpl.syntax import parse_formula\n"
+        f"verdict, _, d = derivable(parse_formula({chain(600)!r}))\n"
+        "sys.setrecursionlimit(700)\n"
+        "node, depth, rules = derivation_to_json(d), 0, set()\n"
+        "while node['premises']:\n"
+        "    rules.add(node['rule'])\n"
+        "    (node,) = node['premises']\n"
+        "    depth += 1\n"
+        "print(verdict, depth, *sorted(rules), node['rule'], node['sequent'])\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True", "599", "Rimp", "Limp", "Q", "|-", "Q"]
+
+
 def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():
     code = (
         "import sys\n"

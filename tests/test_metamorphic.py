@@ -20,19 +20,32 @@ the ``hard`` and ``quantified`` inputs:
 - a vacuous ``forall z.`` in front, ``z`` fresh;
 - swapping two adjacent binders of the outer prefix.
 
-Every derived formula is checked to be in the positive fragment.
+Both families also run over lists of formulas that Hypothesis draws from the
+corpus generator.  Every derived formula is checked to be in the positive
+fragment.
 """
 
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from minpl.oracle import generate_positive
 from minpl.prover import _Search, derivable
 from minpl.syntax import Atom, Forall, Imp, Polarity, _rename_term, parse_formula, pieces, polarity
 from minpl.systemf import parse_type
 
-from helpers import INHABITED_FALSE, INHABITED_TRUE, ROTATION_WITNESSES, random_type
+from helpers import (
+    INHABITED_FALSE,
+    INHABITED_TRUE,
+    ROTATION_WITNESSES,
+    random_type,
+    recursion_limit,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "corpus.json"
 POSITIVE = (Polarity.POSITIVE, Polarity.BOTH)
@@ -204,6 +217,24 @@ def test_renamings_keep_the_verdict_on_hard_and_quantified_inputs():
     failures, checked = broken_renamings(workload_inputs("hard") + workload_inputs("quantified"), 4)
     assert not failures, "\n".join(failures[:10])
     assert checked > 3000, checked
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+GENERATED = st.builds(generate_positive, SEEDS, st.integers(2, 16), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(GENERATED, min_size=4, max_size=8), SEEDS)
+def test_relations_and_renamings_hold_on_generated_formulas(formulas, seed):
+    # derivable leaves the recursion limit raised, which Hypothesis warns of,
+    # so the body puts it back; broken_relations needs an antecedent to weaken
+    # with and a lemma to cut with
+    with recursion_limit(sys.getrecursionlimit()):
+        bodies = [join([], *split(f)[1:]) for f in formulas]
+        assume(any(split(f)[1] for f in formulas))
+        assume(any(not b.nbinders and verdict(b) for b in bodies))
+        for failures, _ in (broken_relations(formulas, seed), broken_renamings(formulas, seed)):
+            assert not failures, "\n".join(failures)
 
 
 def test_a_depth_capped_search_breaks_a_relation(monkeypatch):
