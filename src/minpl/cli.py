@@ -15,8 +15,8 @@ import sys
 from typing import Optional
 
 from .context import measure, normalize, parse_context
-from .prover import NotPositive, SearchStats, SearchTimeout, derivable, derivation_to_json
-from .syntax import ParseError, parse_formula
+from .prover import NotPositive, SearchStats, SearchTimeout, auditor, derivable, derivation_to_json
+from .syntax import ParseError, barendregt_rename, parse_formula
 
 
 def _at_least(convert, least: int, name: str):
@@ -122,6 +122,8 @@ def _run_normalize(config: argparse.Namespace, text: str) -> int:
 def run(config: argparse.Namespace) -> int:
     """Execute one query, given as the parsed arguments of ``main``, and return
     the process exit status."""
+    if sys.getrecursionlimit() < 20000:  # derivable's limit, for printing too; ROADMAP item 9
+        sys.setrecursionlimit(20000)
     try:
         return _run(config)
     except Exception as exc:
@@ -152,7 +154,13 @@ def _run(config: argparse.Namespace) -> int:
                 f"input is not closed; free variables ({names}) are treated "
                 "as constants"
             )
-        verdict, stats, derivation = search(f, audit=config.audit, timeout=config.timeout)
+        options, violations = {}, []
+        # a positive input is renamed once, for search and audit; another fails in its own names
+        if config.audit and f.pol & 1:
+            f = barendregt_rename(f)
+            check = auditor(f)
+            options["on_visit"] = lambda seq: violations.extend(check(seq))
+        verdict, stats, derivation = search(f, timeout=config.timeout, **options)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -163,7 +171,7 @@ def _run(config: argparse.Namespace) -> int:
         print(f"timeout: {exc}", file=sys.stderr)
         return 3
 
-    warnings.extend(f"audit: {v}" for v in stats.audit_violations)
+    warnings.extend(f"audit: {v}" for v in violations)
 
     oracle_agrees: Optional[bool] = None
     if config.oracle_check is not None:

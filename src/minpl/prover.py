@@ -45,6 +45,7 @@ __all__ = [
     "SearchTimeout",
     "SeenSet",
     "Sequent",
+    "auditor",
     "derivable",
     "derivation_to_json",
 ]
@@ -141,15 +142,12 @@ def derivation_to_json(d: Derivation) -> dict:
 class SearchStats:
     """Counters of one search; ``elapsed`` is in seconds."""
 
-    __slots__ = _fields = (
-        "visited", "max_seen", "max_depth", "prunes", "memo_hits", "elapsed", "audit_violations"
-    )
+    __slots__ = _fields = ("visited", "max_seen", "max_depth", "prunes", "memo_hits", "elapsed")
     __repr__ = Node.__repr__
 
     def __init__(self) -> None:
         self.visited = self.max_seen = self.max_depth = self.prunes = self.memo_hits = 0
         self.elapsed = 0.0
-        self.audit_violations: list[str] = []
 
 
 _EMPTY = Context()
@@ -250,33 +248,23 @@ class _Search:
 def derivable(
     f: Formula,
     *,
-    audit: bool = False,
     timeout: float | None = None,
     on_visit: Callable[[Sequent], None] | None = None,
 ) -> tuple[bool, SearchStats, Optional[Derivation]]:
     """Decide whether the positive formula ``f`` is derivable.
 
-    The input is renamed so binders are distinct before the search starts.
-    ``audit`` turns on per-sequent invariant checking (violations are
-    collected in the returned stats and never change the verdict).  Raises
-    NotPositive outside the positive fragment and SearchTimeout if ``timeout``
-    seconds elapse, which termination makes a safety rail rather than an
-    expected outcome.
+    The input is renamed so binders are distinct before the search starts;
+    ``on_visit`` sees each sequent the search enters.  Raises NotPositive
+    outside the positive fragment and SearchTimeout if ``timeout`` seconds
+    elapse, which termination makes a safety rail rather than an expected
+    outcome.
     """
-    if sys.getrecursionlimit() < 20000:
+    if sys.getrecursionlimit() < 20000:  # as cli.run does; see ROADMAP item 9
         sys.setrecursionlimit(20000)
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
     stats = SearchStats()
-    if audit:
-        check, hook = _auditor(renamed), on_visit
-
-        def on_visit(s: Sequent) -> None:
-            stats.audit_violations.extend(check(s))
-            if hook is not None:
-                hook(s)
-
     deadline = None if timeout is None else time.monotonic() + timeout
     engine = _Search(stats, deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
@@ -287,14 +275,15 @@ def derivable(
     return derivation is not None, stats, derivation
 
 
-def _auditor(root: Formula) -> Callable[[Sequent], list[str]]:
-    """Audit sequents of searches from the renamed ``root``, taking its pieces,
-    their scope sets and the binder nesting depth once: each formula is a piece
-    of ``root``, each bracket subscript a binder's scope set, bracket nesting
-    within the binder nesting depth, and a directly nested bracket's binder in
-    the scope of the enclosing one; one message per violation.  Binders are
-    distinct, so one is in another's scope exactly when its scope set is a
-    proper subset of the other's."""
+def auditor(root: Formula) -> Callable[[Sequent], list[str]]:
+    """The audit of each sequent ``derivable(root)`` visits, for its ``on_visit``;
+    ``root`` is renamed apart, so the search takes it as it is.  The pieces,
+    their scope sets and the binder nesting depth are taken once: each formula
+    is a piece of ``root``, each bracket subscript a binder's scope set, bracket
+    nesting within the binder nesting depth, and a directly nested bracket's
+    binder in the scope of the enclosing one; one message per violation.
+    Binders are distinct, so one is in another's scope exactly when its scope
+    set is a proper subset of the other's."""
     piece_set = pieces(root)
     scopes = frozenset(g.scope for g in piece_set if isinstance(g, Forall))
     # the binder nesting depth: one level of binders at a time, each binder once

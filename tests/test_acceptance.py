@@ -9,8 +9,8 @@ import time
 
 from minpl.context import measure, normalize
 from minpl.oracle import FlatSequent, first_provable_depth, ljplus_prove
-from minpl.prover import derivable
-from minpl.syntax import parse_formula, polarity
+from minpl.prover import auditor, derivable
+from minpl.syntax import barendregt_rename, parse_formula, polarity
 from minpl.systemf import inhabited, parse_type
 
 from helpers import (
@@ -101,8 +101,10 @@ def test_criterion_4_search_audit(corpus):
     formulas += corpus[:100]
     audited = 0
     for f in formulas:
-        _, stats, _ = derivable(f, audit=True)
-        assert stats.audit_violations == [], f
+        renamed, violations = barendregt_rename(f), []
+        check = auditor(renamed)
+        _, stats, _ = derivable(renamed, on_visit=lambda s: violations.extend(check(s)))
+        assert violations == [], f
         audited += stats.visited
     _report(
         4,

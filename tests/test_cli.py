@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -135,6 +136,18 @@ def test_not_positive_exit_two(capsys):
     assert "not a positive formula" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--audit"]])
+@pytest.mark.parametrize(
+    "mode, text",
+    [("decide", "(forall x. P(x)) -> forall x. P(x)"), ("inhabit", "(forall Y. Y) -> forall Y. Y")],
+)
+def test_not_positive_error_names_the_binders_as_typed(capsys, mode, text, flags):
+    # the audit renames binders apart only for a positive input
+    kind = "formula" if mode == "decide" else "type"
+    assert main([mode, text, *flags]) == 2
+    assert capsys.readouterr().err == f"error: not a positive {kind}: {text}\n"
+
+
 def test_missing_input_exit_two(capsys):
     assert main(["decide"]) == 2
     assert main(["decide", "P", "--file", "also.txt"]) == 2
@@ -162,7 +175,7 @@ def test_audit_violations_would_surface_in_warnings(capsys):
 def test_audit_violations_surface_in_warnings(monkeypatch, capsys, text, status):
     reports = [["forged violation"]]
     monkeypatch.setattr(
-        "minpl.prover._auditor", lambda *args: lambda seq: reports.pop() if reports else []
+        "minpl.cli.auditor", lambda *args: lambda seq: reports.pop() if reports else []
     )
     assert main(["decide", text, "--json", "--audit"]) == status
     payload = json.loads(capsys.readouterr().out)
@@ -360,25 +373,28 @@ def test_scopes_and_pieces_of_long_inputs_at_the_default_recursion_limit():
 
 
 def test_audit_of_a_long_prefix_keeps_no_second_copy_of_the_scope_sets(tmp_path):
-    # the audit reads the scope sets the binders stored, which the search
-    # brackets with, so the sets, quadratic in the binders, are stored once
-    path = tmp_path / "prefix.txt"
-    path.write_text("".join(f"forall x{i}. " for i in range(3000)) + "Q -> Q", encoding="utf-8")
+    # the audit reads the scope sets the search brackets with: the ones the
+    # binders stored, or, when the binders clash, the ones the CLI's single
+    # renaming builds, so the sets, quadratic in the binders, are stored once
     code = (
         "import resource, sys\n"
         "from minpl.cli import main\n"
         "status = main(sys.argv[1:])\n"
         "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    peaks = []
-    for flags in ([], ["--audit"]):
-        child = fresh_python("-c", code, "decide", "--file", str(path), *flags)
-        assert child.returncode == 0, child.stderr
-        verdict, last = child.stdout.splitlines()
-        status, peak = last.split()
-        assert verdict == "derivable" and status == "0"
-        peaks.append(int(peak))
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    for binder in ("x{i}", "x"):
+        path = tmp_path / "prefix.txt"
+        prefix = "".join(f"forall {binder.format(i=i)}. " for i in range(3000))
+        path.write_text(prefix + "Q -> Q", encoding="utf-8")
+        peaks = []
+        for flags in ([], ["--audit"]):
+            child = fresh_python("-c", code, "decide", "--file", str(path), *flags)
+            assert child.returncode == 0, child.stderr
+            verdict, last = child.stdout.splitlines()
+            status, peak = last.split()
+            assert verdict == "derivable" and status == "0"
+            peaks.append(int(peak))
+        assert peaks[1] <= 1.25 * peaks[0], (binder, peaks)
 
 
 def test_measure_of_deep_dirty_brackets_by_cli(tmp_path):
@@ -413,9 +429,33 @@ def nested_brackets(n: int, kind: str) -> tuple[str, str]:
     return "[" * n + "Q, P(x)" + "]_{x}" * n, "Q, [P(x)]_{x}"
 
 
+def test_normalize_of_a_deep_left_nested_formula_by_cli(tmp_path):
+    # printing the item's key recurses once per arrow domain, so the CLI raises
+    # the recursion limit for normalize as well as for a search
+    text = "Q -> Q"
+    for _ in range(1499):
+        text = f"({text}) -> Q"
+    path = tmp_path / "context.txt"
+    path.write_text(text, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [text]
+
+
 @pytest.mark.parametrize("kind", ["clean", "dirty"])
 def test_normalize_of_deep_brackets_by_cli(tmp_path, kind):
     text, cleaned = nested_brackets(2000, kind)
+    # reading, cleaning and printing take no frame per bracket, even at the
+    # default recursion limit, which the CLI raises before it reads its input
+    code = (
+        "import sys\n"
+        "from minpl import normalize, parse_context\n"
+        f"print(str(normalize(parse_context({text!r}))))\n"
+        "print(sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [cleaned, "1000"]
     path = tmp_path / "context.txt"
     path.write_text(text, encoding="utf-8")
     child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
@@ -456,9 +496,18 @@ def left_nested(n: int, x: str) -> str:
 
 
 def test_deep_left_nested_type_decided_as_its_translation_by_cli(tmp_path):
-    # parse_type runs before derivable raises the recursion limit, so it may not
-    # recurse on the 1,500 nested arrow domains
+    # parse_type may not recurse on the 1,500 nested arrow domains, even at the
+    # default recursion limit, which the CLI raises before it parses
     assert parse_type(left_nested(3, "X")) == parse_formula(left_nested(3, "eps(X)"))
+    code = (
+        "import sys\n"
+        "from minpl import parse_type\n"
+        f"t = parse_type({left_nested(1500, 'X')!r})\n"
+        "print(t.var, t.body.right, sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["X", "eps(X)", "1000"]
     statuses = []
     for mode, x in (("inhabit", "X"), ("decide", "eps(X)")):
         path = tmp_path / f"{mode}.txt"
@@ -586,11 +635,12 @@ def test_package_names_work_on_first_access():
 
 
 def test_one_entry_point_per_job():
-    # the audit runs through derivable(audit=True), a type's polarity is that of
-    # its translation, and the text trace renders derivation_to_json's node
+    # the audit is an on_visit hook built by auditor(f), a type's polarity is that
+    # of its translation, and the text trace renders derivation_to_json's node
     from minpl import cli, oracle, prover, syntax, systemf
 
-    gone = [(minpl, "audit"), (prover, "audit"), (minpl, "type_polarity")]
+    assert "audit" not in inspect.signature(prover.derivable).parameters
+    gone = [(minpl, "audit"), (prover, "audit"), (prover, "_auditor"), (minpl, "type_polarity")]
     gone += [(systemf, "type_polarity"), (systemf, "compact_eps"), (cli, "Derivation")]
     # binders store their scopes, and flattening is a test helper
     gone += [(minpl, "ScopeTable"), (minpl, "scope_table"), (syntax, "scope_table")]

@@ -9,10 +9,10 @@ rule relates the verdict of ``F`` to that of a formula built from it:
 - cut: if the quantifier-free ``A`` holds and ``F`` does not, ``A -> F`` does
   not either.
 
-They run over the benchmark's ``corpus`` formulas and over System F types,
-which parse to their translations, so swapping the arguments of a type is
-exchange.  Renamings keep the verdict too, and they run over ``corpus`` and
-the ``hard`` and ``quantified`` inputs:
+They run over the benchmark's ``corpus``, ``hard`` and ``quantified`` inputs
+and over System F types, which parse to their translations, so swapping the
+arguments of a type is exchange.  Renamings keep the verdict too, and they run
+over ``corpus`` and the ``hard`` and ``quantified`` inputs:
 
 - alpha-renaming: every binder gets a fresh name, in shuffled order;
 - predicate renaming: a bijection that reverses the predicates' order, and
@@ -31,6 +31,7 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +206,13 @@ def test_structural_rules_hold_on_types():
     failures, checked = broken_relations(types(), seed=2)
     assert not failures, "\n".join(failures[:10])
     assert checked > 1000, checked
+
+
+@pytest.mark.parametrize("name, seed, least", [("hard", 5, 800), ("quantified", 6, 1800)])
+def test_structural_rules_hold_on_hard_and_quantified_inputs(name, seed, least):
+    failures, checked = broken_relations(workload_inputs(name), seed)
+    assert not failures, "\n".join(failures[:10])
+    assert checked > least, checked
 
 
 def test_renamings_keep_the_verdict_on_corpus_formulas():

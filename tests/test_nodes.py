@@ -196,7 +196,7 @@ REPRS = [
     (
         SearchStats,
         "SearchStats(visited=0, max_seen=0, max_depth=0, prunes=0, memo_hits=0,"
-        " elapsed=0.0, audit_violations=[])",
+        " elapsed=0.0)",
     ),
 ]
 
@@ -276,10 +276,9 @@ def test_fields_cannot_be_assigned_or_deleted():
 def test_search_stats_defaults_are_fresh_and_mutable():
     a, b = SearchStats(), SearchStats()
     assert (a.visited, a.max_seen, a.max_depth, a.prunes, a.memo_hits) == (0, 0, 0, 0, 0)
-    assert a.elapsed == 0.0 and a.audit_violations == []
+    assert a.elapsed == 0.0
     a.visited += 3
-    a.audit_violations.append("x")
-    assert b.visited == 0 and b.audit_violations == []
+    assert b.visited == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from minpl.prover import (
     SeenSet,
     Sequent,
     _Search,
-    _auditor,
+    auditor,
     derivable,
     derivation_to_json,
 )
@@ -353,22 +353,23 @@ def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch)
         return binders
 
     # the binders stored their scopes when parsed: renaming unites the scopes
-    # of the outermost ones, the search walks no binder, and the audit's depth
-    # loop finds each binder once
+    # of the outermost ones, the search walks no binder, and the audit, which
+    # takes the renamed input as it is, finds each binder once in its depth loop
     monkeypatch.setattr(syntax, "_outermost", counted_outermost)
     monkeypatch.setattr(prover, "_outermost", counted_outermost)
     assert barendregt_rename(f) is f and barendregt_rename(g) is g and len(found) == 2
-    for audited in (False, True):
-        found.clear()
-        verdict, stats, _ = derivable(f, audit=audited)
-        assert verdict and stats.visited == n + 2 and stats.audit_violations == []
-        subscripts = []
-        on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))  # noqa: E731
-        verdict, stats, _ = derivable(g, audit=audited, on_visit=on_visit)
-        assert not verdict and stats.audit_violations == []
-        stored = _stored_scope_ids(g)
-        assert len(subscripts) > n and all(id(bound) in stored for bound in subscripts)
-        assert len(found) == (2 * (n + 1) if audited else 2), (audited, len(found))
+    found.clear()
+    seen_f, seen_g = [], []
+    verdict, stats, _ = derivable(f, on_visit=seen_f.append)
+    assert verdict and stats.visited == n + 2
+    verdict, stats, _ = derivable(g, on_visit=seen_g.append)
+    assert not verdict and len(found) == 2, len(found)
+    subscripts = [bound for s in seen_g for bound in _bracket_subscripts(s.context)]
+    stored = _stored_scope_ids(g)
+    assert len(subscripts) > n and all(id(bound) in stored for bound in subscripts)
+    check_f, check_g = auditor(f), auditor(g)
+    assert all(check_f(s) == [] for s in seen_f) and all(check_g(s) == [] for s in seen_g)
+    assert len(found) == 2 * (n + 1), len(found)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,10 @@ def test_stats_depth_bounded_by_scope_table():
 
 
 def test_audit_clean_on_paper_example_search():
-    _, stats, _ = derivable(parse_formula(DERIVABLE_FALSE[0]), audit=True)
-    assert stats.audit_violations == []
+    f = barendregt_rename(parse_formula(DERIVABLE_FALSE[0]))
+    check, violations = auditor(f), []
+    derivable(f, on_visit=lambda s: violations.extend(check(s)))
+    assert violations == []
 
 
 def test_audit_flags_foreign_formula():
@@ -393,7 +396,7 @@ def test_audit_flags_foreign_formula():
     alien = Sequent(
         Context((FormulaItem(parse_formula("Z -> Z")),)), parse_formula("Q")
     )
-    violations = _auditor(f)(alien)
+    violations = auditor(f)(alien)
     assert len(violations) == 1
     assert "not a piece" in violations[0]
 
@@ -401,12 +404,12 @@ def test_audit_flags_foreign_formula():
 def test_audit_flags_unknown_subscript_and_depth():
     f = barendregt_rename(parse_formula("forall x. (P(x) -> Q)"))
     bad = Sequent(normalize(parse_context("[P(x)]_{x,w}")), parse_formula("Q"))
-    messages = " ".join(_auditor(f)(bad))
+    messages = " ".join(auditor(f)(bad))
     assert "subscript" in messages
     nested = Sequent(
         parse_context("[[P(x)]_{x}]_{x}"), parse_formula("Q")
     )
-    messages = " ".join(_auditor(f)(nested))
+    messages = " ".join(auditor(f)(nested))
     assert "exceeds" in messages
 
 
@@ -415,10 +418,10 @@ def test_audit_checks_nesting_by_binder_scope():
     f = barendregt_rename(parse_formula("forall x. forall y. (P(x, y) -> Q)"))
     outside = Sequent(parse_context("[[P(x, y)]_{x,y}]_{y}"), parse_formula("Q"))
     inside = Sequent(parse_context("[[P(x, y)]_{y}]_{x,y}"), parse_formula("Q"))
-    violations = _auditor(f)(outside)
+    violations = auditor(f)(outside)
     assert len(violations) == 1 and violations[0].startswith("bracket outside the scope")
     assert len(reference_audit(outside, f)) == 1
-    assert _auditor(f)(inside) == reference_audit(inside, f) == []
+    assert auditor(f)(inside) == reference_audit(inside, f) == []
 
 
 def _nesting_rule_blind(violations: list[str]) -> list[str]:
@@ -434,12 +437,12 @@ def test_audit_matches_the_reference_on_random_dirty_sequents():
         root = barendregt_rename(generate_positive(seed, size=6 + seed % 9, quantifier_depth=3))
         if not root.nbinders:
             continue
-        check = prover._auditor(root)
+        check = prover.auditor(root)
         for _ in range(8):
             s = random_bracket_sequent(rng, root)
             got, expected = check(s), reference_audit(s, root)
             assert _nesting_rule_blind(got) == _nesting_rule_blind(expected), str(s)
-            assert _auditor(root)(s) == got
+            assert auditor(root)(s) == got
             checked += 1
             flagged += bool(got)
             nested += "nested" in _nesting_rule_blind(got)
@@ -456,11 +459,10 @@ def test_audit_and_reference_find_no_violation_on_searched_sequents(kind, corpus
         roots = corpus[:300]
     visited = 0
     for f in roots:
-        seen = []
-        _, stats, _ = derivable(f, audit=True, on_visit=seen.append)
-        assert stats.audit_violations == [], str(f)
-        renamed = barendregt_rename(f)
-        assert all(reference_audit(s, renamed) == [] for s in seen), str(f)
+        renamed, seen = barendregt_rename(f), []
+        derivable(renamed, on_visit=seen.append)
+        check = auditor(renamed)
+        assert all(check(s) == reference_audit(s, renamed) == [] for s in seen), str(f)
         visited += len(seen)
     assert visited > len(roots)
 
