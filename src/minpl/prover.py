@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .context import BracketItem, Context, FormulaItem, _walk, bracket, fuse, insert
+from .context import Context, FormulaItem, _walk, bracket, fuse, insert
 from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new, _outermost
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
@@ -64,11 +63,16 @@ RULE_RIMP = "Rimp"
 RULE_RFORALL = "Rforall"
 
 
-@dataclass(init=False, repr=False, eq=False)  # a face for ``replace``; the rest is Node's
+class _Face:  # a class's dataclass fields, made from ``_fields`` on the first read and kept
+    def __get__(self, obj, cls):  # on the class, so only ``dataclasses`` callers import it
+        from dataclasses import make_dataclass
+        cls.__dataclass_fields__ = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
 class Sequent(Node):
-    __slots__ = _fields = ("context", "goal")
-    context: Context
-    goal: Formula
+    __slots__ = _fields = __match_args__ = ("context", "goal")
+    __dataclass_fields__ = _Face()  # for ``dataclasses.replace``; the rest is Node's
 
     def __new__(cls, context: Context, goal: Formula) -> Sequent:
         self = _new(cls._twin)
@@ -89,8 +93,7 @@ class SeenSet(dict):
     with ``popitem``, which hashes nothing, so siblings never see each other's."""
 
 
-@dataclass(init=False, repr=False, eq=False)  # Node's otherwise; no slots, for ``sequents``
-class Derivation(Node):
+class Derivation(Node):  # no slots, for ``sequents``
     """One rule application; ``premises`` hold the sub-derivations in order.
 
     For ``Limp`` nodes, ``head`` is the selected head formula and ``path``
@@ -98,12 +101,8 @@ class Derivation(Node):
     the outer level).  A ``Limp`` node whose head has no arguments is a leaf.
     """
 
-    _fields = ("rule", "conclusion", "premises", "head", "path")
-    rule: str
-    conclusion: Sequent
-    premises: tuple["Derivation", ...] = ()
-    head: Optional[Formula] = None
-    path: tuple[BracketItem, ...] = ()
+    _fields = __match_args__ = ("rule", "conclusion", "premises", "head", "path")
+    __dataclass_fields__ = _Face()
 
     def __new__(cls, rule, conclusion, premises=(), head=None, path=()) -> Derivation:
         self = _new(cls._twin)

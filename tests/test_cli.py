@@ -618,6 +618,54 @@ def test_decide_loads_json_only_for_a_json_report():
     assert lines.count("0 False") == 2
 
 
+# Sequent and Derivation build their dataclass face on the first dataclasses call
+# (ROADMAP item 14), so no mode pays for importing dataclasses and inspect
+DATACLASS_FACE = """
+import sys
+gone = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+import minpl
+assert not gone & set(sys.modules), gone & set(sys.modules)
+import minpl.cli
+assert not gone & set(sys.modules), gone & set(sys.modules)
+for argv in RUNS:
+    assert minpl.cli.main(argv) == 0, argv
+    assert not gone & set(sys.modules), (argv, gone & set(sys.modules))
+
+from dataclasses import fields, is_dataclass, replace
+from minpl import Derivation, Sequent, derivable, parse_formula
+d = derivable(parse_formula("Q -> Q"))[2]
+leaf, goal = d.premises[0], parse_formula("R")
+for cls in (Sequent, Derivation):
+    assert cls.__dataclass_fields__ is cls.__dataclass_fields__  # built once, then stored
+    assert is_dataclass(cls) and [f.name for f in fields(cls)] == list(cls._fields)
+assert is_dataclass(d) and is_dataclass(leaf.conclusion)
+seq = replace(leaf.conclusion, goal=goal)
+node = replace(leaf, conclusion=seq)
+pairs = [(seq, Sequent(leaf.conclusion.context, goal))]
+pairs.append((node, Derivation(leaf.rule, seq, leaf.premises, leaf.head, leaf.path)))
+pairs.append((replace(d, premises=(node,)), Derivation(d.rule, d.conclusion, (node,))))
+for made, built in pairs:
+    assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+for x in (seq, node):
+    try:
+        replace(x, no_such_field=1)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError(type(x))
+print("ok")
+"""
+
+
+def test_no_mode_loads_dataclasses_and_replace_still_works():
+    runs = [["decide", "Q -> Q"], ["inhabit", "forall X. X -> X"]]
+    runs = [run + extra for run in runs for extra in ([], ["--json", "--trace"], ["--audit", "--stats"])]
+    runs.append(["normalize", "[Q]_{x}, Q", "--json"])
+    child = fresh_python("-c", f"RUNS = {runs!r}\n" + DATACLASS_FACE)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "ok"
+
+
 def test_package_names_work_on_first_access():
     code = (
         "import sys, minpl\n"
