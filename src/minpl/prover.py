@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .context import Context, FormulaItem, _walk, bracket, fuse, insert
-from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new, _outermost
+from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
 __all__ = [
@@ -276,19 +276,15 @@ def derivable(
 
 def auditor(root: Formula) -> Callable[[Sequent], list[str]]:
     """The audit of each sequent ``derivable(root)`` visits, for its ``on_visit``;
-    ``root`` is renamed apart, so the search takes it as it is.  The pieces,
-    their scope sets and the binder nesting depth are taken once: each formula
-    is a piece of ``root``, each bracket subscript a binder's scope set, bracket
-    nesting within the binder nesting depth, and a directly nested bracket's
+    ``root`` is renamed apart, so the search takes it as it is.  The pieces and
+    their scope sets are taken once: each formula is a piece of ``root``, each
+    bracket subscript a binder's scope set, and a directly nested bracket's
     binder in the scope of the enclosing one; one message per violation.
     Binders are distinct, so one is in another's scope exactly when its scope
-    set is a proper subset of the other's."""
+    set is a proper subset of the other's, and brackets so nested never nest
+    deeper than the binders do."""
     piece_set = pieces(root)
     scopes = frozenset(g.scope for g in piece_set if isinstance(g, Forall))
-    # the binder nesting depth: one level of binders at a time, each binder once
-    limit, level = 0, _outermost(root)
-    while level:
-        limit, level = limit + 1, [inner for g in level for inner in _outermost(g.body)]
 
     def check(seq: Sequent) -> list[str]:
         violations, outer = [], [None]  # the subscript around each open level, if a scope
@@ -300,8 +296,6 @@ def auditor(root: Formula) -> Callable[[Sequent], list[str]]:
                 bound, around = item.bound if item.bound in scopes else None, outer[depth]
                 if bound is None:
                     violations.append(f"bracket subscript is no binder scope: {item}")
-                if depth >= limit:
-                    violations.append(f"bracket nesting {depth + 1} exceeds bound {limit}")
                 if bound is not None and around is not None and not bound < around:
                     violations.append(f"bracket outside the scope of the one around it: {item}")
                 outer[depth + 1 :] = [bound]

@@ -158,11 +158,8 @@ class Atom(Formula):
     def __new__(cls, pred: str, terms: tuple[Term, ...] = ()) -> Atom:
         self = _new(cls._twin)
         self.pred, self.terms, self.pol, self.nbinders = pred, terms, 3, 0
-        if not terms:  # what the general path below computes, without its map and union
-            self._hash, self.fv = hash((pred,)), _NO_VARS
-        else:
-            self._hash = hash((pred, *map(_hash_of, terms)))
-            self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
+        self._hash = hash((pred, *map(_hash_of, terms)))
+        self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
         self.__class__ = cls
         return self
 
@@ -204,9 +201,8 @@ class Forall(Formula):
         self.pol = body.pol & 1
         self.nbinders = body.nbinders + 1
         scope = frozenset((var,))
-        if body.nbinders:
-            for inner in _outermost(body):
-                scope = inner.scope | scope
+        for inner in _outermost(body):
+            scope = inner.scope | scope
         self.scope = scope
         self.__class__ = cls
         return self
@@ -227,8 +223,7 @@ def polarity(f: Formula) -> Polarity:
 
 def _outermost(f: Formula) -> list[Forall]:
     """The binders of ``f`` inside no other, left to right: a loop down the
-    implications with binders, where right operands with binders wait on a
-    stack and a subtree without binders is never entered."""
+    implications with binders, where right operands wait on a stack."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
@@ -236,8 +231,7 @@ def _outermost(f: Formula) -> list[Forall]:
             if isinstance(g, Forall):
                 out.append(g)
                 break
-            if g.right.nbinders:
-                stack.append(g.right)
+            stack.append(g.right)
             g = g.left
     return out
 
@@ -296,8 +290,6 @@ def barendregt_rename(f: Formula) -> Formula:
     its outermost binders' scopes tells; otherwise every subtree with nothing
     renamed in it is returned as it is.
     """
-    if not f.nbinders:
-        return f
     names = _NO_VARS.union(*map(_scope_of, _outermost(f)))
     if len(names) == f.nbinders and f.fv.isdisjoint(names):
         return f
@@ -396,13 +388,9 @@ def _parse_spine(ts: _TokenStream, atom):
     while True:
         tok = toks[i]
         if tok == "forall":
-            var = toks[i + 1]
-            if var is None or var[0] not in _IDENT_START or var == "forall":
-                ts.at(i + 1).ident()
-            if toks[i + 2] != ".":
-                ts.at(i + 2).expect(".")
-            spine.append(var)
-            i += 3
+            spine.append(ts.at(i + 1).ident())
+            ts.expect(".")
+            i = ts.index
             continue
         if tok == "(":
             stack.append(spine)
