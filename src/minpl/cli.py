@@ -88,15 +88,14 @@ def _format_trace(node: dict, indent: int = 0) -> list[str]:
     return lines
 
 
+# each counter --stats reports, by its JSON key and its text label
+_STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max bracket depth",
+          "prunes": "loop-check prunes", "memo_hits": "memo hits"}
+
+
 def _stats_lines(stats: SearchStats) -> list[str]:
-    return [
-        f"visited: {stats.visited}",
-        f"max seen set: {stats.max_seen}",
-        f"max bracket depth: {stats.max_depth}",
-        f"loop-check prunes: {stats.prunes}",
-        f"memo hits: {stats.memo_hits}",
-        f"elapsed: {stats.elapsed * 1000:.2f} ms",
-    ]
+    lines = [f"{label}: {getattr(stats, key)}" for key, label in _STATS.items()]
+    return lines + [f"elapsed: {stats.elapsed * 1000:.2f} ms"]
 
 
 def _run_normalize(config: argparse.Namespace, text: str) -> int:
@@ -192,6 +191,9 @@ def _run(config: argparse.Namespace) -> int:
             "oracle_agrees": oracle_agrees,
             "warnings": warnings,
         }
+        if config.stats:
+            counters = {key: getattr(stats, key) for key in _STATS}
+            payload["stats"] = {**counters, "elapsed_ms": payload["elapsed_ms"]}
         print(json.dumps(payload))
     else:
         for warning in warnings:

@@ -58,9 +58,9 @@ class FormulaItem(Item):
     _fields = ("formula",)
 
     def __new__(cls, formula: Formula) -> FormulaItem:
-        # Formula items sort before bracket items.  The printed form of a
-        # formula is injective (it round-trips), so on clean contexts key
-        # equality is item equality.
+        # Formula items sort before bracket items, by the printed formula, which
+        # ``str`` reuses.  It is injective (it round-trips), so on clean contexts
+        # key equality is item equality.
         self = _new(cls._twin)
         self.formula = formula
         self.head, self.args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative
@@ -92,8 +92,8 @@ class BracketItem(Item):
 
 
 class Context(Node):
-    """A sequence of items, hashed as the sum of the items' hashes, so that
-    ``insert`` derives the hash, and the bracket depth, in O(1)."""
+    """A sequence of items, hashed as the sum of their stored hashes, which runs in
+    C and ignores order, so ``insert`` derives the hash, and the bracket depth, in O(1)."""
 
     __slots__ = ("items", "depth")
     _fields = ("items",)
@@ -195,8 +195,8 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
     binding ``bound``.
 
     Items with no free variable in ``bound`` stay at the outer level; the
-    rest go under a single bracket.  If nothing needs binding, no bracket is
-    created at all.
+    rest go under a single bracket, added by ``insert``.  If nothing needs
+    binding, no bracket is created at all.
     """
     v = frozenset(bound)
     inside = [i for i in c.items if i.fv & v]

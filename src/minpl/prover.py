@@ -89,7 +89,7 @@ class Sequent(Node):
 
 class SeenSet(dict):
     """The sequents on the current branch, each mapped to its depth there (-1
-    for a caller's).  The search pushes a sequent on entry and pops it on return
+    for a caller's).  The search pushes a sequent on entry and pops it on any exit
     with ``popitem``, which hashes nothing, so siblings never see each other's."""
 
 
@@ -153,8 +153,8 @@ _EMPTY = Context()
 
 
 class _Search:
-    """Search state of one query: statistics, deadline, success cache and
-    items.  ``low`` is the shallowest branch depth a prune hit below.
+    """One query's search: it owns its counters, ``stats``, and holds the deadline,
+    success cache and items.  ``low`` is the shallowest branch depth a prune hit below.
 
     ``search`` takes one frame per sequent.  An atomic goal tries the heads it
     can reach in canonical order, outer level first, and enters a bracket whose
@@ -163,12 +163,11 @@ class _Search:
 
     def __init__(
         self,
-        stats: SearchStats,
         *,
         deadline: float | None = None,
         on_visit: Callable[[Sequent], None] | None = None,
     ):
-        self.stats = stats
+        self.stats = SearchStats()
         self.deadline = deadline
         self.on_visit = on_visit
         self.low = 0
@@ -199,17 +198,13 @@ class _Search:
             if self.on_visit is not None:
                 self.on_visit(seq)
 
-            goal = seq.goal
+            goal, rule = seq.goal, None  # a one-premise rule sets rule and premise
             if isinstance(goal, Imp):
                 hyp, items = goal.left, self.items
                 item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
-                premise = Sequent(insert(seq.context, item), goal.right)
-                sub = self.search(seen, premise)
-                found = None if sub is None else Derivation(RULE_RIMP, seq, (sub,))
+                rule, premise = RULE_RIMP, Sequent(insert(seq.context, item), goal.right)
             elif isinstance(goal, Forall):
-                premise = Sequent(bracket(seq.context, goal.scope), goal.body)
-                sub = self.search(seen, premise)
-                found = None if sub is None else Derivation(RULE_RFORALL, seq, (sub,))
+                rule, premise = RULE_RFORALL, Sequent(bracket(seq.context, goal.scope), goal.body)
             else:
                 found, key, levels = None, goal._hash, [(seq.context, _EMPTY, (), 0)]
                 while found is None and levels:
@@ -236,6 +231,9 @@ class _Search:
                             levels.append((level, outside, path, index + 1))
                             levels.append((item.content, rotated, path + (item,), 0))
                             break
+            if rule is not None:
+                sub = self.search(seen, premise)
+                found = None if sub is None else Derivation(rule, seq, (sub,))
             if found is not None and self.low >= here:
                 self.memo[seq] = found
             return found
@@ -263,15 +261,14 @@ def derivable(
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")
     renamed = barendregt_rename(f)
-    stats = SearchStats()
     deadline = None if timeout is None else time.monotonic() + timeout
-    engine = _Search(stats, deadline=deadline, on_visit=on_visit)
+    engine = _Search(deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
     try:
         derivation = engine.search(SeenSet(), Sequent(_EMPTY, renamed))
     finally:
-        stats.elapsed = time.monotonic() - start
-    return derivation is not None, stats, derivation
+        engine.stats.elapsed = time.monotonic() - start
+    return derivation is not None, engine.stats, derivation
 
 
 def auditor(root: Formula) -> Callable[[Sequent], list[str]]:

@@ -67,8 +67,8 @@ class Node:
     its class (same base and slots, but ``object``'s ``__setattr__`` and
     ``__delattr__``, as one type slot serves both) by plain slot stores, a tenth
     of the cost of ``object.__setattr__``, then seals it by assigning the class to
-    its ``__class__``.  Equality is identity, or else the same type, stored hash
-    and fields, in that order.  Copies and pickles go through the constructor."""
+    its ``__class__``.  Equality compares type, stored hash and fields, in that
+    order; callers test identity first.  Copies and pickles go through the constructor."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
@@ -81,8 +81,6 @@ class Node:
             cls._twin = type(cls.__name__, cls.__bases__, {**slots, **_WRITABLE})
 
     def __eq__(self, other):
-        if other is self:
-            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._hash == other._hash and self._values(self) == other._values(other)

@@ -58,9 +58,11 @@ def test_inhabit_identity_json(capsys):
 
 
 def test_json_schema_is_stable(capsys):
+    assert main(["decide", INTRO, "--json", "--trace"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == JSON_KEYS
     assert main(["decide", INTRO, "--json", "--trace", "--stats"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == JSON_KEYS
+    assert set(payload) == JSON_KEYS | {"stats"}
     assert payload["derivable"] is True
     assert isinstance(payload["visited"], int)
     assert isinstance(payload["elapsed_ms"], float)
@@ -111,6 +113,29 @@ def test_stats_lines(capsys):
     out = capsys.readouterr().out
     assert "visited:" in out and "max bracket depth:" in out
     assert "loop-check prunes:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "(Q -> Q) -> Q"],  # a prune
+        ["decide", "(R -> R -> Q) -> R -> Q"],  # a memo hit
+        ["decide", "((forall x. (P(x) -> Q)) -> Q) -> Q"],  # a bracket
+        ["inhabit", "forall X. X -> X"],
+    ],
+)
+def test_json_stats_are_the_text_stats_lines(capsys, argv):
+    status = main(argv + ["--stats"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert main(argv + ["--stats", "--json"]) == status
+    payload = json.loads(capsys.readouterr().out)
+    stats = payload["stats"]
+    assert list(stats) == ["visited", "max_seen", "max_depth", "prunes", "memo_hits", "elapsed_ms"]
+    labels = ["visited", "max seen set", "max bracket depth", "loop-check prunes", "memo hits"]
+    assert lines[:-1] == [f"{label}: {value}" for label, value in zip(labels, stats.values())]
+    assert lines[-1].startswith("elapsed: ") and lines[-1].endswith(" ms")
+    assert stats["visited"] == payload["visited"] and stats["elapsed_ms"] == payload["elapsed_ms"]
+    assert all(type(value) is int for value in list(stats.values())[:-1])
 
 
 def test_stats_report_loop_check_prunes(capsys):

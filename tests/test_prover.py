@@ -7,7 +7,6 @@ from minpl import context, prover, syntax
 from minpl.context import BracketItem, Context, FormulaItem, normalize, parse_context
 from minpl.prover import (
     NotPositive,
-    SearchStats,
     SearchTimeout,
     SeenSet,
     Sequent,
@@ -87,7 +86,7 @@ def test_search_right_rules_reach_expected_sequent():
     # A, then the implication right rule lands on {A, P(x)} |- Q
     a = "(forall x. (P(x) -> Q)) -> Q"
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(on_visit=visited.append)
     engine.search(SeenSet(), seq(a, "forall x. (P(x) -> Q)"))
     assert visited[0] == seq(a, "forall x. (P(x) -> Q)")
     assert visited[1] == seq(a, "P(x) -> Q")
@@ -95,7 +94,7 @@ def test_search_right_rules_reach_expected_sequent():
 
 
 def search(seen: SeenSet, s: Sequent):
-    return _Search(SearchStats()).search(seen, s)
+    return _Search().search(seen, s)
 
 
 def test_search_prunes_sequent_already_seen():
@@ -118,8 +117,9 @@ def test_an_exception_unwinds_only_the_searchs_own_branch_entries(error):
     root = Sequent(Context(), barendregt_rename(parse_formula(DERIVABLE_FALSE[1])))
     callers = [seq("Q", "Q"), seq("P(x)", "R"), seq("Q -> Q", "Q"), seq("[P(x)]_{x}", "Q")]
     entries = [(s, -1) for s in callers]
-    stats = SearchStats()
-    _Search(stats).search(SeenSet(entries), root)
+    engine = _Search()
+    engine.search(SeenSet(entries), root)
+    stats = engine.stats
     assert stats.visited > stats.max_seen - len(entries) > 3  # deep, and some pops
     for k in range(2, stats.visited + 1):
         seen, visits = SeenSet(entries), []
@@ -130,7 +130,7 @@ def test_an_exception_unwinds_only_the_searchs_own_branch_entries(error):
                 raise error(f"visit {k}")
 
         with pytest.raises(error):
-            _Search(SearchStats(), on_visit=hook).search(seen, root)
+            _Search(on_visit=hook).search(seen, root)
         assert list(seen.items()) == entries, k
 
 
@@ -144,7 +144,7 @@ A2 = "(forall x. ((P(x) -> Q) -> Q)) -> Q"
 def test_select_head_degenerate_candidate_premise():
     # choosing the outer-level head P(x) -> Q keeps the context unchanged
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, P(x) -> Q", "Q")
     found = engine.search(SeenSet(), s)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
@@ -155,7 +155,7 @@ def test_select_head_never_enters_bracket_capturing_the_goal():
     # goal P(x) has x free, so the bracket binding x is not entered and no
     # other head matches: nothing is visited after the sequent itself
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
     found = engine.search(SeenSet(), s)
     assert found is None
@@ -166,7 +166,7 @@ def test_select_head_rotates_brackets_for_inner_head():
     # opening the bracketed copy of P(x) -> Q rebrackets the outside; the
     # naked copy is shut in while the opened content surfaces
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
     engine.search(SeenSet(), s)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
@@ -174,7 +174,7 @@ def test_select_head_rotates_brackets_for_inner_head():
 
 def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
-    engine = _Search(SearchStats(), on_visit=visited.append)
+    engine = _Search(on_visit=visited.append)
     s = seq("Q(x), [Q(x) -> P]_{x}", "P")
     found = engine.search(SeenSet(), s)
     assert found is None
@@ -183,7 +183,7 @@ def test_select_head_rotation_keeps_occurrences_separated():
 
 def test_select_head_finds_zero_premise_head():
     s = seq("P", "P")
-    derivation = _Search(SearchStats()).search(SeenSet(), s)
+    derivation = _Search().search(SeenSet(), s)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -310,7 +310,7 @@ def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
         assert set(subscripts) <= expected, str(f)
         # the search brackets with the very sets its binders stored
         subscripts.clear()
-        engine = _Search(SearchStats())
+        engine = _Search()
         engine.on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))
         engine.search(SeenSet(), Sequent(Context(), renamed))
         stored = _stored_scope_ids(renamed)
