@@ -4,8 +4,9 @@ Three modes: ``decide`` a formula, decide whether a type is ``inhabit``-ed,
 and ``normalize`` a context written in the debug syntax.  The verdict doubles
 as the exit status so shell harnesses need no output parsing: 0 derivable,
 1 not derivable, 2 usage or input errors, 3 timeout, 4 oracle disagreement,
-5 internal error (an unexpected exception, reported on stderr).  The
-reference prover, System F and ``json`` load only for queries that use them.
+5 internal error (an unexpected exception, reported on stderr).  A query
+builds the report that ``--json`` prints, and text output is rendered from it.
+The reference prover, System F and ``json`` load only for queries that use them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Optional
 
 from .context import measure, normalize, parse_context
-from .prover import NotPositive, SearchStats, SearchTimeout, auditor, derivable, derivation_to_json
+from .prover import NotPositive, SearchTimeout, auditor, derivable, derivation_to_json
 from .syntax import ParseError, barendregt_rename, parse_formula
 
 
@@ -80,42 +81,9 @@ def _load_input(config: argparse.Namespace) -> str:
     return config.text.strip()
 
 
-def _format_trace(node: dict, indent: int = 0) -> list[str]:
-    label = f"{node['rule']} [{node['head']}]" if "head" in node else node["rule"]
-    lines = [f"{'  ' * indent}{label}: {node['sequent']}"]
-    for premise in node["premises"]:
-        lines.extend(_format_trace(premise, indent + 1))
-    return lines
-
-
 # each counter --stats reports, by its JSON key and its text label
 _STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max bracket depth",
           "prunes": "loop-check prunes", "memo_hits": "memo hits"}
-
-
-def _stats_lines(stats: SearchStats) -> list[str]:
-    lines = [f"{label}: {getattr(stats, key)}" for key, label in _STATS.items()]
-    return lines + [f"elapsed: {stats.elapsed * 1000:.2f} ms"]
-
-
-def _run_normalize(config: argparse.Namespace, text: str) -> int:
-    ctx = parse_context(text)
-    cleaned = normalize(ctx)
-    if config.json_out:
-        import json
-        payload = {
-            "input": text,
-            "mode": "normalize",
-            "normalized": str(cleaned),
-            "warnings": [],
-        }
-        print(json.dumps(payload))
-    else:
-        print(str(cleaned))
-        if config.stats:  # Decimal prints an int past the interpreter's digit limit
-            from decimal import Decimal
-            print(f"measure: {Decimal(measure(ctx))} -> {Decimal(measure(cleaned))}")
-    return 0
 
 
 def run(config: argparse.Namespace) -> int:
@@ -138,28 +106,7 @@ def _run(config: argparse.Namespace) -> int:
         return 2
 
     try:
-        if config.mode == "normalize":
-            return _run_normalize(config, text)
-
-        warnings: list[str] = []
-        if config.mode == "decide":
-            f, search = parse_formula(text), derivable
-        else:
-            from . import systemf
-            f, search = systemf.parse_type(text), systemf.inhabited
-        if f.fv:
-            names = ", ".join(sorted(f.fv))
-            warnings.append(
-                f"input is not closed; free variables ({names}) are treated "
-                "as constants"
-            )
-        options, violations = {}, []
-        # a positive input is renamed once, for search and audit; another fails in its own names
-        if config.audit and f.pol & 1:
-            f = barendregt_rename(f)
-            check = auditor(f)
-            options["on_visit"] = lambda seq: violations.extend(check(seq))
-        verdict, stats, derivation = search(f, timeout=config.timeout, **options)
+        report, status = _report(config, text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -170,6 +117,41 @@ def _run(config: argparse.Namespace) -> int:
         print(f"timeout: {exc}", file=sys.stderr)
         return 3
 
+    if config.json_out:
+        import json
+        print(json.dumps(report))
+    else:
+        for warning in report["warnings"]:
+            print(f"warning: {warning}", file=sys.stderr)
+        print("\n".join(_render(report)))
+    return status
+
+
+def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
+    """The report of one query, as ``--json`` prints it, and its exit status."""
+    if config.mode == "normalize":
+        ctx = parse_context(text)
+        cleaned = normalize(ctx)
+        report = {"input": text, "mode": "normalize", "normalized": str(cleaned), "warnings": []}
+        if config.stats and not config.json_out:  # text only: json refuses an int past 4,300 digits
+            report["measure"] = (measure(ctx), measure(cleaned))
+        return report, 0
+    warnings: list[str] = []
+    if config.mode == "decide":
+        f, search = parse_formula(text), derivable
+    else:
+        from . import systemf
+        f, search = systemf.parse_type(text), systemf.inhabited
+    if f.fv:
+        names = ", ".join(sorted(f.fv))
+        warnings.append(f"input is not closed; free variables ({names}) are treated as constants")
+    options, violations = {}, []
+    # a positive input is renamed once, for search and audit; another fails in its own names
+    if config.audit and f.pol & 1:
+        f = barendregt_rename(f)
+        check = auditor(f)
+        options["on_visit"] = lambda seq: violations.extend(check(seq))
+    verdict, stats, derivation = search(f, timeout=config.timeout, **options)
     warnings.extend(f"audit: {v}" for v in violations)
 
     oracle_agrees: Optional[bool] = None
@@ -179,40 +161,42 @@ def _run(config: argparse.Namespace) -> int:
         oracle_agrees = (found is not None) == verdict
 
     trace = derivation_to_json(derivation) if config.trace and derivation is not None else None
-    if config.json_out:
-        import json
-        payload = {
-            "input": text,
-            "mode": config.mode,
-            "derivable": verdict,
-            "visited": stats.visited,
-            "elapsed_ms": round(stats.elapsed * 1000, 3),
-            "derivation": trace,
-            "oracle_agrees": oracle_agrees,
-            "warnings": warnings,
-        }
-        if config.stats:
-            counters = {key: getattr(stats, key) for key in _STATS}
-            payload["stats"] = {**counters, "elapsed_ms": payload["elapsed_ms"]}
-        print(json.dumps(payload))
-    else:
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        if config.mode == "decide":
-            print("derivable" if verdict else "not derivable")
-        else:
-            print("inhabited" if verdict else "not inhabited")
-        if trace is not None:
-            lines = "\n".join(_format_trace(trace))
-            print(lines if config.mode == "decide" else systemf.elide_eps(lines))
-        if config.stats:
-            print("\n".join(_stats_lines(stats)))
-        if oracle_agrees is not None:
-            print(f"oracle agrees: {'yes' if oracle_agrees else 'NO'}")
+    report = {"input": text, "mode": config.mode, "derivable": verdict, "visited": stats.visited,
+              "elapsed_ms": round(stats.elapsed * 1000, 3), "derivation": trace,
+              "oracle_agrees": oracle_agrees, "warnings": warnings}
+    if config.stats:
+        counters = {key: getattr(stats, key) for key in _STATS}
+        report["stats"] = {**counters, "elapsed_ms": report["elapsed_ms"]}
+    return report, 4 if oracle_agrees is False else 0 if verdict else 1
 
-    if oracle_agrees is False:
-        return 4
-    return 0 if verdict else 1
+
+def _render(report: dict) -> list[str]:
+    """The text lines of a report, warnings aside.  The trace is walked on a
+    stack, so it takes no frame per level; a type's shows ``eps(X)`` as ``X``."""
+    if report["mode"] == "normalize":
+        lines = [report["normalized"]]
+        if "measure" in report:  # Decimal prints an int past the interpreter's digit limit
+            from decimal import Decimal
+            lines.append("measure: {} -> {}".format(*map(Decimal, report["measure"])))
+        return lines
+    word = "derivable" if report["mode"] == "decide" else "inhabited"
+    lines = [word if report["derivable"] else f"not {word}"]
+    stack = [(report["derivation"], 0)] if report["derivation"] is not None else []
+    while stack:
+        node, indent = stack.pop()
+        label = f"{node['rule']} [{node['head']}]" if "head" in node else node["rule"]
+        lines.append(f"{'  ' * indent}{label}: {node['sequent']}")
+        stack += ((premise, indent + 1) for premise in reversed(node["premises"]))
+    if report["mode"] == "inhabit":
+        from .systemf import elide_eps
+        lines[1:] = map(elide_eps, lines[1:])
+    if "stats" in report:
+        stats = report["stats"]
+        lines += [f"{label}: {stats[key]}" for key, label in _STATS.items()]
+        lines.append(f"elapsed: {stats['elapsed_ms']:.2f} ms")
+    if report["oracle_agrees"] is not None:
+        lines.append(f"oracle agrees: {'yes' if report['oracle_agrees'] else 'NO'}")
+    return lines
 
 
 def main(argv: Optional[list[str]] = None) -> int:

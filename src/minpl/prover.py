@@ -264,10 +264,8 @@ def derivable(
     deadline = None if timeout is None else time.monotonic() + timeout
     engine = _Search(deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
-    try:
-        derivation = engine.search(SeenSet(), Sequent(_EMPTY, renamed))
-    finally:
-        engine.stats.elapsed = time.monotonic() - start
+    derivation = engine.search(SeenSet(), Sequent(_EMPTY, renamed))
+    engine.stats.elapsed = time.monotonic() - start
     return derivation is not None, engine.stats, derivation
 
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -136,6 +137,57 @@ def test_json_stats_are_the_text_stats_lines(capsys, argv):
     assert lines[-1].startswith("elapsed: ") and lines[-1].endswith(" ms")
     assert stats["visited"] == payload["visited"] and stats["elapsed_ms"] == payload["elapsed_ms"]
     assert all(type(value) is int for value in list(stats.values())[:-1])
+
+
+# Text output is a rendering of the JSON report: the same query answers both ways
+RENDERED_JOBS = [("decide", text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
+RENDERED_JOBS += [("inhabit", text) for text in INHABITED_TRUE + INHABITED_FALSE]
+RENDERED_JOBS += [("decide", ROTATION_WITNESSES["formula"]), ("inhabit", ROTATION_WITNESSES["type"])]
+RENDERED_JOBS += [("decide", "P(c) -> P(c)"), ("decide", INTRO)]
+RENDERED_JOBS += [("normalize", "[Q, P(x)]_{x}, [P(x)]_{x}"), ("normalize", "[]_{v}, P, P")]
+
+
+def rendered(payload: dict) -> tuple[list[str], list[str]]:
+    """The text a JSON report stands for, as (stdout, stderr) lines; elapsed
+    time masked as ``*``."""
+    err = [f"warning: {warning}" for warning in payload["warnings"]]
+    if payload["mode"] == "normalize":
+        return [payload["normalized"]], err
+    word = "derivable" if payload["mode"] == "decide" else "inhabited"
+    out = [word if payload["derivable"] else f"not {word}"]
+
+    def walk(node: dict, indent: int) -> None:
+        head = f" [{node['head']}]" if "head" in node else ""
+        out.append(f"{'  ' * indent}{node['rule']}{head}: {node['sequent']}")
+        for premise in node["premises"]:
+            walk(premise, indent + 1)
+
+    if payload["derivation"] is not None:
+        walk(payload["derivation"], 0)
+    if payload["mode"] == "inhabit":
+        out[1:] = [re.sub(r"\beps\(([\w']+)\)", r"\1", line) for line in out[1:]]
+    if "stats" in payload:
+        labels = ["visited", "max seen set", "max bracket depth", "loop-check prunes", "memo hits"]
+        out += [f"{label}: {value}" for label, value in zip(labels, payload["stats"].values())]
+        out.append("elapsed: *")
+    if payload["oracle_agrees"] is not None:
+        out.append(f"oracle agrees: {'yes' if payload['oracle_agrees'] else 'NO'}")
+    return out, err
+
+
+@pytest.mark.parametrize(
+    "mode, text", RENDERED_JOBS, ids=[f"{mode}-{i}" for i, (mode, _) in enumerate(RENDERED_JOBS)]
+)
+def test_text_output_renders_the_json_report(capsys, mode, text):
+    flags = ["--stats"] + ([] if mode == "normalize" else ["--trace", "--audit", "--oracle-check", "3"])
+    status = main([mode, text, *flags])
+    out, err = capsys.readouterr()
+    out = [re.sub(r"^elapsed: \d+\.\d\d ms$", "elapsed: *", line) for line in out.splitlines()]
+    if mode == "normalize":  # the measure may pass json's digit limit, so it is text only
+        assert out.pop().startswith("measure: ")
+    assert main([mode, text, *flags, "--json"]) == status
+    assert (out, err.splitlines()) == rendered(json.loads(capsys.readouterr().out))
+    assert "elapsed: *" in out or mode == "normalize"
 
 
 def test_stats_report_loop_check_prunes(capsys):
@@ -367,6 +419,27 @@ def test_trace_encoder_takes_one_frame_per_level():
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == ["True", "599", "Rimp", "Limp", "Q", "|-", "Q"]
+
+
+def test_text_trace_takes_no_frame_per_level():
+    # 4,999 Rimp levels over one Limp leaf render at a limit of 1,000
+    code = (
+        "import sys\n"
+        "from minpl.cli import _render\n"
+        "sys.setrecursionlimit(1000)\n"
+        "node = {'rule': 'Limp', 'sequent': 'Q |- Q', 'head': 'Q', 'premises': []}\n"
+        "for _ in range(4999):\n"
+        "    node = {'rule': 'Rimp', 'sequent': '|- Q -> Q', 'premises': [node]}\n"
+        "report = {'mode': 'decide', 'derivable': True, 'derivation': node,\n"
+        "          'oracle_agrees': None, 'warnings': []}\n"
+        "lines = _render(report)\n"
+        "print(len(lines), lines[1], '|', lines[-1].count('  '), lines[-1].strip())\n"
+    )
+    child = fresh_python("-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [
+        "5001", "Rimp:", "|-", "Q", "->", "Q", "|", "4999", "Limp", "[Q]:", "Q", "|-", "Q"
+    ]
 
 
 def test_bound_vars_of_a_long_prefix_at_the_default_recursion_limit():

@@ -5,7 +5,7 @@ inside a bracket, so an engine that never opens one answers them wrongly."""
 import pytest
 
 from minpl.oracle import FlatSequent, first_provable_depth
-from minpl.prover import RULE_LIMP, derivable, derivation_to_json
+from minpl.prover import RULE_LIMP, _Search, derivable, derivation_to_json
 from minpl.syntax import parse_formula
 from minpl.systemf import inhabited, parse_type
 
@@ -57,3 +57,15 @@ def test_rotation_witness_derivation_equals_the_plain_search(kind):
 def test_rotation_witness_reference_prover_height(kind, height):
     f, _ = decided(kind)
     assert first_provable_depth(FlatSequent((), f), height) == height
+
+
+def test_a_search_that_never_rotates_decides_the_witnesses_no(monkeypatch):
+    # a success whose head was taken from inside a bracket is dropped
+    search = _Search.search
+
+    def unrotated(self, seen, seq):
+        found = search(self, seen, seq)
+        return None if found is not None and found.rule == RULE_LIMP and found.path else found
+
+    monkeypatch.setattr(_Search, "search", unrotated)
+    assert [decided(kind)[1][0] for kind in ("formula", "type")] == [False, False]
