@@ -133,8 +133,9 @@ def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
         ctx = parse_context(text)
         cleaned = normalize(ctx)
         report = {"input": text, "mode": "normalize", "normalized": str(cleaned), "warnings": []}
-        if config.stats and not config.json_out:  # text only: json refuses an int past 4,300 digits
-            report["measure"] = (measure(ctx), measure(cleaned))
+        if config.stats:  # as digits: str(int) and json refuse an int past 4,300 digits
+            from decimal import Decimal
+            report["stats"] = {"measure": [str(Decimal(measure(c))) for c in (ctx, cleaned)]}
         return report, 0
     warnings: list[str] = []
     if config.mode == "decide":
@@ -175,9 +176,8 @@ def _render(report: dict) -> list[str]:
     stack, so it takes no frame per level; a type's shows ``eps(X)`` as ``X``."""
     if report["mode"] == "normalize":
         lines = [report["normalized"]]
-        if "measure" in report:  # Decimal prints an int past the interpreter's digit limit
-            from decimal import Decimal
-            lines.append("measure: {} -> {}".format(*map(Decimal, report["measure"])))
+        if "stats" in report:
+            lines.append("measure: {} -> {}".format(*report["stats"]["measure"]))
         return lines
     word = "derivable" if report["mode"] == "decide" else "inhabited"
     lines = [word if report["derivable"] else f"not {word}"]

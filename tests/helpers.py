@@ -942,6 +942,63 @@ def reference_text_trace(d: Derivation, typed: bool = False) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Quantified Boolean formulas: implicational inputs whose verdict brute force settles
+
+
+class QBF(NamedTuple):
+    """``Q1 x1 ... Qn xn. C1 and ... and Cm``: ``quantifiers[i - 1]`` is "A"
+    or "E" for xi, and each clause is three literals, ``k`` for xk and ``-k``
+    for not xk."""
+
+    quantifiers: str
+    clauses: tuple[tuple[int, ...], ...]
+
+
+def random_qbf(n: int, m: int, seed: int) -> QBF:
+    """A seeded QBF in 3-CNF on n >= 3 variables, with m clauses of three
+    distinct variables each."""
+    rng = random.Random(seed)
+    quantifiers = "".join(rng.choice("AE") for _ in range(n))
+    clauses = tuple(
+        tuple(rng.choice((k, -k)) for k in rng.sample(range(1, n + 1), 3)) for _ in range(m)
+    )
+    return QBF(quantifiers, clauses)
+
+
+def qbf_value(q: QBF) -> bool:
+    """The truth value of ``q``, by trying both values of each variable in
+    quantifier order."""
+
+    def value(assignment: tuple[bool, ...]) -> bool:
+        if len(assignment) == len(q.quantifiers):
+            return all(any((lit > 0) == assignment[abs(lit) - 1] for lit in c) for c in q.clauses)
+        branches = (value(assignment + (b,)) for b in (True, False))
+        return all(branches) if q.quantifiers[len(assignment)] == "A" else any(branches)
+
+    return value(())
+
+
+def qbf_formula(q: QBF) -> str:
+    """The implicational formula that is derivable exactly when ``q`` is true
+    (after Statman).  Atom ``Ai`` says the suffix from step i holds, ``Xi`` and
+    ``Yi`` that xi is true or false, and ``Cj`` that clause j holds; only step
+    i's hypotheses conclude ``A(i-1)``, so a proof assigns x1 ... xn in order,
+    once each.  The goal is ``A0``."""
+    hypotheses = []
+    for i, quantifier in enumerate(q.quantifiers, 1):
+        true, false = f"(X{i} -> A{i})", f"(Y{i} -> A{i})"
+        if quantifier == "A":
+            hypotheses.append(f"({true} -> {false} -> A{i - 1})")
+        else:
+            hypotheses += [f"({true} -> A{i - 1})", f"({false} -> A{i - 1})"]
+    for j, clause in enumerate(q.clauses, 1):
+        hypotheses += [f"({'X' if lit > 0 else 'Y'}{abs(lit)} -> C{j})" for lit in clause]
+    clauses = [f"C{j}" for j in range(1, len(q.clauses) + 1)]
+    hypotheses.append(f"({' -> '.join(clauses)} -> A{len(q.quantifiers)})")
+    return " -> ".join(hypotheses + ["A0"])
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis strategies
 
 var_names = st.sampled_from(("x", "y", "z", "u"))

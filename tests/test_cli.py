@@ -152,7 +152,11 @@ def rendered(payload: dict) -> tuple[list[str], list[str]]:
     time masked as ``*``."""
     err = [f"warning: {warning}" for warning in payload["warnings"]]
     if payload["mode"] == "normalize":
-        return [payload["normalized"]], err
+        out = [payload["normalized"]]
+        if "stats" in payload:
+            before, after = payload["stats"]["measure"]
+            out.append(f"measure: {before} -> {after}")
+        return out, err
     word = "derivable" if payload["mode"] == "decide" else "inhabited"
     out = [word if payload["derivable"] else f"not {word}"]
 
@@ -183,8 +187,6 @@ def test_text_output_renders_the_json_report(capsys, mode, text):
     status = main([mode, text, *flags])
     out, err = capsys.readouterr()
     out = [re.sub(r"^elapsed: \d+\.\d\d ms$", "elapsed: *", line) for line in out.splitlines()]
-    if mode == "normalize":  # the measure may pass json's digit limit, so it is text only
-        assert out.pop().startswith("measure: ")
     assert main([mode, text, *flags, "--json"]) == status
     assert (out, err.splitlines()) == rendered(json.loads(capsys.readouterr().out))
     assert "elapsed: *" in out or mode == "normalize"
@@ -302,6 +304,7 @@ def test_normalize_mode_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["normalized"] == "P"
     assert payload["mode"] == "normalize"
+    assert payload["stats"] == {"measure": ["3", "1"]}
 
 
 def test_normalize_parse_error(capsys):
@@ -513,6 +516,18 @@ def test_measure_past_the_integer_digit_limit_by_cli(tmp_path):
     before, arrow, after = stats.removeprefix("measure: ").split(" ")
     assert cleaned == "Q" and (arrow, after) == ("->", "1")
     assert before.isdigit() and len(before) == 6021
+    assert Decimal(before) == 2**20001 - 1
+
+
+def test_measure_past_the_integer_digit_limit_by_cli_json(tmp_path):
+    # json.dumps refuses such an int, so the report holds the measure as digits
+    path = tmp_path / "dirty.txt"
+    path.write_text("[" * 20000 + "Q" + "]_{x}" * 20000, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path), "--stats", "--json")
+    assert child.returncode == 0, child.stderr
+    [line] = child.stdout.splitlines()
+    before, after = json.loads(line)["stats"]["measure"]
+    assert after == "1" and len(before) == 6021
     assert Decimal(before) == 2**20001 - 1
 
 

@@ -3,6 +3,9 @@ that needs no oracle.  For ``F = forall x1 ... xk. A1 -> ... -> An -> G`` each
 rule relates the verdict of ``F`` to that of a formula built from it:
 
 - exchange: swapping two antecedents keeps the verdict;
+- argument swap: swapping two hypotheses of an antecedent
+  ``B1 -> ... -> Bm -> P`` keeps the verdict, since the two forms derive
+  each other;
 - contraction: duplicating an antecedent keeps the verdict;
 - weakening: if ``F`` holds, so does ``H -> F``, for ``H`` an antecedent of
   another positive formula;
@@ -11,8 +14,9 @@ rule relates the verdict of ``F`` to that of a formula built from it:
 
 They run over the benchmark's ``corpus``, ``hard`` and ``quantified`` inputs
 and over System F types, which parse to their translations, so swapping the
-arguments of a type is exchange.  Renamings keep the verdict too, and they run
-over ``corpus`` and the ``hard`` and ``quantified`` inputs:
+arguments of a type is exchange, and swapping those of an argument is an
+argument swap.  Renamings keep the verdict too, and they run over ``corpus``
+and the ``hard`` and ``quantified`` inputs:
 
 - alpha-renaming: every binder gets a fresh name, in shuffled order;
 - predicate renaming: a bijection that reverses the predicates' order, and
@@ -97,6 +101,14 @@ def join(binders, antecedents, goal):
     return goal
 
 
+def swapped(xs: list, rng: random.Random) -> list:
+    """A copy of ``xs`` with two entries, drawn by ``rng``, swapped."""
+    i, j = rng.sample(range(len(xs)), 2)
+    xs = list(xs)
+    xs[i], xs[j] = xs[j], xs[i]
+    return xs
+
+
 def verdict(f) -> bool:
     return derivable(f, timeout=10.0)[0]
 
@@ -105,10 +117,14 @@ def derived(f, holds: bool, rng: random.Random, donors: list, lemmas: list):
     """Each relation's formula built from ``f``, with the verdict it must have."""
     binders, antecedents, goal = split(f)
     if len(antecedents) > 1:
-        i, j = rng.sample(range(len(antecedents)), 2)
-        swapped = list(antecedents)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        yield "exchange", join(binders, swapped, goal), holds
+        yield "exchange", join(binders, swapped(antecedents, rng), goal), holds
+    nested = [k for k, a in enumerate(antecedents) if len(split(a)[1]) > 1]
+    if nested:
+        k = rng.choice(nested)
+        inner, hypotheses, head = split(antecedents[k])
+        changed = list(antecedents)
+        changed[k] = join(inner, swapped(hypotheses, rng), head)
+        yield "argument swap", join(binders, changed, goal), holds
     if antecedents:
         i = rng.randrange(len(antecedents))
         yield "contraction", join(binders, antecedents[: i + 1] + antecedents[i:], goal), holds

@@ -36,7 +36,10 @@ from helpers import (
     ROTATION_WITNESSES,
     bound_vars,
     context_formulas,
+    qbf_formula,
+    qbf_value,
     random_bracket_sequent,
+    random_qbf,
     reference_audit,
     reference_derivable,
     reference_scope_table,
@@ -75,6 +78,20 @@ def test_derivable_rejects_non_positive():
 def test_derivable_atom_alone_fails():
     verdict, _, _ = derivable(parse_formula("Q"))
     assert not verdict
+
+
+def test_qbf_encodings_are_decided_as_brute_force_evaluates_them():
+    # each verdict, "no" included, is known from the QBF alone, not from a prover
+    verdicts = []
+    for n in range(3, 9):
+        for seed in range(20):
+            q = random_qbf(n, round(1.2 * n), seed=100 * n + seed)
+            verdict, _, derivation = derivable(parse_formula(qbf_formula(q)), timeout=10.0)
+            assert verdict == qbf_value(q), q
+            if verdict:
+                replay(derivation)
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------
