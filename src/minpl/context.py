@@ -62,12 +62,10 @@ class FormulaItem(Item):
         # ``str`` reuses.  It is injective (it round-trips), so on clean contexts
         # key equality is item equality.
         self = _new(cls._twin)
-        self.formula = formula
+        self.formula, self.fv, self.depth = formula, formula.fv, 0
         self.head, self.args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative
         self._hash = hash((0, formula._hash))
-        self.fv = formula.fv
         self.key = (0, print_formula(formula))
-        self.depth = 0
         self.__class__ = cls
         return self
 
@@ -117,6 +115,9 @@ class Context(Node):
         return "".join(out)
 
 
+_context, _bracket_item = Context.__new__, BracketItem.__new__  # X(...) without type.__call__
+
+
 def _walk(items: Iterable[Item]) -> Iterator[tuple[Item, int, bool]]:
     """Every item of ``items`` and of their brackets in printed order, as
     ``(item, depth, closing)``: a bracket comes once before its content and
@@ -143,7 +144,7 @@ def measure(c: Context) -> int:
 
 
 def _canonical(items: Iterable[Item]) -> Context:
-    return Context(tuple(dict.fromkeys(sorted(items, key=_key))))
+    return _context(Context, tuple(dict.fromkeys(sorted(items, key=_key))))
 
 
 def normalize(c: Context) -> Context:
@@ -202,8 +203,8 @@ def bracket(c: Context, bound: Iterable[str]) -> Context:
     inside = [i for i in c.items if i.fv & v]
     if not inside:
         return c
-    outside = Context(tuple([i for i in c.items if not i.fv & v]))
-    return insert(outside, BracketItem(Context(tuple(inside)), v))
+    outside = _context(Context, tuple([i for i in c.items if not i.fv & v]))
+    return insert(outside, _bracket_item(BracketItem, _context(Context, tuple(inside)), v))
 
 
 # ---------------------------------------------------------------------------

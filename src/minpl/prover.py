@@ -33,7 +33,7 @@ import time
 from functools import cached_property
 from typing import Callable, Optional
 
-from .context import Context, FormulaItem, _walk, bracket, fuse, insert
+from .context import Context, FormulaItem, _context, _walk, bracket, fuse, insert
 from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
@@ -76,9 +76,7 @@ class Sequent(Node):
 
     def __new__(cls, context: Context, goal: Formula) -> Sequent:
         self = _new(cls._twin)
-        self.context = context
-        self.goal = goal
-        self._hash = hash((context._hash, goal._hash))
+        self.context, self.goal, self._hash = context, goal, hash((context._hash, goal._hash))
         self.__class__ = cls
         return self
 
@@ -150,6 +148,7 @@ class SearchStats:
 
 
 _EMPTY = Context()
+_sequent, _derivation = Sequent.__new__, Derivation.__new__  # X(...) without type.__call__
 
 
 class _Search:
@@ -175,13 +174,12 @@ class _Search:
         self.items: dict[Formula, FormulaItem] = {}  # a hypothesis's item, once per query
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
-        stats = self.stats
+        stats, memo = self.stats, self.memo
         if seq in seen:
             stats.prunes += 1
             self.low = min(self.low, seen[seq])
             return None
-        stored = self.memo.get(seq)
-        if stored is not None and seen.keys().isdisjoint(stored.sequents):
+        if memo and (stored := memo.get(seq)) and seen.keys().isdisjoint(stored.sequents):
             stats.memo_hits += 1
             return stored
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -198,13 +196,13 @@ class _Search:
             if self.on_visit is not None:
                 self.on_visit(seq)
 
-            goal, rule = seq.goal, None  # a one-premise rule sets rule and premise
+            goal, rule = seq.goal, None  # a one-premise rule sets rule and its premise's parts
             if isinstance(goal, Imp):
                 hyp, items = goal.left, self.items
                 item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
-                rule, premise = RULE_RIMP, Sequent(insert(seq.context, item), goal.right)
+                rule, ctx, body = RULE_RIMP, insert(seq.context, item), goal.right
             elif isinstance(goal, Forall):
-                rule, premise = RULE_RFORALL, Sequent(bracket(seq.context, goal.scope), goal.body)
+                rule, ctx, body = RULE_RFORALL, bracket(seq.context, goal.scope), goal.body
             else:
                 found, key, levels = None, goal._hash, [(seq.context, _EMPTY, (), 0)]
                 while found is None and levels:
@@ -218,24 +216,26 @@ class _Search:
                                 continue
                             premise_ctx, subs = fuse(level, outside), []
                             for arg in item.args:
-                                sub = self.search(seen, Sequent(premise_ctx, arg))
+                                sub = self.search(seen, _sequent(Sequent, premise_ctx, arg))
                                 if sub is None:
                                     break
                                 subs.append(sub)
                             else:
-                                found = Derivation(RULE_LIMP, seq, tuple(subs), item.formula, path)
+                                found = _derivation(
+                                    Derivation, RULE_LIMP, seq, tuple(subs), item.formula, path
+                                )
                                 break
                         elif not goal.fv & item.bound:  # enter it; this level resumes after it
-                            siblings = Context(items[:index] + items[index + 1 :])
+                            siblings = _context(Context, items[:index] + items[index + 1 :])
                             rotated = bracket(fuse(outside, siblings), item.bound)
                             levels.append((level, outside, path, index + 1))
                             levels.append((item.content, rotated, path + (item,), 0))
                             break
             if rule is not None:
-                sub = self.search(seen, premise)
-                found = None if sub is None else Derivation(rule, seq, (sub,))
+                sub = self.search(seen, _sequent(Sequent, ctx, body))
+                found = None if sub is None else _derivation(Derivation, rule, seq, (sub,))
             if found is not None and self.low >= here:
-                self.memo[seq] = found
+                memo[seq] = found
             return found
         finally:
             seen.popitem()

@@ -7,7 +7,7 @@ here is at most one walk over the tree.  A binder stores its scope, the
 variables bound in its subtree, as it is built.  The binder loop, ``pieces``
 and the parsers are loops with explicit stacks; renaming and printing still
 recurse.  Nodes are immutable, yet every constructor builds its node by plain
-slot stores (``Node``).
+slot stores (``Node``); the parsers call each class's ``__new__`` directly.
 """
 
 from __future__ import annotations
@@ -167,9 +167,7 @@ class Imp(Formula):
 
     def __new__(cls, left: Formula, right: Formula) -> Imp:
         self = _new(cls._twin)
-        self.left = left
-        self.right = right
-        self._hash = hash((left._hash, right._hash))
+        self.left, self.right, self._hash = left, right, hash((left._hash, right._hash))
         lfv, rfv = left.fv, right.fv
         self.fv = rfv if rfv >= lfv else lfv if lfv >= rfv else lfv | rfv
         # positive when the antecedent is negative and the consequent positive,
@@ -191,9 +189,7 @@ class Forall(Formula):
 
     def __new__(cls, var: str, body: Formula) -> Forall:
         self = _new(cls._twin)
-        self.var = var
-        self.body = body
-        self._hash = hash((var, "all", body._hash))
+        self.var, self.body, self._hash = var, body, hash((var, "all", body._hash))
         self.fv = (body.fv - {var} or _NO_VARS) if var in body.fv else body.fv
         # a universally quantified formula is never negative
         self.pol = body.pol & 1
@@ -325,6 +321,7 @@ def barendregt_rename(f: Formula) -> Formula:
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|[(),.\[\]{}]|\S")
 # a token is an identifier exactly when its first character is one of these
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_atom, _var, _func, _imp, _forall = map(attrgetter("__new__"), (Atom, Var, Func, Imp, Forall))
 
 
 class _TokenStream:
@@ -400,7 +397,7 @@ def _parse_spine(ts: _TokenStream, atom):
         x, i = atom(ts, tok, i + 1)
         while toks[i] != "->":
             for step in reversed(spine):
-                x = Forall(step, x) if isinstance(step, str) else Imp(step, x)
+                x = _forall(Forall, step, x) if isinstance(step, str) else _imp(Imp, step, x)
             if not stack:
                 ts.index = i
                 return x
@@ -417,7 +414,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
     one, and the index after it; each open application waits on ``stack``."""
     toks, atoms = ts.tokens, ts.atoms
     if toks[i] != "(":
-        return atoms.get(pred) or atoms.setdefault(pred, Atom(pred)), i
+        return atoms.get(pred) or atoms.setdefault(pred, _atom(Atom, pred)), i
     start, stack, name, args = i - 1, [], pred, []
     while True:  # token i is the "(" or "," before the next term
         tok = toks[i + 1]
@@ -428,7 +425,7 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
             stack.append((name, args))
             name, args = tok, []
             continue
-        x: Term = ts.vars.get(tok) or ts.vars.setdefault(tok, Var(tok))
+        x: Term = ts.vars.get(tok) or ts.vars.setdefault(tok, _var(Var, tok))
         while True:
             args.append(x)
             if toks[i] == ",":
@@ -438,8 +435,8 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
             i += 1
             if not stack:
                 key = tuple(toks[start:i])
-                return atoms.get(key) or atoms.setdefault(key, Atom(name, tuple(args))), i
-            x = Func(name, tuple(args))
+                return atoms.get(key) or atoms.setdefault(key, _atom(Atom, name, tuple(args))), i
+            x = _func(Func, name, tuple(args))
             name, args = stack.pop()
 
 

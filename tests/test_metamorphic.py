@@ -33,6 +33,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,14 +168,14 @@ def renamings(f, rng: random.Random):
             yield "binder swap", join(binders, antecedents, goal)
 
 
-def broken(checks, first_only: bool = False) -> tuple[list, int]:
+def broken(checks, first_only: bool = False) -> tuple[list, Counter]:
     """The broken ones of ``checks``, ``(relation, f, f_holds, g, g_must_hold)``
-    each, naming both formulas and both verdicts, and the number checked."""
-    failures, checked = [], 0
+    each, naming both formulas and both verdicts, and the number checked per relation."""
+    failures, checked = [], Counter()
     for name, f, f_holds, g, expected in checks:
         assert polarity(g) in POSITIVE, f"{name} left the positive fragment: {g}"
         g_holds = verdict(g)
-        checked += 1
+        checked[name] += 1
         if g_holds != expected:
             failures.append(f"{name}: {f} is {SAID[f_holds]}, but {g} is {SAID[g_holds]}")
             if first_only:
@@ -182,8 +183,8 @@ def broken(checks, first_only: bool = False) -> tuple[list, int]:
     return failures, checked
 
 
-def broken_relations(formulas: list, seed: int, first_only: bool = False) -> tuple[list, int]:
-    """The structural rules broken over ``formulas``, and the number checked.
+def broken_relations(formulas: list, seed: int, first_only: bool = False) -> tuple[list, Counter]:
+    """The structural rules broken over ``formulas``, and the number checked per rule.
     Donors and lemmas come from the same formulas: every antecedent, and every
     quantifier-free body that holds."""
     rng = random.Random(seed)
@@ -200,8 +201,9 @@ def broken_relations(formulas: list, seed: int, first_only: bool = False) -> tup
     return broken(checks, first_only)
 
 
-def broken_renamings(formulas: list, seed: int) -> tuple[list, int]:
-    """The renamings that changed a verdict over ``formulas``, and the number checked."""
+def broken_renamings(formulas: list, seed: int) -> tuple[list, Counter]:
+    """The renamings that changed a verdict over ``formulas``, and the number checked
+    per renaming."""
     rng = random.Random(seed)
     checks = (
         (name, f, holds, g, holds)
@@ -212,35 +214,59 @@ def broken_renamings(formulas: list, seed: int) -> tuple[list, int]:
     return broken(checks)
 
 
+def assert_floors(checked: Counter, floors: dict) -> None:
+    """Every relation of ``floors``, and no other, ran at least its floor: about half
+    of what it ran when the floor was set, so one that stops yielding fails."""
+    assert set(checked) == set(floors), checked
+    assert all(checked[name] >= least for name, least in floors.items()), checked
+
+
 def test_structural_rules_hold_on_corpus_formulas():
     failures, checked = broken_relations(corpus_formulas(5000), seed=1)
     assert not failures, "\n".join(failures[:10])
-    assert checked > 10000, checked
+    assert checked.total() > 10000, checked
+    assert_floors(checked, {"exchange": 1590, "argument swap": 990, "contraction": 2490,
+                            "weakening": 970, "cut": 1520})
 
 
 def test_structural_rules_hold_on_types():
     failures, checked = broken_relations(types(), seed=2)
     assert not failures, "\n".join(failures[:10])
-    assert checked > 1000, checked
+    assert checked.total() > 1000, checked
+    assert_floors(checked, {"exchange": 100, "argument swap": 80, "contraction": 220,
+                            "weakening": 80, "cut": 210})
+
+
+WORKLOAD_FLOORS = {
+    "hard": {"exchange": 140, "argument swap": 120, "contraction": 150, "weakening": 100,
+             "cut": 50},
+    "quantified": {"exchange": 220, "argument swap": 230, "contraction": 390, "weakening": 150,
+                   "cut": 240},
+}
 
 
 @pytest.mark.parametrize("name, seed, least", [("hard", 5, 800), ("quantified", 6, 1800)])
 def test_structural_rules_hold_on_hard_and_quantified_inputs(name, seed, least):
     failures, checked = broken_relations(workload_inputs(name), seed)
     assert not failures, "\n".join(failures[:10])
-    assert checked > least, checked
+    assert checked.total() > least, checked
+    assert_floors(checked, WORKLOAD_FLOORS[name])
 
 
 def test_renamings_keep_the_verdict_on_corpus_formulas():
     failures, checked = broken_renamings(corpus_formulas(3000), seed=3)
     assert not failures, "\n".join(failures[:10])
-    assert checked > 8000, checked
+    assert checked.total() > 8000, checked
+    assert_floors(checked, {"alpha-renaming": 1110, "predicate renaming": 1500,
+                            "vacuous forall": 1500, "binder swap": 260})
 
 
 def test_renamings_keep_the_verdict_on_hard_and_quantified_inputs():
     failures, checked = broken_renamings(workload_inputs("hard") + workload_inputs("quantified"), 4)
     assert not failures, "\n".join(failures[:10])
-    assert checked > 3000, checked
+    assert checked.total() > 3000, checked
+    assert_floors(checked, {"alpha-renaming": 390, "predicate renaming": 550,
+                            "vacuous forall": 550, "binder swap": 70})
 
 
 SEEDS = st.integers(0, 2**32 - 1)

@@ -3,14 +3,17 @@ different construction routes, no nodes retained after a query, and the
 value behaviour of the plain slotted nodes: representation, equality,
 immutability, copies."""
 
+import ast
 import copy
 import gc
+import inspect
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minpl import context, prover, syntax
 from minpl.context import (
     BracketItem,
     Context,
@@ -362,3 +365,58 @@ def test_search_built_sequents_contexts_and_brackets_copy_and_pickle():
             assert not twins & {type(y) for y in _reachable([again])}
             with pytest.raises(AttributeError):
                 again._hash = 0
+
+
+# ---------------------------------------------------------------------------
+# The per-query builders call each class's ``__new__`` through a module alias
+
+# each module's per-query builders, as dotted paths inside the module
+HOT_PATHS = {
+    syntax: ("_parse_spine", "_parse_atom"),
+    context: ("_canonical", "bracket"),
+    prover: ("_Search.search",),
+}
+
+
+def _functions(tree: ast.Module) -> dict:
+    """Every function of ``tree`` by its dotted path inside the module."""
+    found, stack = {}, [("", tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                path = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    found[path] = child
+                stack.append((path + ".", child))
+    return found
+
+
+def test_hot_paths_build_no_node_through_its_class():
+    """A class call goes through ``type.__call__`` and an inline ``X.__new__`` through
+    a class attribute lookup; the one class call left builds a hypothesis's item,
+    once per query, which a test counts by patching ``prover.FormulaItem``."""
+    for module, paths in HOT_PATHS.items():
+        classes = {name for name, value in vars(module).items()
+                   if isinstance(value, type) and issubclass(value, Node)}
+        functions = _functions(ast.parse(inspect.getsource(module)))
+        for path in paths:
+            named = []
+            for call in ast.walk(functions[path]):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func.value if isinstance(call.func, ast.Attribute) else call.func
+                if isinstance(callee, ast.Name) and callee.id in classes:
+                    named.append(callee.id)
+            assert named == (["FormulaItem"] if path == "_Search.search" else []), path
+
+
+@pytest.mark.parametrize("module, alias, cls", [
+    (syntax, "_atom", Atom), (syntax, "_var", Var), (syntax, "_func", Func),
+    (syntax, "_imp", syntax.Imp), (syntax, "_forall", syntax.Forall),
+    (context, "_context", Context), (context, "_bracket_item", BracketItem),
+    (prover, "_context", Context), (prover, "_sequent", Sequent),
+    (prover, "_derivation", Derivation),
+])
+def test_each_alias_is_the_function_its_class_call_runs(module, alias, cls):
+    assert getattr(module, alias) is cls.__new__
