@@ -17,7 +17,7 @@ from typing import Optional
 
 from .context import measure, normalize, parse_context
 from .prover import NotPositive, SearchTimeout, auditor, derivable, derivation_to_json
-from .syntax import ParseError, barendregt_rename, parse_formula
+from .syntax import ParseError, parse_formula
 
 
 def _at_least(convert, least: int, name: str):
@@ -89,8 +89,6 @@ _STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max br
 def run(config: argparse.Namespace) -> int:
     """Execute one query, given as the parsed arguments of ``main``, and return
     the process exit status."""
-    if sys.getrecursionlimit() < 20000:  # derivable's limit, for printing too; ROADMAP item 9
-        sys.setrecursionlimit(20000)
     try:
         return _run(config)
     except Exception as exc:
@@ -130,6 +128,8 @@ def _run(config: argparse.Namespace) -> int:
 def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
     """The report of one query, as ``--json`` prints it, and its exit status."""
     if config.mode == "normalize":
+        if sys.getrecursionlimit() < 20000:  # printing sorts by keys that recurse; ROADMAP item 9
+            sys.setrecursionlimit(20000)
         ctx = parse_context(text)
         cleaned = normalize(ctx)
         report = {"input": text, "mode": "normalize", "normalized": str(cleaned), "warnings": []}
@@ -146,12 +146,13 @@ def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
     if f.fv:
         names = ", ".join(sorted(f.fv))
         warnings.append(f"input is not closed; free variables ({names}) are treated as constants")
-    options, violations = {}, []
-    # a positive input is renamed once, for search and audit; another fails in its own names
-    if config.audit and f.pol & 1:
-        f = barendregt_rename(f)
-        check = auditor(f)
-        options["on_visit"] = lambda seq: violations.extend(check(seq))
+    options, violations, check = {}, [], None
+    if config.audit:  # built on the first sequent entered: |- the input as derivable renamed it
+        def visit(seq):
+            nonlocal check
+            check = check or auditor(seq.goal)
+            violations.extend(check(seq))
+        options["on_visit"] = visit
     verdict, stats, derivation = search(f, timeout=config.timeout, **options)
     warnings.extend(f"audit: {v}" for v in violations)
 

@@ -251,12 +251,12 @@ def derivable(
     """Decide whether the positive formula ``f`` is derivable.
 
     The input is renamed so binders are distinct before the search starts;
-    ``on_visit`` sees each sequent the search enters.  Raises NotPositive
-    outside the positive fragment and SearchTimeout if ``timeout`` seconds
-    elapse, which termination makes a safety rail rather than an expected
-    outcome.
+    ``on_visit`` sees each sequent the search enters, first ``|-`` followed by
+    the renamed input.  Raises NotPositive outside the positive fragment and
+    SearchTimeout if ``timeout`` seconds elapse, which termination makes a
+    safety rail rather than an expected outcome.
     """
-    if sys.getrecursionlimit() < 20000:  # as cli.run does; see ROADMAP item 9
+    if sys.getrecursionlimit() < 20000:  # one frame per sequent; see ROADMAP item 9
         sys.setrecursionlimit(20000)
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")

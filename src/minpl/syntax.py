@@ -194,10 +194,7 @@ class Forall(Formula):
         # a universally quantified formula is never negative
         self.pol = body.pol & 1
         self.nbinders = body.nbinders + 1
-        scope = frozenset((var,))
-        for inner in _outermost(body):
-            scope = inner.scope | scope
-        self.scope = scope
+        self.scope = frozenset((var,)).union(*map(_scope_of, _outermost(body)))
         self.__class__ = cls
         return self
 

@@ -219,8 +219,40 @@ def reference_fuse(a: Context, b: Context) -> Context:
 
 def replay(d: Derivation) -> None:
     """Recompute every premise of a derivation from its conclusion and fail
-    on any mismatch; also checks that no sequent repeats along a branch."""
-    _replay(d, frozenset())
+    on any mismatch; also checks that no sequent repeats along a branch.
+
+    A shared subderivation is replayed once: each distinct node's rule is
+    checked when it is first met, and its conclusion against the set of the
+    conclusions below it, built bottom-up.  A premise's set is copied into its
+    parent's, or taken over by the last parent that reads it.  The walk is on
+    a stack, so it takes no frame per level."""
+    parents: dict[int, int] = {}  # readers left of each distinct node's set
+    for node in distinct_nodes(d):
+        for premise in node.premises:
+            parents[id(premise)] = parents.get(id(premise), 0) + 1
+    below: dict[int, set] = {}
+    checked, stack = set(), [(d, False)]
+    while stack:
+        node, entered = stack.pop()
+        if not entered:
+            if id(node) not in checked:  # a second copy pops after the first is done
+                checked.add(id(node))
+                _check_rule(node)
+                stack.append((node, True))
+                stack += ((premise, False) for premise in node.premises)
+            continue
+        under: set = set()
+        for premise in node.premises:
+            parents[id(premise)] -= 1
+            if parents[id(premise)]:
+                under |= below[id(premise)]
+            else:
+                taken = below.pop(id(premise))
+                under, taken = (taken, under) if len(taken) > len(under) else (under, taken)
+                under |= taken
+            under.add(premise.conclusion)
+        assert node.conclusion not in under, f"repeated sequent on a branch: {node.conclusion}"
+        below[id(node)] = under
 
 
 def reference_sequents(d: Derivation) -> frozenset[Sequent]:
@@ -245,9 +277,8 @@ def distinct_nodes(d: Derivation) -> list[Derivation]:
     return list(seen.values())
 
 
-def _replay(d: Derivation, above: frozenset) -> None:
-    assert d.conclusion not in above, f"repeated sequent on a branch: {d.conclusion}"
-    above = above | {d.conclusion}
+def _check_rule(d: Derivation) -> None:
+    """Fail unless ``d``'s premises are the ones its rule makes of its conclusion."""
     ctx, goal = d.conclusion.context, d.conclusion.goal
     if d.rule == RULE_RIMP:
         assert isinstance(goal, Imp)
@@ -275,8 +306,6 @@ def _replay(d: Derivation, above: frozenset) -> None:
         assert len(d.premises) == len(args)
         for child, arg in zip(d.premises, args):
             assert child.conclusion == Sequent(premise_ctx, arg)
-    for child in d.premises:
-        _replay(child, above)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_not_positive_exit_two(capsys):
     [("decide", "(forall x. P(x)) -> forall x. P(x)"), ("inhabit", "(forall Y. Y) -> forall Y. Y")],
 )
 def test_not_positive_error_names_the_binders_as_typed(capsys, mode, text, flags):
-    # the audit renames binders apart only for a positive input
+    # the search, and so the audit built from its first sequent, starts only on a positive input
     kind = "formula" if mode == "decide" else "type"
     assert main([mode, text, *flags]) == 2
     assert capsys.readouterr().err == f"error: not a positive {kind}: {text}\n"
@@ -475,7 +475,7 @@ def test_scopes_and_pieces_of_long_inputs_at_the_default_recursion_limit():
 
 def test_audit_of_a_long_prefix_keeps_no_second_copy_of_the_scope_sets(tmp_path):
     # the audit reads the scope sets the search brackets with: the ones the
-    # binders stored, or, when the binders clash, the ones the CLI's single
+    # binders stored, or, when the binders clash, the ones derivable's single
     # renaming builds, so the sets, quadratic in the binders, are stored once
     code = (
         "import resource, sys\n"
@@ -542,9 +542,28 @@ def nested_brackets(n: int, kind: str) -> tuple[str, str]:
     return "[" * n + "Q, P(x)" + "]_{x}" * n, "Q, [P(x)]_{x}"
 
 
+@pytest.mark.parametrize(
+    "argv, status, limit",
+    [(["decide"], 2, 1000), (["decide", "Q -> Q"], 0, 20000), (["normalize", "P"], 0, 20000)],
+)
+def test_only_a_search_and_normalize_raise_the_recursion_limit(argv, status, limit):
+    # derivable raises it for its frame per sequent, normalize for printing
+    # sort keys; a usage error leaves it as it was
+    code = (
+        "import sys\n"
+        "from minpl.cli import main\n"
+        "sys.setrecursionlimit(1000)\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, sys.getrecursionlimit())\n"
+    )
+    child = fresh_python("-c", code, *argv)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1].split() == [str(status), str(limit)]
+
+
 def test_normalize_of_a_deep_left_nested_formula_by_cli(tmp_path):
     # printing the item's key recurses once per arrow domain, so the CLI raises
-    # the recursion limit for normalize as well as for a search
+    # the recursion limit for normalize, as derivable does for a search
     text = "Q -> Q"
     for _ in range(1499):
         text = f"({text}) -> Q"
@@ -610,7 +629,7 @@ def left_nested(n: int, x: str) -> str:
 
 def test_deep_left_nested_type_decided_as_its_translation_by_cli(tmp_path):
     # parse_type may not recurse on the 1,500 nested arrow domains, even at the
-    # default recursion limit, which the CLI raises before it parses
+    # default recursion limit, which the CLI keeps until the search raises it
     assert parse_type(left_nested(3, "X")) == parse_formula(left_nested(3, "eps(X)"))
     code = (
         "import sys\n"
@@ -810,6 +829,8 @@ def test_one_entry_point_per_job():
     # nothing raises NotBarendregt, and a node's free variables are its fv
     gone += [(minpl, "NotBarendregt"), (syntax, "NotBarendregt")]
     gone += [(minpl, "free_vars"), (syntax, "free_vars")]
+    # derivable renames the input the audit reads
+    gone += [(cli, "barendregt_rename")]
     for module, name in gone:
         assert name not in getattr(module, "__all__", ()) and not hasattr(module, name), name
 

@@ -400,6 +400,21 @@ def test_stats_depth_bounded_by_scope_table():
         assert stats.max_depth <= table.depth
 
 
+def test_first_sequent_visited_is_the_renamed_input():
+    # the CLI's audit is built from this sequent's goal, so derivable alone renames
+    clashing = parse_formula("P(x) -> forall x. forall x. (P(x) -> P(x))")
+    assert barendregt_rename(clashing) != clashing  # binders clash with each other and with x
+    inputs = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    inputs += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
+    inputs += [parse_formula(ROTATION_WITNESSES["formula"]), parse_type(ROTATION_WITNESSES["type"])]
+    for f in inputs + [clashing]:
+        visited = []
+        derivable(f, on_visit=visited.append)
+        assert visited[0] == Sequent(Context(), barendregt_rename(f)), str(f)
+        check = auditor(visited[0].goal)
+        assert all(check(s) == [] for s in visited), str(f)
+
+
 def test_audit_clean_on_paper_example_search():
     f = barendregt_rename(parse_formula(DERIVABLE_FALSE[0]))
     check, violations = auditor(f), []
