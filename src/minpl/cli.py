@@ -39,8 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("text", nargs="?", metavar="input", help="input text")
-        p.add_argument("--file", metavar="PATH", help="read the input from a file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("text", nargs="?", metavar="input", help="input text")
+        source.add_argument("--file", metavar="PATH", help="read the input from a file")
         p.add_argument("--json", dest="json_out", action="store_true", help="emit a JSON report")
         p.add_argument("--stats", action="store_true", help="report search statistics")
 
@@ -73,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(config: argparse.Namespace) -> str:
-    if (config.text is None) == (config.file is None):
-        raise ValueError("provide the input either as an argument or via --file")
     if config.file is not None:
         with open(config.file, "r", encoding="utf-8") as handle:
             return handle.read().strip()
@@ -87,16 +86,8 @@ _STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max br
 
 
 def run(config: argparse.Namespace) -> int:
-    """Execute one query, given as the parsed arguments of ``main``, and return
-    the process exit status."""
-    try:
-        return _run(config)
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
-
-
-def _run(config: argparse.Namespace) -> int:
+    """Answer one query, given as the parsed arguments of ``main``, and return its
+    exit status.  An exception that no query expects passes through to ``main``."""
     try:
         text = _load_input(config)
     except (ValueError, OSError) as exc:
@@ -201,12 +192,13 @@ def _render(report: dict) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return run(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's usage errors, --help
         return exc.code if isinstance(exc.code, int) else 2
-    return run(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

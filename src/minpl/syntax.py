@@ -5,9 +5,9 @@ and universal quantification.  Nothing in this package ever substitutes a term
 for a variable; quantifiers are handled purely by scoping, so each analysis
 here is at most one walk over the tree.  A binder stores its scope, the
 variables bound in its subtree, as it is built.  The binder loop, ``pieces``
-and the parsers are loops with explicit stacks; renaming and printing still
-recurse.  Nodes are immutable, yet every constructor builds its node by plain
-slot stores (``Node``); the parsers call each class's ``__new__`` directly.
+and the parsers are loops with explicit stacks, as is printing a term;
+renaming and printing a formula recurse.  Nodes are immutable, yet each node is
+built by plain slot stores (``Node``); parsers call each class's ``__new__``.
 """
 
 from __future__ import annotations
@@ -128,8 +128,14 @@ class Func(Term):
         self.__class__ = cls
         return self
 
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
+    def __str__(self) -> str:  # a loop: terms may nest thousands deep
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            out.append(f"{t.name}(" if isinstance(t, Func) else str(t))  # a Var or punctuation
+            if isinstance(t, Func):
+                stack += [")", *[x for arg in reversed(t.args) for x in (", ", arg)][1:]]
+        return "".join(out)
 
 
 class Polarity(Enum):

@@ -228,8 +228,15 @@ def test_not_positive_error_names_the_binders_as_typed(capsys, mode, text, flags
 
 
 def test_missing_input_exit_two(capsys):
+    # the parser declares "exactly one of input or --file", so both are usage errors
     assert main(["decide"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: minpl decide ")
+    assert err.endswith("error: one of the arguments input --file is required\n")
     assert main(["decide", "P", "--file", "also.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: minpl decide ")
+    assert err.endswith("error: argument --file: not allowed with argument input\n")
 
 
 def test_file_input(tmp_path, capsys):
@@ -334,6 +341,21 @@ def test_main_builds_the_config_from_every_flag(monkeypatch):
         dict(mode="normalize", text="[Q]_{x}", file=None, json_out=True, stats=True),
         dict(mode="normalize", text=None, file="c.txt", json_out=False, stats=False),
     ]
+
+
+@pytest.mark.parametrize("flags, hooked", [([], False), (["--audit"], True)])
+def test_search_gets_on_visit_only_under_audit(monkeypatch, capsys, flags, hooked):
+    # a caller's tracer sets its own on_visit with options.setdefault, which an
+    # explicit on_visit=None would defeat
+    calls = []
+
+    def search(f, **options):
+        calls.append(options)
+        return derivable(f, **options)
+
+    monkeypatch.setattr("minpl.cli.derivable", search)
+    assert main(["decide", INTRO, *flags]) == 0
+    assert [("on_visit" in options) for options in calls] == [hooked]
 
 
 def test_main_with_every_flag(capsys):
@@ -674,6 +696,40 @@ def test_deeply_nested_terms_decided_by_cli(tmp_path):
     assert child.stdout.strip() == "derivable"
 
 
+DEEP_TERM_ATOM = "P(" + "f(" * 10000 + "x" + ")" * 10001
+
+
+def test_deep_terms_print_at_the_default_recursion_limit():
+    code = (
+        "import sys\n"
+        "from minpl.syntax import parse_formula\n"
+        "sys.setrecursionlimit(1000)\n"
+        "print(str(parse_formula(sys.stdin.read())))\n"
+    )
+    child = fresh_python("-c", code, input=DEEP_TERM_ATOM)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == DEEP_TERM_ATOM + "\n"
+
+
+def test_deep_terms_by_cli(tmp_path):
+    # printing a term takes no frame per level, so sequent keys, the trace
+    # and the cleaned context print however deep a term nests
+    path = tmp_path / "nested.txt"
+    path.write_text(f"{DEEP_TERM_ATOM} -> {DEEP_TERM_ATOM}", encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "derivable\n"
+    child = fresh_python("-m", "minpl.cli", "decide", "--trace", "--json", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    payload = json.loads(child.stdout)
+    assert payload["derivable"] is True
+    assert payload["derivation"]["sequent"] == f"|- {DEEP_TERM_ATOM} -> {DEEP_TERM_ATOM}"
+    path.write_text(DEEP_TERM_ATOM, encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == DEEP_TERM_ATOM + "\n"
+
+
 def test_long_non_positive_type_refused_by_cli(tmp_path):
     text = "(forall Y. Y) -> " + " -> ".join(["X"] * 2000)
     path = tmp_path / "type.txt"
@@ -713,6 +769,20 @@ def test_internal_error_status_in_process(monkeypatch, capsys):
     monkeypatch.setattr("minpl.cli.derivable", broken)
     assert main(["decide", INTRO]) == 5
     assert "internal error: KeyError" in capsys.readouterr().err
+
+
+def test_run_lets_an_unexpected_exception_through_to_main(monkeypatch, capsys):
+    # run maps only the failures a query expects; main alone reports the rest
+    def broken(config, text):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("minpl.cli._report", broken)
+    config = minpl.cli._build_parser().parse_args(["decide", INTRO])
+    with pytest.raises(KeyError, match="boom"):
+        minpl.cli.run(config)
+    assert main(["decide", INTRO]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: KeyError: 'boom'\n"
 
 
 # ---------------------------------------------------------------------------
