@@ -119,7 +119,7 @@ def run(config: argparse.Namespace) -> int:
 def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
     """The report of one query, as ``--json`` prints it, and its exit status."""
     if config.mode == "normalize":
-        if sys.getrecursionlimit() < 20000:  # printing sorts by keys that recurse; ROADMAP item 9
+        if sys.getrecursionlimit() < 20000:  # keys recurse to print and to compare; ROADMAP item 9
             sys.setrecursionlimit(20000)
         ctx = parse_context(text)
         cleaned = normalize(ctx)

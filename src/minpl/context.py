@@ -51,6 +51,7 @@ class Item(Node):
     """A context item; ``depth`` is the number of brackets it nests."""
 
     __slots__ = ("fv", "key", "depth")
+    _values = _key  # its sort key encodes it exactly, so items compare by key
 
 
 class FormulaItem(Item):
@@ -59,8 +60,8 @@ class FormulaItem(Item):
 
     def __new__(cls, formula: Formula) -> FormulaItem:
         # Formula items sort before bracket items, by the printed formula, which
-        # ``str`` reuses.  It is injective (it round-trips), so on clean contexts
-        # key equality is item equality.
+        # ``str`` reuses.  It is injective (it round-trips), so key equality is
+        # item equality.
         self = _new(cls._twin)
         self.formula, self.fv, self.depth = formula, formula.fv, 0
         self.head, self.args = decompose(formula) if formula.pol & 2 else (None, ())  # if negative

@@ -48,8 +48,6 @@ class FreshNames:
 
 def _apply_renaming(f: Formula, env: Mapping[str, str]) -> Formula:
     """Rename free variable occurrences; binders shadow as usual."""
-    if not env:
-        return f
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(_rename_term(t, env) for t in f.terms))
     if isinstance(f, Imp):

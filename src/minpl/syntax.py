@@ -67,14 +67,14 @@ class Node:
     its class (same base and slots, but ``object``'s ``__setattr__`` and
     ``__delattr__``, as one type slot serves both) by plain slot stores, a tenth
     of the cost of ``object.__setattr__``, then seals it by assigning the class to
-    its ``__class__``.  Equality compares type, stored hash and fields, in that
-    order; callers test identity first.  Copies and pickles go through the constructor."""
+    its ``__class__``.  Equality compares type, stored hash, then ``_values`` (the fields
+    unless inherited); callers test identity first.  Copies and pickles use the constructor."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        if cls._fields:
+        if cls._fields and not hasattr(cls, "_values"):
             cls._values = attrgetter(*cls._fields)
         if "__setattr__" not in vars(cls):  # else cls is itself a twin
             slots = {"__slots__": cls.__slots__} if "__slots__" in vars(cls) else {}

@@ -814,6 +814,22 @@ class ScopeTable(NamedTuple):
     depth: int
 
 
+def left_chain(n: int) -> str:
+    """``(...((Q -> Q) -> Q)...) -> Q`` with ``n`` arrows."""
+    return "(" * (n - 1) + "Q" + " -> Q)" * (n - 1) + " -> Q"
+
+
+def nested_brackets(n: int, kind: str) -> tuple[str, str]:
+    """A context of ``n`` nested brackets and its cleaned form: a clean one,
+    ``[...[P(x1, ..., xn)]_{xn}...]_{x1}``, or a dirty one, in which every
+    bracket binds ``x``."""
+    if kind == "clean":
+        args = ", ".join(f"x{i}" for i in range(1, n + 1))
+        text = "[" * n + f"P({args})" + "".join(f"]_{{x{i}}}" for i in range(n, 0, -1))
+        return text, text
+    return "[" * n + "Q, P(x)" + "]_{x}" * n, "Q, [P(x)]_{x}"
+
+
 @contextmanager
 def recursion_limit(limit: int):
     """Run a recursive reference on deep input under ``limit``, then put the

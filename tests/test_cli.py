@@ -22,6 +22,8 @@ from helpers import (
     INHABITED_TRUE,
     ROTATION_WITNESSES,
     distinct_nodes,
+    left_chain,
+    nested_brackets,
     reference_text_trace,
 )
 
@@ -553,24 +555,13 @@ def test_measure_past_the_integer_digit_limit_by_cli_json(tmp_path):
     assert Decimal(before) == 2**20001 - 1
 
 
-def nested_brackets(n: int, kind: str) -> tuple[str, str]:
-    """A context of ``n`` nested brackets and its cleaned form: a clean one,
-    ``[...[P(x1, ..., xn)]_{xn}...]_{x1}``, or a dirty one, in which every
-    bracket binds ``x``."""
-    if kind == "clean":
-        args = ", ".join(f"x{i}" for i in range(1, n + 1))
-        text = "[" * n + f"P({args})" + "".join(f"]_{{x{i}}}" for i in range(n, 0, -1))
-        return text, text
-    return "[" * n + "Q, P(x)" + "]_{x}" * n, "Q, [P(x)]_{x}"
-
-
 @pytest.mark.parametrize(
     "argv, status, limit",
     [(["decide"], 2, 1000), (["decide", "Q -> Q"], 0, 20000), (["normalize", "P"], 0, 20000)],
 )
 def test_only_a_search_and_normalize_raise_the_recursion_limit(argv, status, limit):
     # derivable raises it for its frame per sequent, normalize for printing
-    # sort keys; a usage error leaves it as it was
+    # and comparing sort keys; a usage error leaves it as it was
     code = (
         "import sys\n"
         "from minpl.cli import main\n"
@@ -594,6 +585,21 @@ def test_normalize_of_a_deep_left_nested_formula_by_cli(tmp_path):
     child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == [text]
+
+
+@pytest.mark.parametrize("kind", ["formula", "brackets"])
+def test_normalize_of_two_equal_deep_items_by_cli(tmp_path, kind):
+    # items compare by key, but a formula's key recurses to print, and sorting
+    # compares bracket keys, nested two tuples a bracket, in C against the limit
+    if kind == "formula":
+        text = cleaned = left_chain(1500)
+    else:
+        text, cleaned = nested_brackets(600, "clean")
+    path = tmp_path / "context.txt"
+    path.write_text(f"{text}, {text}", encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "normalize", "--file", str(path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [cleaned]
 
 
 @pytest.mark.parametrize("kind", ["clean", "dirty"])

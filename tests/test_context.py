@@ -15,11 +15,14 @@ from minpl.context import (
     normalize,
     parse_context,
 )
-from minpl.syntax import ParseError, parse_formula
+from minpl.syntax import Node, ParseError, parse_formula
 
 from helpers import (
     is_clean,
+    left_chain,
+    nested_brackets,
     random_context,
+    recursion_limit,
     reference_free_vars,
     reference_fuse,
     reference_normalize,
@@ -258,6 +261,48 @@ def test_every_rewrite_step_strictly_decreases_measure(seed):
 def test_depth_counts_nesting():
     assert ctx("Q").depth == 0
     assert parse_context("[[P(x)]_{x}, P(y)]_{x,y}").depth == 2
+
+
+# ---------------------------------------------------------------------------
+# Item equality: an item's key encodes it exactly, so items compare by key
+
+
+def test_deep_equal_formula_items_compare_at_the_default_recursion_limit():
+    with recursion_limit(1000):
+        a, b = item(left_chain(900)), item(left_chain(900))
+        assert a is not b and a.formula is not b.formula
+        assert a == b
+
+
+def test_deep_equal_bracket_items_compare_at_the_default_recursion_limit():
+    with recursion_limit(1000):
+        text, _ = nested_brackets(450, "clean")
+        (a,), (b,) = parse_context(text).items, parse_context(text).items
+        assert a is not b and a.content is not b.content
+        assert a == b
+
+
+def test_normalize_collapses_deep_equal_items_at_the_default_recursion_limit():
+    a = left_chain(900)
+    with recursion_limit(1000):
+        c = normalize(parse_context(f"{a}, {a}"))
+        assert len(c.items) == 1 and str(c) == a
+
+
+def test_item_equality_compares_no_formula(monkeypatch):
+    calls, equal = [], Node.__eq__
+
+    def recorded_eq(self, other):
+        calls.append(type(self))
+        return equal(self, other)
+
+    text = "Q, [P(x) -> Q, [S(x, z) -> Q]_{z}]_{x}"
+    pairs = [(item("(P(x) -> Q) -> forall y. P(y)"), item("(P(x) -> Q) -> forall y. P(y)"))]
+    pairs += zip(parse_context(text).items, parse_context(text).items)
+    monkeypatch.setattr(Node, "__eq__", recorded_eq)
+    assert all(a is not b and a == b for a, b in pairs)
+    monkeypatch.undo()
+    assert set(calls) == {FormulaItem, BracketItem}
 
 
 # ---------------------------------------------------------------------------
