@@ -12,8 +12,8 @@ The reference prover, System F and ``json`` load only for queries that use them.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from typing import Optional
 
 from .context import measure, normalize, parse_context
 from .prover import NotPositive, SearchTimeout, auditor, derivable, derivation_to_json
@@ -73,13 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(config: argparse.Namespace) -> str:
-    if config.file is not None:
-        with open(config.file, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
-    return config.text.strip()
-
-
 # each counter --stats reports, by its JSON key and its text label
 _STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max bracket depth",
           "prunes": "loop-check prunes", "memo_hits": "memo hits"}
@@ -89,13 +82,16 @@ def run(config: argparse.Namespace) -> int:
     """Answer one query, given as the parsed arguments of ``main``, and return its
     exit status.  An exception that no query expects passes through to ``main``."""
     try:
-        text = _load_input(config)
+        text = config.text
+        if config.file is not None:
+            with open(config.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        report, status = _report(config, text)
+        report, status = _report(config, text.strip())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -147,7 +143,7 @@ def _report(config: argparse.Namespace, text: str) -> tuple[dict, int]:
     verdict, stats, derivation = search(f, timeout=config.timeout, **options)
     warnings.extend(f"audit: {v}" for v in violations)
 
-    oracle_agrees: Optional[bool] = None
+    oracle_agrees: bool | None = None
     if config.oracle_check is not None:
         from .oracle import FlatSequent, first_provable_depth
         found = first_provable_depth(FlatSequent((), f), config.oracle_check)
@@ -191,7 +187,7 @@ def _render(report: dict) -> list[str]:
     return lines
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         return run(_build_parser().parse_args(argv))
     except SystemExit as exc:  # argparse's usage errors, --help
@@ -201,5 +197,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 5
 
 
+def entry() -> int:
+    status = main()  # main, the in-process entry, leaves the collector alone
+    gc.freeze()  # all of it dies with the process: spare shutdown's collections the walk
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -12,12 +12,12 @@ Three rewrite rules simplify contexts:
 * an empty bracket disappears,
 * two identical items at the same level collapse into one.
 
-The rules terminate (``measure`` strictly decreases) but their confluence is
-not settled, so ``normalize`` commits to one fixed strategy and additionally
-sorts every level by a total item order.  Equal multisets then get equal
-representations, and sequent equality during search is plain structural
-comparison.  ``fuse``, ``insert`` and ``bracket`` maintain normal forms
-incrementally so search never re-cleans a context from scratch.
+The rules terminate (``measure`` strictly decreases) and are locally confluent,
+so a context has one normal form up to order (Newman's lemma); ``normalize``
+reaches it by a fixed strategy and sorts every level by a total item order.
+Equal multisets then get equal representations, and sequent equality during
+search is plain structural comparison.  ``fuse``, ``insert`` and ``bracket``
+keep normal forms incrementally so search never cleans a context from scratch.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import itertools
 import re
 from enum import Enum
 from operator import attrgetter
-from typing import Mapping
 
 __all__ = [
     "Atom",
@@ -269,7 +268,7 @@ def pieces(f: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def _rename_term(t: Term, env: Mapping[str, str]) -> Term:
+def _rename_term(t: Term, env: dict[str, str]) -> Term:
     if t.fv.isdisjoint(env):
         return t
     if isinstance(t, Var):

@@ -12,7 +12,6 @@ refused, not guessed at.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .prover import Derivation, NotPositive, SearchStats, derivable
 from .syntax import Atom, Formula, Var, _TokenStream, _parse_spine, print_formula
@@ -28,7 +27,7 @@ def phi(t: Formula) -> Formula:
 
 def inhabited(
     t: Formula, **search_options
-) -> tuple[bool, SearchStats, Optional[Derivation]]:
+) -> tuple[bool, SearchStats, Derivation | None]:
     """Decide whether the positive type whose translation is ``t`` has an
     inhabitant.
 

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -406,11 +407,18 @@ def test_zero_timeout_through_main_is_exit_three(capsys):
 # recursion limit
 
 
-def fresh_python(*args, **kw) -> subprocess.CompletedProcess:
+def fresh_python(*args, env: dict | None = None, **kw) -> subprocess.CompletedProcess:
+    """A new interpreter on this source tree, its output captured unless ``kw``
+    redirects it; ``env`` overrides variables, and a ``None`` value unsets one."""
     src = str(Path(minpl.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kw}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kw
+        [sys.executable, *args],
+        text=True,
+        env={k: v for k, v in env.items() if v is not None},
+        timeout=120,
+        **streams,
     )
 
 
@@ -921,3 +929,111 @@ def test_star_import_binds_every_exported_name():
     child = fresh_python("-c", code)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == f"{len(minpl.__all__)} []"
+
+
+# ---------------------------------------------------------------------------
+# The process entry: a CLI process freezes the collector after its query, so
+# shutdown's collections skip what dies with it; an in-process main does not
+
+# the module's last line before it took the entry
+MAIN_ONLY = "import sys\nfrom minpl.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["decide", "Q -> Q"], 0), (["decide", "Q"], 1), (["decide"], 2), (["normalize", "P"], 0)],
+)
+def test_entry_returns_the_status_of_main_and_freezes(argv, status):
+    code = (
+        "import gc, sys\n"
+        "from minpl.cli import entry\n"
+        "before = gc.get_freeze_count()\n"
+        "status = entry()\n"
+        "print(status, before, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    child = fresh_python("-c", code, *argv)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.splitlines()[-1].split() == [str(status), "0", "True"]
+
+
+def test_running_the_module_takes_the_entry():
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('minpl.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    child = fresh_python("-c", code, "decide", "Q -> Q")
+    assert (child.returncode, child.stdout, child.stderr) == (0, "derivable\n", "True\n")
+
+
+def test_installed_script_takes_the_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]")[1]
+    assert scripts.split("[")[0].split() == ["minpl", "=", '"minpl.cli:entry"']
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv", [["decide", "Q -> Q"], ["inhabit", "forall X. X -> X"], ["normalize", "P"], ["decide"]]
+)
+def test_main_leaves_the_collector_as_it_was(capsys, argv, enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        frozen = gc.get_freeze_count()
+        main(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        gc.enable()
+
+
+def run_with_stdout(kind: str, unbuffered: bool, *args) -> tuple[int, str]:
+    """Exit status and stderr of a new interpreter whose stdout is ``/dev/full``,
+    closed, or a pipe whose read end is closed."""
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else None}
+    if kind == "full":
+        with open("/dev/full", "w") as full:
+            child = fresh_python(*args, env=env, stdout=full)
+    elif kind == "closed":
+        child = fresh_python(
+            *args, env=env, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1)
+        )
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = fresh_python(*args, env=env, stdout=write)
+        finally:
+            os.close(write)
+    return child.returncode, child.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, unbuffered, status, start",
+    [
+        ("full", False, 120, "Exception ignored"),
+        ("full", True, 5, "internal error: OSError"),
+        ("closed", False, 0, ""),
+        ("closed", True, 0, ""),
+        ("broken pipe", False, 120, "Exception ignored"),
+        ("broken pipe", True, 5, "internal error: BrokenPipeError"),
+    ],
+)
+def test_failed_output_keeps_the_status_and_stderr_of_main(kind, unbuffered, status, start):
+    # a buffered print fails only in the flush at exit, an unbuffered one in main
+    if kind == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    query = ("decide", "Q -> Q")
+    child = run_with_stdout(kind, unbuffered, "-m", "minpl.cli", *query)
+    assert child == run_with_stdout(kind, unbuffered, "-c", MAIN_ONLY, *query)
+    assert child[0] == status and child[1].startswith(start), child
+    assert start or not child[1], child
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_profiling_the_module_still_prints_the_profile(unbuffered):
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else None}
+    child = fresh_python("-m", "cProfile", "-m", "minpl.cli", "decide", "Q -> Q", env=env)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.splitlines()[0] == "derivable"
+    assert "function calls" in child.stdout and "cli.py" in child.stdout
