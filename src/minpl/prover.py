@@ -2,12 +2,12 @@
 
 The search needs no eigenvariables and no substitution.  A universal goal
 shuts the context inside a bracket binding every variable bound in the goal;
-an implication goal moves its antecedent into the context; an atomic goal
-picks a head formula, possibly from inside nested brackets, rotating the
-brackets so the head surfaces while everything that used to be outside them
-moves inside.  Contexts stay canonical throughout, so pruning any branch that
-repeats a sequent is a plain membership test, and that pruning alone makes
-the search terminate.
+an implication goal moves its antecedent into the context.  Neither step has a
+choice, so they are walked in a loop; only an atomic goal branches, picking a
+head formula, possibly from inside nested brackets, rotating the brackets so
+the head surfaces while everything that used to be outside them moves inside.
+Contexts stay canonical throughout, so pruning any branch that repeats a
+sequent is a plain membership test, and that pruning alone makes it terminate.
 
 Within a query a success is stored when no prune in its subtree hit an
 ancestor: it is then what the search finds from an empty branch, and by
@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .context import Context, FormulaItem, _context, _walk, bracket, fuse, insert
-from .syntax import Forall, Formula, Imp, Node, Polarity, _hash_of, _new
+from .syntax import Atom, Forall, Formula, Imp, Node, Polarity, _hash_of, _new
 from .syntax import barendregt_rename, pieces, polarity, print_formula
 
 __all__ = [
@@ -155,10 +155,10 @@ class _Search:
     """One query's search: it owns its counters, ``stats``, and holds the deadline,
     success cache and items.  ``low`` is the shallowest branch depth a prune hit below.
 
-    ``search`` takes one frame per sequent.  An atomic goal tries the heads it
-    can reach in canonical order, outer level first, and enters a bracket whose
-    bound set misses the goal's free variables, rebracketing all outside it (the
-    level's ``outside`` and the bracket's siblings) with that set; first wins."""
+    ``search`` walks ``Rimp``/``Rforall`` steps in a loop: a frame per atomic sequent.
+    There it tries the heads it can reach in canonical order, outer level first, and
+    enters a bracket whose bound set misses the goal's free variables, rebracketing all
+    outside it (the level's ``outside`` and the bracket's siblings) with that set; first wins."""
 
     def __init__(
         self,
@@ -174,37 +174,36 @@ class _Search:
         self.items: dict[Formula, FormulaItem] = {}  # a hypothesis's item, once per query
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
-        stats, memo = self.stats, self.memo
-        if seq in seen:
-            stats.prunes += 1
-            self.low = min(self.low, seen[seq])
-            return None
-        if memo and (stored := memo.get(seq)) and seen.keys().isdisjoint(stored.sequents):
-            stats.memo_hits += 1
-            return stored
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout(f"no verdict for {seq} before the deadline")
-        here = len(seen)
-        outer_low, self.low = self.low, here
-        seen[seq] = here
+        stats, memo, found, base, outer_low = self.stats, self.memo, None, len(seen), self.low
         try:
-            stats.visited += 1
-            if len(seen) > stats.max_seen:
-                stats.max_seen = len(seen)
-            if seq.context.depth > stats.max_depth:
-                stats.max_depth = seq.context.depth
-            if self.on_visit is not None:
-                self.on_visit(seq)
-
-            goal, rule = seq.goal, None  # a one-premise rule sets rule and its premise's parts
-            if isinstance(goal, Imp):
-                hyp, items = goal.left, self.items
-                item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
-                rule, ctx, body = RULE_RIMP, insert(seq.context, item), goal.right
-            elif isinstance(goal, Forall):
-                rule, ctx, body = RULE_RFORALL, bracket(seq.context, goal.scope), goal.body
-            else:
-                found, key, levels = None, goal._hash, [(seq.context, _EMPTY, (), 0)]
+            while True:  # enter seq; a one-premise rule goes on to its premise
+                if seq in seen:
+                    stats.prunes += 1
+                    self.low = min(self.low, seen[seq])
+                    break
+                if memo and (stored := memo.get(seq)) and seen.keys().isdisjoint(stored.sequents):
+                    stats.memo_hits += 1
+                    found = stored
+                    break
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise SearchTimeout(f"no verdict in {stats.visited} visits before the deadline")
+                self.low = seen[seq] = len(seen)
+                stats.visited += 1
+                if len(seen) > stats.max_seen:
+                    stats.max_seen = len(seen)
+                if seq.context.depth > stats.max_depth:
+                    stats.max_depth = seq.context.depth
+                if self.on_visit is not None:
+                    self.on_visit(seq)
+                if isinstance(goal := seq.goal, Imp):
+                    hyp, items = goal.left, self.items
+                    item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
+                    seq = _sequent(Sequent, insert(seq.context, item), goal.right)
+                    continue
+                if isinstance(goal, Forall):
+                    seq = _sequent(Sequent, bracket(seq.context, goal.scope), goal.body)
+                    continue
+                key, levels = goal._hash, [(seq.context, _EMPTY, (), 0)]
                 while found is None and levels:
                     level, outside, path, start = levels.pop()
                     items = level.items
@@ -221,9 +220,8 @@ class _Search:
                                     break
                                 subs.append(sub)
                             else:
-                                found = _derivation(
-                                    Derivation, RULE_LIMP, seq, tuple(subs), item.formula, path
-                                )
+                                found = _derivation(Derivation, RULE_LIMP, seq, tuple(subs),
+                                                    item.formula, path)
                                 break
                         elif not goal.fv & item.bound:  # enter it; this level resumes after it
                             siblings = _context(Context, items[:index] + items[index + 1 :])
@@ -231,15 +229,17 @@ class _Search:
                             levels.append((level, outside, path, index + 1))
                             levels.append((item.content, rotated, path + (item,), 0))
                             break
-            if rule is not None:
-                sub = self.search(seen, _sequent(Sequent, ctx, body))
-                found = None if sub is None else _derivation(Derivation, rule, seq, (sub,))
-            if found is not None and self.low >= here:
-                memo[seq] = found
-            return found
-        finally:
-            seen.popitem()
+                break
+        finally:  # pop this call's entries, deepest first; after an exception found is None
+            while len(seen) > base:
+                seq, here = seen.popitem()
+                if found is not None and not isinstance(seq.goal, Atom):  # a one-premise step
+                    rule = RULE_RIMP if isinstance(seq.goal, Imp) else RULE_RFORALL
+                    found = _derivation(Derivation, rule, seq, (found,))
+                if found is not None and self.low >= here:
+                    memo[seq] = found
             self.low = min(self.low, outer_low)
+        return found
 
 
 def derivable(
@@ -256,7 +256,7 @@ def derivable(
     SearchTimeout if ``timeout`` seconds elapse, which termination makes a
     safety rail rather than an expected outcome.
     """
-    if sys.getrecursionlimit() < 20000:  # one frame per sequent; see ROADMAP item 9
+    if sys.getrecursionlimit() < 20000:  # a frame per atomic sequent; see ROADMAP item 9
         sys.setrecursionlimit(20000)
     if polarity(f) not in (Polarity.POSITIVE, Polarity.BOTH):
         raise NotPositive(f"not a positive formula: {print_formula(f)}")

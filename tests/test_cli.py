@@ -426,13 +426,24 @@ def chain(n: int) -> str:
     return " -> ".join(["Q"] * n)
 
 
-@pytest.mark.parametrize("n", [501, 600, 1000, 2000])
+@pytest.mark.parametrize("n", [501, 600, 1000, 2000, 25000])
 def test_long_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"
     path.write_text(chain(n), encoding="utf-8")
     child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "derivable"
+
+
+def test_timeout_on_a_long_chain_is_one_short_line(tmp_path):
+    # the message counts the visits; it used to print the sequent, which
+    # recursed once per arrow and ran to 60 KB on a 12,000-term chain
+    path = tmp_path / "chain.txt"
+    path.write_text(chain(25000), encoding="utf-8")
+    child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path), "--timeout", "0")
+    assert child.returncode == 3, child.stderr
+    [line] = child.stderr.splitlines()
+    assert line.startswith("timeout: no verdict in ") and len(line) < 80, line
 
 
 def test_trace_encoder_takes_one_frame_per_level():
@@ -568,7 +579,7 @@ def test_measure_past_the_integer_digit_limit_by_cli_json(tmp_path):
     [(["decide"], 2, 1000), (["decide", "Q -> Q"], 0, 20000), (["normalize", "P"], 0, 20000)],
 )
 def test_only_a_search_and_normalize_raise_the_recursion_limit(argv, status, limit):
-    # derivable raises it for its frame per sequent, normalize for printing
+    # derivable raises it for its frame per atomic sequent, normalize for printing
     # and comparing sort keys; a usage error leaves it as it was
     code = (
         "import sys\n"
@@ -646,7 +657,7 @@ def test_parse_context_reads_deep_brackets_at_the_default_recursion_limit():
     assert child.stdout.split() == ["5001", "2", "1000"]
 
 
-@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("n", [1000, 2000, 25000])
 def test_long_type_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"
     path.write_text("forall X. " + " -> ".join(["X"] * n), encoding="utf-8")

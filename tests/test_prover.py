@@ -16,6 +16,7 @@ from minpl.prover import (
     derivation_to_json,
 )
 from minpl.syntax import (
+    Atom,
     Forall,
     Node,
     Polarity,
@@ -130,25 +131,28 @@ def test_search_leaves_the_callers_seen_set_unchanged():
 @pytest.mark.parametrize("error", [SearchTimeout, KeyError])
 def test_an_exception_unwinds_only_the_searchs_own_branch_entries(error):
     # the search pops its entries off the end of the branch map, so an error
-    # raised mid-search must leave the caller's entries, and only them
-    root = Sequent(Context(), barendregt_rename(parse_formula(DERIVABLE_FALSE[1])))
+    # raised mid-search, or mid-spine, must leave the caller's entries, and only them
     callers = [seq("Q", "Q"), seq("P(x)", "R"), seq("Q -> Q", "Q"), seq("[P(x)]_{x}", "Q")]
     entries = [(s, -1) for s in callers]
-    engine = _Search()
-    engine.search(SeenSet(entries), root)
-    stats = engine.stats
-    assert stats.visited > stats.max_seen - len(entries) > 3  # deep, and some pops
-    for k in range(2, stats.visited + 1):
-        seen, visits = SeenSet(entries), []
+    # the second root, and its head's argument, each walk a spine of Rimp and Rforall steps
+    forced = "R -> forall z. ((forall x. forall y. (R(y) -> (P(x) -> Q) -> Q)) -> Q) -> Q"
+    for text in (DERIVABLE_FALSE[1], forced):
+        root = Sequent(Context(), barendregt_rename(parse_formula(text)))
+        engine = _Search()
+        engine.search(SeenSet(entries), root)
+        stats = engine.stats
+        assert stats.visited > stats.max_seen - len(entries) > 3  # deep, and some pops
+        for k in range(2, stats.visited + 1):
+            seen, visits = SeenSet(entries), []
 
-        def hook(s: Sequent) -> None:
-            visits.append(s)
-            if len(visits) == k:
-                raise error(f"visit {k}")
+            def hook(s: Sequent) -> None:
+                visits.append(s)
+                if len(visits) == k:
+                    raise error(f"visit {k}")
 
-        with pytest.raises(error):
-            _Search(on_visit=hook).search(seen, root)
-        assert list(seen.items()) == entries, k
+            with pytest.raises(error):
+                _Search(on_visit=hook).search(seen, root)
+            assert list(seen.items()) == entries, (text, k)
 
 
 def test_search_atom_with_empty_context_fails():
@@ -237,23 +241,31 @@ def _left_nested(n: int) -> str:
     return "(" * (n - 1) + "Q" + " -> Q)" * (n - 1) + " -> Q"
 
 
-@pytest.mark.parametrize("family", [_atom_chain, _left_nested])
+def _right_chain(n: int) -> str:
+    # Q -> ... -> Q with n arrows: n Rimp steps down to one atomic sequent
+    return " -> ".join(["Q"] * (n + 1))
+
+
+@pytest.mark.parametrize("family", [_atom_chain, _left_nested, _right_chain])
 def test_search_takes_one_frame_per_branch_sequent(family):
-    # the frames under the deepest visit, less the sequents on its branch, do
-    # not grow with the input: head selection and rotation add no frame
+    # only atomic sequents take a frame: at every visit, the frames less the
+    # atomic sequents on the branch do not grow with the input, so Rimp and
+    # Rforall steps, head selection and rotation add none
     extra = set()
     for n in (100, 200):
-        deepest = [0]
+        seen, most = SeenSet(), [0]
 
         def hook(s: Sequent) -> None:
             frame, frames = sys._getframe(), 0
             while frame is not None:
                 frame, frames = frame.f_back, frames + 1
-            deepest[0] = max(deepest[0], frames)
+            atomic = sum(isinstance(b.goal, Atom) for b in seen)
+            most[0] = max(most[0], frames - atomic)
 
-        _, stats, _ = derivable(parse_formula(family(n)), on_visit=hook)
-        assert stats.max_seen > n, (n, stats)
-        extra.add(deepest[0] - stats.max_seen)
+        engine = _Search(on_visit=hook)
+        engine.search(seen, Sequent(Context(), barendregt_rename(parse_formula(family(n)))))
+        assert engine.stats.max_seen > n, (n, engine.stats)
+        extra.add(most[0])
     assert len(extra) == 1, extra
 
 
