@@ -76,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # each counter --stats reports, by its JSON key and its text label
 _STATS = {"visited": "visited", "max_seen": "max seen set", "max_depth": "max bracket depth",
           "prunes": "loop-check prunes", "memo_hits": "memo hits"}
+# each failure a query expects, by its stderr word and its exit status
+_EXPECTED = {ParseError: ("parse error", 2), NotPositive: ("error", 2), SearchTimeout: ("timeout", 3)}
 
 
 def run(config: argparse.Namespace) -> int:
@@ -92,15 +94,10 @@ def run(config: argparse.Namespace) -> int:
 
     try:
         report, status = _report(config, text.strip())
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except NotPositive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchTimeout as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_EXPECTED) as exc:
+        word, status = _EXPECTED[type(exc)]
+        print(f"{word}: {exc}", file=sys.stderr)
+        return status
 
     if config.json_out:
         import json
