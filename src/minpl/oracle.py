@@ -39,8 +39,8 @@ class FreshNames:
     never collide with anything the user wrote.
     """
 
-    def __init__(self, start: int = 1):
-        self._numbers = itertools.count(start)
+    def __init__(self):
+        self._numbers = itertools.count(1)
 
     def fresh(self, base: str) -> str:
         return f"{base}#{next(self._numbers)}"

@@ -3,8 +3,8 @@ derivation replay, used by the unit suites and the acceptance gate alike.
 
 Everything here is deliberately written as a separate, simpler route than the
 library code it checks: the rewrite-step enumerator applies the cleaning rules
-literally, replay recomputes premises from scratch, and the scope oracle scans
-quantifier ancestors explicitly.
+literally and the clean form is where its steps end, replay recomputes premises
+from scratch, and the scope oracle scans quantifier ancestors explicitly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 import re
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from hypothesis import strategies as st
 
@@ -125,92 +125,59 @@ def random_context(rng: random.Random, depth_left: int = 3) -> Context:
     return Context(tuple(items))
 
 
-def rewrite_steps(c: Context) -> list[Context]:
+def rewrite_steps(c: Context) -> Iterator[Context]:
     """Every context reachable from ``c`` by one cleaning rule application,
     applied anywhere: collapse a duplicate, drop an empty bracket, or hoist a
     bracketed item with no free variable in the bound set."""
-    out: list[Context] = []
     items = c.items
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             if items[i] == items[j]:
-                out.append(Context(items[:j] + items[j + 1 :]))
+                yield Context(items[:j] + items[j + 1 :])
     for i, item in enumerate(items):
         if not isinstance(item, BracketItem):
             continue
         if not item.content.items:
-            out.append(Context(items[:i] + items[i + 1 :]))
+            yield Context(items[:i] + items[i + 1 :])
         inner = item.content.items
         for k, sub in enumerate(inner):
             if reference_free_vars(sub) & item.bound:
                 continue
             rest = BracketItem(Context(inner[:k] + inner[k + 1 :]), item.bound)
-            out.append(Context(items[:i] + (sub, rest) + items[i + 1 :]))
+            yield Context(items[:i] + (sub, rest) + items[i + 1 :])
         for rewritten in rewrite_steps(item.content):
-            out.append(
-                Context(items[:i] + (BracketItem(rewritten, item.bound),) + items[i + 1 :])
-            )
-    return out
+            yield Context(items[:i] + (BracketItem(rewritten, item.bound),) + items[i + 1 :])
 
 
-def is_clean(c: Context | Item) -> bool:
-    """True iff no cleaning rule applies anywhere in ``c`` and every level is
-    sorted by the canonical item order with no duplicates."""
-    if isinstance(c, FormulaItem):
-        return True
-    if isinstance(c, BracketItem):
-        if not c.content.items:
-            return False
-        if any(not (i.fv & c.bound) for i in c.content.items):
-            return False
-        return is_clean(c.content)
-    keys = [i.key for i in c.items]
-    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-        return False
-    return all(is_clean(i) for i in c.items)
+def sorted_levels(c: Context) -> Context:
+    """``c`` with every level sorted by the canonical item order, duplicates
+    kept: one representative of ``c`` read as nested multisets."""
+    items = (
+        BracketItem(sorted_levels(i.content), i.bound) if isinstance(i, BracketItem) else i
+        for i in c.items
+    )
+    return Context(tuple(sorted(items, key=reference_item_key)))
 
 
-def reference_normalize(c: Context) -> Context:
-    """The cleaner ``normalize`` had before it called ``bracket``: clean a
-    bracket's content, hoist what does not mention its bound set, keep the
-    rest under it if anything, then sort and deduplicate every level."""
-    flat: list[Item] = []
-    for item in c.items:
-        if isinstance(item, FormulaItem):
-            flat.append(item)
-            continue
-        inner = reference_normalize(item.content)
-        kept = tuple(i for i in inner.items if i.fv & item.bound)
-        flat.extend(i for i in inner.items if not i.fv & item.bound)
-        if kept:
-            flat.append(BracketItem(Context(kept), item.bound))
-    return Context(tuple(sorted(set(flat), key=reference_item_key)))
+def clean_form(c: Context) -> Context:
+    """The normal form of ``c`` under the three cleaning rules.  Every level
+    is sorted, so that items equal as nested multisets compare equal, then
+    the first step ``rewrite_steps`` yields is taken until none applies;
+    sorting again may show new duplicates, so this repeats until no step
+    applies to the sorted context.  Cleaning is confluent, so every order of
+    steps ends here."""
+    c = sorted_levels(c)
+    while (step := next(rewrite_steps(c), None)) is not None:
+        while step is not None:
+            c, step = step, next(rewrite_steps(step), None)
+        c = sorted_levels(c)
+    return c
 
 
-def reference_fuse(a: Context, b: Context) -> Context:
-    """Reference for ``fuse`` and ``insert``: walk both clean contexts in key
-    order, keep one of two items with equal keys, and return the other
-    operand itself when one is empty."""
-    ia, ib = a.items, b.items
-    if not ia or not ib:
-        return a if ia else b
-    out: list[Item] = []
-    i = j = 0
-    while i < len(ia) and j < len(ib):
-        ka, kb = ia[i].key, ib[j].key
-        if ka == kb:
-            out.append(ia[i])
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(ia[i])
-            i += 1
-        else:
-            out.append(ib[j])
-            j += 1
-    out.extend(ia[i:])
-    out.extend(ib[j:])
-    return Context(tuple(out))
+def is_clean(c: Context) -> bool:
+    """True iff every level is sorted by the canonical item order and no
+    cleaning rule applies anywhere in ``c``."""
+    return sorted_levels(c) == c and next(rewrite_steps(c), None) is None
 
 
 # ---------------------------------------------------------------------------

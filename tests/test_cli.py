@@ -969,15 +969,19 @@ def test_star_import_binds_every_exported_name():
 MAIN_ONLY = "import sys\nfrom minpl.cli import main\nsys.exit(main())\n"
 
 
+def bare_freeze_count() -> str:
+    """The freeze count of a bare interpreter, which may start with a frozen
+    generation (3.12 does): entry must raise the count past it."""
+    bare = fresh_python("-c", "import gc; print(gc.get_freeze_count())")
+    assert bare.returncode == 0, bare.stderr
+    return bare.stdout.strip()
+
+
 @pytest.mark.parametrize(
     "argv, status",
     [(["decide", "Q -> Q"], 0), (["decide", "Q"], 1), (["decide"], 2), (["normalize", "P"], 0)],
 )
 def test_entry_returns_the_status_of_main_and_freezes(argv, status):
-    # a bare interpreter may start with a frozen generation (3.12 does), so the
-    # baseline is its count, and entry must raise the count past it
-    bare = fresh_python("-c", "import gc; print(gc.get_freeze_count())")
-    assert bare.returncode == 0, bare.stderr
     code = (
         "import gc, sys\n"
         "from minpl.cli import entry\n"
@@ -987,13 +991,14 @@ def test_entry_returns_the_status_of_main_and_freezes(argv, status):
     )
     child = fresh_python("-c", code, *argv)
     assert child.returncode == 0, child.stderr
-    assert child.stderr.splitlines()[-1].split() == [str(status), bare.stdout.strip(), "True"]
+    assert child.stderr.splitlines()[-1].split() == [str(status), bare_freeze_count(), "True"]
 
 
 def test_running_the_module_takes_the_entry():
+    frozen = f"gc.get_freeze_count() > {bare_freeze_count()}"
     code = (
         "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"atexit.register(lambda: print({frozen}, file=sys.stderr))\n"
         "runpy.run_module('minpl.cli', run_name='__main__', alter_sys=True)\n"
     )
     child = fresh_python("-c", code, "decide", "Q -> Q")

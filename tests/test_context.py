@@ -18,16 +18,15 @@ from minpl.context import (
 from minpl.syntax import Node, ParseError, parse_formula
 
 from helpers import (
+    clean_form,
     is_clean,
     left_chain,
     nested_brackets,
     random_context,
     recursion_limit,
     reference_free_vars,
-    reference_fuse,
-    reference_item_key,
-    reference_normalize,
     rewrite_steps,
+    sorted_levels,
 )
 
 
@@ -125,42 +124,40 @@ def test_fuse_disjoint_items_merge_in_order():
     assert [str(i) for i in merged.items] == ["P", "[P(x)]_{x}"]
 
 
-# ``fuse`` is checked against the reference cleaner, since ``normalize`` sorts
-# and deduplicates with the same code as ``fuse``
+# ``fuse``, ``insert`` and ``bracket`` are checked against ``clean_form``, the
+# cleaning rules applied one step at a time, on contexts the rules cleaned
+
+
+def clean(seed: int) -> Context:
+    return clean_form(random_context(random.Random(seed)))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_fuse_equals_normalize_of_union_and_commutes(seed_a, seed_b):
-    a = reference_normalize(random_context(random.Random(seed_a)))
-    b = reference_normalize(random_context(random.Random(seed_b)))
-    union = Context(a.items + b.items)
-    assert fuse(a, b) == reference_normalize(union)
+    a, b = clean(seed_a), clean(seed_b)
+    assert fuse(a, b) == clean_form(Context(a.items + b.items))
     assert fuse(a, b) == fuse(b, a)
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
 def test_fuse_associative(sa, sb, sc):
-    a = reference_normalize(random_context(random.Random(sa)))
-    b = reference_normalize(random_context(random.Random(sb)))
-    c = reference_normalize(random_context(random.Random(sc)))
+    a, b, c = clean(sa), clean(sb), clean(sc)
     assert fuse(fuse(a, b), c) == fuse(a, fuse(b, c))
 
 
-# ``fuse`` and ``insert`` are checked against a plain sorted merge, on clean
-# contexts of formula and bracket items that share some of their items
-
-
+# on contexts of formula and bracket items that share some of their items
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_fuse_and_insert_equal_the_reference_merge(seed_a, seed_b):
+def test_fuse_and_insert_equal_the_clean_form(seed_a, seed_b):
     rng = random.Random(seed_b)
-    a = reference_normalize(random_context(random.Random(seed_a)))
+    a = clean(seed_a)
     shared = tuple(i for i in a.items if rng.random() < 0.5)
-    b = reference_normalize(Context(random_context(rng).items + shared))
+    b = clean_form(Context(random_context(rng).items + shared))
     for x, y in ((a, b), (b, a), (a, a), (a, Context()), (Context(), b)):
-        assert fuse(x, y) == reference_fuse(x, y)
-        assert str(fuse(x, y)) == str(reference_fuse(x, y))
+        expected = clean_form(Context(x.items + y.items))
+        assert fuse(x, y) == expected
+        assert str(fuse(x, y)) == str(expected)
     for i in a.items + b.items:
-        expected = reference_fuse(a, Context((i,)))
+        expected = clean_form(Context(a.items + (i,)))
         assert insert(a, i) == expected
         assert str(insert(a, i)) == str(expected)
         assert is_clean(insert(a, i))
@@ -168,13 +165,20 @@ def test_fuse_and_insert_equal_the_reference_merge(seed_a, seed_b):
 
 @given(st.integers(0, 10_000))
 def test_insert_returns_the_context_itself_when_the_item_is_there(seed):
-    a = reference_normalize(random_context(random.Random(seed)))
+    a = clean(seed)
     for i in a.items:
         assert insert(a, i) is a
         # an equal item built apart, through the constructor, is found as well
         rebuilt = copy.copy(i)
         assert rebuilt is not i and insert(a, rebuilt) is a
 
+
+@given(st.integers(0, 10_000), st.sampled_from(({"x"}, {"y", "z"}, {"x", "y"})))
+def test_bracket_equals_the_clean_form_of_one_bracket(seed, bound):
+    c, v = clean(seed), frozenset(bound)
+    expected = clean_form(Context((BracketItem(c, v),)))
+    assert bracket(c, v) == expected
+    assert str(bracket(c, v)) == str(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +249,10 @@ def test_normalize_properties(seed):
     assert reference_free_vars(normal) == reference_free_vars(c)
 
 
-def test_normalize_equals_the_cleaner_without_bracket():
+def test_normalize_equals_the_clean_form():
     for seed in range(3_000):
         c = random_context(random.Random(seed))
-        normal, reference = normalize(c), reference_normalize(c)
+        normal, reference = normalize(c), clean_form(c)
         assert normal == reference and str(normal) == str(reference), seed
 
 
@@ -257,16 +261,6 @@ def test_every_rewrite_step_strictly_decreases_measure(seed):
     c = random_context(random.Random(seed))
     for step in rewrite_steps(c):
         assert measure(step) < measure(c)
-
-
-def sorted_levels(c: Context) -> Context:
-    """``c`` with every level sorted by the canonical item order, duplicates
-    kept: one representative of ``c`` read as nested multisets."""
-    items = (
-        BracketItem(sorted_levels(i.content), i.bound) if isinstance(i, BracketItem) else i
-        for i in c.items
-    )
-    return Context(tuple(sorted(items, key=reference_item_key)))
 
 
 def test_cleaning_is_confluent():

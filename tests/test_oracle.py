@@ -87,8 +87,10 @@ def test_flatten_is_identity_without_brackets():
 def test_flattenings_with_different_counters_are_renamings():
     ctx = normalize(parse_context("[P(x) -> P(y)]_{x,y}, [P(x)]_{x}, Q -> P(z)"))
     s = Sequent(ctx, parse_formula("P(z)"))
-    one = flatten(s, FreshNames(start=1))
-    other = flatten(s, FreshNames(start=41))
+    later = FreshNames()
+    for _ in range(40):
+        later.fresh("w")
+    one, other = flatten(s, FreshNames()), flatten(s, later)
     assert one != other
     assert renaming_bijection(one, other)
 
