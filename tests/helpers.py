@@ -4,7 +4,8 @@ derivation replay, used by the unit suites and the acceptance gate alike.
 Everything here is deliberately written as a separate, simpler route than the
 library code it checks: the rewrite-step enumerator applies the cleaning rules
 literally and the clean form is where its steps end, replay recomputes premises
-from scratch, and the scope oracle scans quantifier ancestors explicitly.
+from scratch, and the structural references (binders, pieces, scope tables)
+read the nodes that ``subnodes`` walks, not the fields the nodes stored.
 """
 
 from __future__ import annotations
@@ -384,84 +385,62 @@ def reference_depth(c: Context) -> int:
 
 
 def subnodes(x):
-    """``x`` and every term, formula, item and context below it."""
-    yield x
-    if isinstance(x, Sequent):
-        children = (x.context, x.goal)
-    elif isinstance(x, Context):
-        children = x.items
-    elif isinstance(x, FormulaItem):
-        children = (x.formula,)
-    elif isinstance(x, BracketItem):
-        children = (x.content,)
-    elif isinstance(x, Imp):
-        children = (x.left, x.right)
-    elif isinstance(x, Forall):
-        children = (x.body,)
-    else:
-        children = x.args if isinstance(x, Func) else getattr(x, "terms", ())
-    for child in children:
-        yield from subnodes(child)
+    """``x`` and every term, formula, item and context below it, in
+    pre-order, left to right: a loop on a stack, so any depth walks."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Sequent):
+            children = (x.context, x.goal)
+        elif isinstance(x, Context):
+            children = x.items
+        elif isinstance(x, FormulaItem):
+            children = (x.formula,)
+        elif isinstance(x, BracketItem):
+            children = (x.content,)
+        elif isinstance(x, Imp):
+            children = (x.left, x.right)
+        elif isinstance(x, Forall):
+            children = (x.body,)
+        else:
+            children = x.args if isinstance(x, Func) else getattr(x, "terms", ())
+        stack.extend(reversed(children))
 
 
 # ---------------------------------------------------------------------------
-# Independent scope oracle: explicit quantifier-ancestor scan
+# Structural helpers, each read off ``subnodes``
 
 
-def scope_table_bruteforce(f: Formula) -> tuple[dict[str, frozenset[str]], int]:
-    scopes: dict[str, set[str]] = {}
-    max_depth = 0
-
-    def walk(g: Formula, ancestors: tuple[str, ...]) -> None:
-        nonlocal max_depth
-        if isinstance(g, Atom):
-            return
-        if isinstance(g, Imp):
-            walk(g.left, ancestors)
-            walk(g.right, ancestors)
-            return
-        scopes.setdefault(g.var, set()).add(g.var)
-        for a in ancestors:
-            scopes[a].add(g.var)
-        max_depth = max(max_depth, len(ancestors) + 1)
-        walk(g.body, ancestors + (g.var,))
-
-    walk(f, ())
-    return {x: frozenset(v) for x, v in scopes.items()}, max_depth
+def binders(f: Formula) -> list[Forall]:
+    """The binders of ``f``, its ``Forall`` nodes, in pre-order."""
+    return [g for g in subnodes(f) if isinstance(g, Forall)]
 
 
-# ---------------------------------------------------------------------------
-# Structural helpers
+def bound_vars(f: Formula) -> tuple[str, ...]:
+    """All variables bound anywhere in ``f``, in left-to-right binder order;
+    duplicate-free exactly when ``f`` satisfies the Barendregt condition."""
+    return tuple(g.var for g in binders(f))
+
+
+def stored_scopes(f: Formula) -> dict[str, frozenset[str]]:
+    """The scope each binder of ``f`` stored when it was built, keyed by its
+    name in binder pre-order; for renamed formulas, whose binders are apart."""
+    return {g.var: g.scope for g in binders(f)}
 
 
 def position_formulas(f: Formula) -> list[Formula]:
-    """The formula at every tree position, as a list (duplicates kept)."""
-    out = [f]
-    if isinstance(f, Imp):
-        out += position_formulas(f.left) + position_formulas(f.right)
-    elif isinstance(f, Forall):
-        out += position_formulas(f.body)
-    return out
+    """The formula at every tree position in pre-order (duplicates kept)."""
+    return [g for g in subnodes(f) if isinstance(g, Formula)]
 
 
 def context_formulas(x: Context | Item) -> list[Formula]:
-    """Every formula anywhere in a context, at any bracket depth."""
-    if isinstance(x, Context):
-        out: list[Formula] = []
-        for item in x.items:
-            out += context_formulas(item)
-        return out
-    if isinstance(x, FormulaItem):
-        return [x.formula]
-    return context_formulas(x.content)
+    """Every formula item's formula anywhere in a context, at any bracket depth."""
+    return [i.formula for i in subnodes(x) if isinstance(i, FormulaItem)]
 
 
 def connectives(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Imp):
-        return 1 + connectives(f.left) + connectives(f.right)
-    return 1 + connectives(f.body)
+    return sum(isinstance(g, (Imp, Forall)) for g in subnodes(f))
 
 
 def debruijn(f: Formula, env: tuple[str, ...] = ()):
@@ -686,25 +665,6 @@ def reference_print_type(t: Formula) -> str:
     return f"forall {t.var}. {body}"
 
 
-def reference_pos_neg(f: Formula) -> tuple[bool, bool]:
-    """Whether ``f`` is positive and whether it is negative, walked afresh:
-    the spine walk that computed ``polarity`` before formulas stored it."""
-    # loop down the right spine; only antecedents recurse
-    spine = []
-    while not isinstance(f, Atom):
-        spine.append(f)
-        f = f.right if isinstance(f, Imp) else f.body
-    pos = neg = True
-    for g in reversed(spine):
-        if isinstance(g, Imp):
-            lpos, lneg = reference_pos_neg(g.left)
-            pos, neg = lneg and pos, lpos and neg
-        else:
-            # a universally quantified formula is never negative
-            neg = False
-    return pos, neg
-
-
 def reference_polarity(x: Formula) -> Polarity:
     """Polarity by the plain recursive induction."""
 
@@ -721,56 +681,6 @@ def reference_polarity(x: Formula) -> Polarity:
     if pos and neg:
         return Polarity.BOTH
     return Polarity.POSITIVE if pos else Polarity.NEGATIVE if neg else Polarity.NEITHER
-
-
-def _binders(f: Formula) -> list[Forall]:
-    """The binders of ``f``, its ``Forall`` nodes, in pre-order: a loop down
-    left spines and binder prefixes, where right operands with binders wait on
-    a stack and a subtree without binders is never entered."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        while g.nbinders:
-            if isinstance(g, Imp):
-                if g.right.nbinders:
-                    stack.append(g.right)
-                g = g.left
-            else:
-                out.append(g)
-                g = g.body
-    return out
-
-
-def bound_vars(f: Formula) -> tuple[str, ...]:
-    """All variables bound anywhere in ``f``, in left-to-right binder order, by
-    a loop over its binders; duplicate-free exactly when ``f`` satisfies the
-    Barendregt condition."""
-    return tuple(g.var for g in _binders(f))
-
-
-def stored_scopes(f: Formula) -> dict[str, frozenset[str]]:
-    """The scope each binder of ``f`` stored when it was built, keyed by its
-    name in binder pre-order; for renamed formulas, whose binders are apart."""
-    return {g.var: g.scope for g in _binders(f)}
-
-
-def reference_bound_vars(f: Formula) -> tuple[str, ...]:
-    """Binders in left-to-right order, by the recursion ``bound_vars`` replaced."""
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, Imp):
-        return reference_bound_vars(f.left) + reference_bound_vars(f.right)
-    return (f.var,) + reference_bound_vars(f.body)
-
-
-def reference_pieces(f: Formula) -> frozenset[Formula]:
-    """The pieces of ``f``, by the recursion ``pieces`` replaced."""
-    out = {f}
-    if isinstance(f, Imp):
-        out |= reference_pieces(f.left) | reference_pieces(f.right)
-    elif isinstance(f, Forall):
-        out |= reference_pieces(f.body)
-    return frozenset(out)
 
 
 class ScopeTable(NamedTuple):
@@ -799,8 +709,9 @@ def nested_brackets(n: int, kind: str) -> tuple[str, str]:
 
 @contextmanager
 def recursion_limit(limit: int):
-    """Run a recursive reference on deep input under ``limit``, then put the
-    interpreter's limit back as it was."""
+    """Run the block under the recursion limit ``limit``, then put the
+    interpreter's limit back as it was: at 1,000, the default, it shows that
+    library code walks deep input without a frame per level."""
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -810,19 +721,12 @@ def recursion_limit(limit: int):
 
 
 def reference_scope_table(f: Formula) -> ScopeTable:
-    """The scope table of a renamed ``f``, by a recursion over the whole tree
-    that collects each binder's bound variables afresh."""
-    scopes: dict[str, frozenset[str]] = {}
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return 0
-        if isinstance(g, Imp):
-            return max(walk(g.left), walk(g.right))
-        scopes[g.var] = frozenset(bound_vars(g))
-        return 1 + walk(g.body)
-
-    return ScopeTable(scopes, walk(f))
+    """The scope table of a renamed ``f``: each binder's bound variables
+    collected afresh, and as depth the most binders whose scopes hold one
+    binder, the binders on its chain."""
+    scopes = {g.var: frozenset(bound_vars(g)) for g in binders(f)}
+    depth = max((sum(x in s for s in scopes.values()) for x in scopes), default=0)
+    return ScopeTable(scopes, depth)
 
 
 def reference_audit(seq: Sequent, root: Formula) -> list[str]:
@@ -830,7 +734,7 @@ def reference_audit(seq: Sequent, root: Formula) -> list[str]:
     before its loop: a recursion over the reference scope table that maps each
     bracket subscript to the binder whose scope set it is, and tests a directly
     nested bracket's binder for membership in the enclosing binder's scope."""
-    piece_set, table = reference_pieces(root), reference_scope_table(root)
+    piece_set, table = frozenset(position_formulas(root)), reference_scope_table(root)
     subscript_binder = {v: x for x, v in table.scopes.items()}
     violations: list[str] = []
 
@@ -864,7 +768,7 @@ def random_bracket_sequent(rng: random.Random, root: Formula) -> Sequent:
     over pieces of ``root`` and now and then a foreign formula.  Most
     subscripts are scope sets of ``root``; the rest are other sets of its
     binders, and a few name a foreign variable."""
-    formulas = sorted(map(print_formula, reference_pieces(root)))
+    formulas = sorted(set(map(print_formula, position_formulas(root))))
     table = reference_scope_table(root)
     scopes = [sorted(v) for v in table.scopes.values()]
     binders = sorted(table.scopes)
