@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .syntax import Formula, Node, _NO_VARS, _TokenStream, _fv_of, _hash_of, _new
-from .syntax import _parse_atom, _parse_spine, decompose, print_formula
+from .syntax import _parse_spine, decompose, print_formula
 
 _key, _depth = attrgetter("key"), attrgetter("depth")
 # a context's hash is the sum of its items' hashes, kept below this mask
@@ -229,7 +229,7 @@ def parse_context(text: str) -> Context:
             stack.append(items)
             items = []
         if items or not stack or ts.peek() != "]":  # else a bracket closes empty
-            items.append(FormulaItem(_parse_spine(ts, _parse_atom)))
+            items.append(FormulaItem(_parse_spine(ts)))
         while stack and ts.peek() != ",":
             for token in "]_{":
                 ts.expect(token)
@@ -243,5 +243,4 @@ def parse_context(text: str) -> Context:
         if ts.peek() != ",":
             break
         ts.index += 1
-    ts.finish()
-    return Context(tuple(items))
+    return ts.finish(Context(tuple(items)))

@@ -264,7 +264,7 @@ def derivable(
     deadline = None if timeout is None else time.monotonic() + timeout
     engine = _Search(deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
-    derivation = engine.search(SeenSet(), Sequent(_EMPTY, renamed))
+    derivation = engine.search(SeenSet(), _sequent(Sequent, _EMPTY, renamed))
     engine.stats.elapsed = time.monotonic() - start
     return derivation is not None, engine.stats, derivation
 

@@ -146,6 +146,9 @@ class Polarity(Enum):
 
 # a formula's ``pol`` has bit 0 set when it is positive and bit 1 when negative
 _POLARITIES = (Polarity.NEITHER, Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.BOTH)
+# an implication's ``pol``, by its operands': positive when the antecedent is negative
+# and the consequent positive, negative when the antecedent is positive and the consequent negative
+_IMP_POL = tuple(tuple(a >> 1 & c & 1 | a << 1 & c & 2 for c in range(4)) for a in range(4))
 
 
 class Formula(Node):
@@ -160,9 +163,10 @@ class Atom(Formula):
 
     def __new__(cls, pred: str, terms: tuple[Term, ...] = ()) -> Atom:
         self = _new(cls._twin)
-        self.pred, self.terms, self.pol, self.nbinders = pred, terms, 3, 0
-        self._hash = hash((pred, *map(_hash_of, terms)))
-        self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
+        self.pred, self.terms, self.pol, self.nbinders, self.fv = pred, terms, 3, 0, _NO_VARS
+        self._hash = hash((pred, *map(_hash_of, terms))) if terms else hash((pred,))
+        if terms:  # else a propositional atom
+            self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
         self.__class__ = cls
         return self
 
@@ -175,10 +179,7 @@ class Imp(Formula):
         self.left, self.right, self._hash = left, right, hash((left._hash, right._hash))
         lfv, rfv = left.fv, right.fv
         self.fv = rfv if rfv >= lfv else lfv if lfv >= rfv else lfv | rfv
-        # positive when the antecedent is negative and the consequent positive,
-        # negative when the antecedent is positive and the consequent negative
-        lpol, rpol = left.pol, right.pol
-        self.pol = lpol >> 1 & rpol & 1 | lpol << 1 & rpol & 2
+        self.pol = _IMP_POL[left.pol][right.pol]
         self.nbinders = left.nbinders + right.nbinders
         self.__class__ = cls
         return self
@@ -199,7 +200,8 @@ class Forall(Formula):
         # a universally quantified formula is never negative
         self.pol = body.pol & 1
         self.nbinders = body.nbinders + 1
-        self.scope = frozenset((var,)).union(*map(_scope_of, _outermost(body)))
+        scope = frozenset((var,))
+        self.scope = scope.union(*map(_scope_of, _outermost(body))) if body.nbinders else scope
         self.__class__ = cls
         return self
 
@@ -286,7 +288,7 @@ def barendregt_rename(f: Formula) -> Formula:
     its outermost binders' scopes tells; otherwise every subtree with nothing
     renamed in it is returned as it is.
     """
-    names = _NO_VARS.union(*map(_scope_of, _outermost(f)))
+    names = _NO_VARS.union(*map(_scope_of, _outermost(f))) if f.nbinders else _NO_VARS
     if len(names) == f.nbinders and f.fv.isdisjoint(names):
         return f
     used = set(f.fv)
@@ -354,69 +356,30 @@ class _TokenStream:
         return len(self.text) if found is None else found.start()
 
     def expect(self, token: str) -> None:
-        got = self.peek()
+        got = self.tokens[self.index]
         if got != token:
             found = "end of input" if got is None else repr(got)
             raise ParseError(f"expected {token!r}, found {found}", self.position())
         self.index += 1
 
     def ident(self) -> str:
-        got = self.peek()
+        got = self.tokens[self.index]
         if got is None or got[0] not in _IDENT_START or got == "forall":
             found = "end of input" if got is None else repr(got)
             raise ParseError(f"expected an identifier, found {found}", self.position())
         self.index += 1
         return got
 
-    def finish(self) -> None:
+    def finish(self, parsed):  # parsed, once no input is left after it
         if self.peek() is not None:
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
-
-
-def _parse_spine(ts: _TokenStream, atom):
-    """The ``formula`` rule of the grammar above, over the given atoms,
-    without recursion: the binders and antecedents of the current spine wait
-    on ``spine``, every open parenthesis keeps the spine it interrupted on
-    ``stack``, and a finished spine folds from the right into ``Forall`` and
-    ``Imp`` nodes.  ``atom(ts, name, i)`` returns the atom whose identifier
-    ``name`` ends before token ``i``, and the index after it."""
-    toks, i = ts.tokens, ts.index
-    stack, spine = [], []
-    while True:
-        tok = toks[i]
-        if tok == "forall":
-            spine.append(ts.at(i + 1).ident())
-            ts.expect(".")
-            i = ts.index
-            continue
-        if tok == "(":
-            stack.append(spine)
-            spine = []
-            i += 1
-            continue
-        if tok is None or tok[0] not in _IDENT_START:
-            ts.at(i).ident()
-        x, i = atom(ts, tok, i + 1)
-        while toks[i] != "->":
-            for step in reversed(spine):
-                x = _forall(Forall, step, x) if isinstance(step, str) else _imp(Imp, step, x)
-            if not stack:
-                ts.index = i
-                return x
-            if toks[i] != ")":
-                ts.at(i).expect(")")
-            i += 1
-            spine = stack.pop()
-        i += 1
-        spine.append(x)
+        return parsed
 
 
 def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
-    """The atom ``pred``, whose argument list opens at token ``i`` if it has
-    one, and the index after it; each open application waits on ``stack``."""
+    """The atom ``pred``, whose argument list opens at token ``i``, and the
+    index after it; each open application waits on ``stack``."""
     toks, atoms = ts.tokens, ts.atoms
-    if toks[i] != "(":
-        return atoms.get(pred) or atoms.setdefault(pred, _atom(Atom, pred)), i
     start, stack, name, args = i - 1, [], pred, []
     while True:  # token i is the "(" or "," before the next term
         tok = toks[i + 1]
@@ -442,12 +405,53 @@ def _parse_atom(ts: _TokenStream, pred: str, i: int) -> tuple[Atom, int]:
             name, args = stack.pop()
 
 
+def _parse_spine(ts: _TokenStream, bare=lambda name: _atom(Atom, name), applied=_parse_atom):
+    """The ``formula`` rule of the grammar above, over the given atoms,
+    without recursion: the binders and antecedents of the current spine wait
+    on ``spine``, every open parenthesis keeps the spine it interrupted on
+    ``stack``, and a finished spine folds from the right into ``Forall`` and
+    ``Imp`` nodes.  A name's atom is ``bare(name)``, kept in ``ts.atoms``, or if ``(``
+    follows at token ``i``, ``applied(ts, name, i)``, which also returns the index after it."""
+    toks, i, atoms = ts.tokens, ts.index, ts.atoms
+    stack, spine = [], []
+    while True:
+        tok = toks[i]
+        if tok == "forall":
+            var = toks[i + 1]  # only a malformed binder goes through the checks, which raise
+            if var is None or var[0] not in _IDENT_START or var == "forall" or toks[i + 2] != ".":
+                ts.at(i + 1).ident()
+                ts.expect(".")
+            spine.append(var)
+            i += 3
+        elif tok == "(":
+            stack.append(spine)
+            spine = []
+            i += 1
+        else:
+            if tok is None or tok[0] not in _IDENT_START:
+                ts.at(i).ident()
+            if toks[i + 1] != "(" or applied is None:
+                x, i = atoms.get(tok) or atoms.setdefault(tok, bare(tok)), i + 1
+            else:
+                x, i = applied(ts, tok, i + 1)
+            while toks[i] != "->":
+                for step in reversed(spine):
+                    x = _forall(Forall, step, x) if isinstance(step, str) else _imp(Imp, step, x)
+                if not stack:
+                    ts.index = i
+                    return x
+                if toks[i] != ")":
+                    ts.at(i).expect(")")
+                i += 1
+                spine = stack.pop()
+            i += 1
+            spine.append(x)
+
+
 def parse_formula(text: str) -> Formula:
     """Parse a formula; see the grammar above for the concrete syntax."""
     ts = _TokenStream(text)
-    f = _parse_spine(ts, _parse_atom)
-    ts.finish()
-    return f
+    return ts.finish(_parse_spine(ts))
 
 
 def print_formula(f: Formula) -> str:

@@ -50,11 +50,8 @@ def inhabited(
 
 def parse_type(text: str) -> Formula:
     """The translation of the type ``text``, with one ``eps(X)`` atom per name."""
-    ts = _TokenStream(text)
-    tv = ts.atoms  # the parse's eps(X) atoms, keyed by X
-    t = _parse_spine(ts, lambda ts, x, i: (tv.get(x) or tv.setdefault(x, Atom(EPS, (Var(x),))), i))
-    ts.finish()
-    return t
+    ts = _TokenStream(text)  # its atoms: the eps(X) atoms, keyed by X
+    return ts.finish(_parse_spine(ts, lambda x: Atom(EPS, (Var(x),)), None))
 
 
 def print_type(t: Formula) -> str:

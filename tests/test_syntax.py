@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -189,6 +190,14 @@ def test_equal_nullary_atoms_of_one_parse_are_one_object(text):
     assert_nullary_atoms_shared(parse_formula(text))
 
 
+def test_equal_atoms_and_variables_of_one_parse_are_one_object_on_generated_input(corpus):
+    for f in corpus[:500]:
+        text = print_formula(f)
+        for parsed in (parse_formula(text), parse_context(text)):
+            assert_nullary_atoms_shared(parsed)
+            assert_atoms_and_vars_shared(parsed)
+
+
 def test_equal_nullary_atoms_of_one_context_parse_are_one_object():
     c = parse_context("Q, Q -> R, [forall y. P(y) -> Q]_{x}, [[R -> Q]_{y}]_{x}")
     assert_nullary_atoms_shared(c)
@@ -345,6 +354,28 @@ def test_stored_polarity_and_binder_count_on_published_and_generated_formulas(co
     published += [parse_type(text) for text in types]
     for f in published + list(corpus):
         assert_stored_analyses_match_the_references(f)
+
+
+# one formula of each polarity class
+POLARITY_CLASSES = {
+    Polarity.BOTH: "Q",
+    Polarity.POSITIVE: "forall x. P(x)",
+    Polarity.NEGATIVE: "(forall x. P(x)) -> Q",
+    Polarity.NEITHER: "(forall x. P(x)) -> forall y. Q",
+}
+
+
+def test_polarity_of_each_pair_of_operand_classes_matches_recursive_reference():
+    """Every entry of the rule that builds ``pol``: an implication over each
+    ordered pair of classes, and a universal over each class."""
+    samples = [parse_formula(text) for text in POLARITY_CLASSES.values()]
+    assert [polarity(f) for f in samples] == list(POLARITY_CLASSES)
+    for left, right in itertools.product(samples, repeat=2):
+        f = Imp(left, right)
+        assert polarity(f) == reference_polarity(f), str(f)
+    for body in samples:
+        f = Forall("z", body)
+        assert polarity(f) == reference_polarity(f), str(f)
 
 
 def test_polarity_neither():

@@ -56,6 +56,15 @@ EDGE_CASES = [
     "forall x.",
     "(P -> Q",
     "P -> Q)",
+    # a name the atom table already holds, used again applied or before trailing input
+    "Q -> Q(x) -> Q",
+    "P(x) -> P -> P(x)",
+    "Q -> Q Q",
+    "X -> X(y)",
+    # binders that are not "forall" IDENT "."
+    "forall x P(x)",
+    "forall . Q",
+    "forall x, y. Q",
     LONG,
     LONG.replace("é", "( P"),
     WIDE,
