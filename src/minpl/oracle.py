@@ -120,6 +120,10 @@ def generate_positive(seed: int, size: int, quantifier_depth: int) -> Formula:
             return Atom(rng.choice(_UNARY), (Var(rng.choice(scope)),))
         return Atom(rng.choice(_NULLARY))
 
+    def imp(left, right, budget: int, qd: int, scope: list[str]) -> Formula:
+        left_budget = rng.randint(0, budget - 1)  # the rest, less this node, goes right
+        return Imp(left(left_budget, qd, scope), right(budget - 1 - left_budget, qd, scope))
+
     def gen_pos(budget: int, qd: int, scope: list[str]) -> Formula:
         if budget <= 0:
             return atom(scope)
@@ -128,20 +132,12 @@ def generate_positive(seed: int, size: int, quantifier_depth: int) -> Formula:
             v = f"x{next(binder)}"
             return Forall(v, gen_pos(budget - 1, qd - 1, scope + [v]))
         if r < 0.9:
-            left_budget = rng.randint(0, budget - 1)
-            return Imp(
-                gen_neg(left_budget, qd, scope),
-                gen_pos(budget - 1 - left_budget, qd, scope),
-            )
+            return imp(gen_neg, gen_pos, budget, qd, scope)
         return atom(scope)
 
     def gen_neg(budget: int, qd: int, scope: list[str]) -> Formula:
         if budget <= 0 or rng.random() < 0.3:
             return atom(scope)
-        left_budget = rng.randint(0, budget - 1)
-        return Imp(
-            gen_pos(left_budget, qd, scope),
-            gen_neg(budget - 1 - left_budget, qd, scope),
-        )
+        return imp(gen_pos, gen_neg, budget, qd, scope)
 
     return gen_pos(size - 1, quantifier_depth, [])

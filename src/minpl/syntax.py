@@ -163,10 +163,12 @@ class Atom(Formula):
 
     def __new__(cls, pred: str, terms: tuple[Term, ...] = ()) -> Atom:
         self = _new(cls._twin)
-        self.pred, self.terms, self.pol, self.nbinders, self.fv = pred, terms, 3, 0, _NO_VARS
-        self._hash = hash((pred, *map(_hash_of, terms))) if terms else hash((pred,))
-        if terms:  # else a propositional atom
+        self.pred, self.terms, self.pol, self.nbinders = pred, terms, 3, 0
+        if terms:
+            self._hash = hash((pred, *map(_hash_of, terms)))
             self.fv = terms[0].fv if len(terms) == 1 else _NO_VARS.union(*map(_fv_of, terms))
+        else:  # a propositional atom
+            self._hash, self.fv = hash((pred,)), _NO_VARS
         self.__class__ = cls
         return self
 
@@ -370,7 +372,8 @@ class _TokenStream:
         self.index += 1
         return got
 
-    def finish(self, parsed):  # parsed, once no input is left after it
+    def finish(self, parsed: Node) -> Node:
+        """``parsed``, once no input is left after it."""
         if self.peek() is not None:
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.position())
         return parsed

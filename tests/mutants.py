@@ -1,15 +1,13 @@
 """A catalogue of mutants: small faults planted in the library, each with the
 tests expected to catch it, and a runner that checks that they still do.
 
-    python tests/mutants.py [--rev REV] [NAME ...]
+    python tests/mutants.py [NAME ...]
 
-For each named mutant (all of them by default) the runner exports ``REV``
-(``HEAD`` by default) with ``git archive`` into a temporary directory, makes
-the one replacement there, and runs the mutant's tests with ``-x``; if they
-all pass, it runs the whole tier-1 suite.  It prints one line per mutant:
-killed, with the first failing test, or survived.  It exits 1 if a mutant
-survived or did not apply.  ``--rev $(git stash create)`` checks the tracked
-files of the working tree, staged new files included, without changing it.
+For each named mutant (all of them by default) the runner exports ``HEAD``
+with ``git archive`` into a temporary directory, makes the one replacement
+there, and runs the mutant's tests with ``-x``; if they all pass, it runs the
+whole tier-1 suite.  It prints one line per mutant: killed, with the first
+failing test, or survived.  It exits 1 if a mutant survived or did not apply.
 
 Pytest does not collect this file.  ``test_mutants.py`` checks only that each
 entry's text occurs exactly once in its file, so the catalogue cannot rot
@@ -84,9 +82,9 @@ def _pytest(cwd: str, *args: str) -> tuple[int, str]:
     return done.returncode, (failed or lines or [""])[0 if failed else -1]
 
 
-def run(mutant: Mutant, rev: str) -> bool:
-    """Apply ``mutant`` to a copy of ``rev`` and report whether the tests kill it."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+def run(mutant: Mutant) -> bool:
+    """Apply ``mutant`` to a copy of ``HEAD`` and report whether the tests kill it."""
+    archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -112,14 +110,13 @@ def run(mutant: Mutant, rev: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="the revision to mutate (default HEAD)")
     parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default all)")
     config = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [name for name in config.names if name not in by_name]
     if unknown:
         parser.error(f"unknown mutant {', '.join(unknown)}; known: {', '.join(by_name)}")
-    results = [run(by_name[name], config.rev) for name in config.names or by_name]
+    results = [run(by_name[name]) for name in config.names or by_name]
     return 0 if all(results) else 1
 
 
