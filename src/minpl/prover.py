@@ -6,16 +6,16 @@ an implication goal moves its antecedent into the context.  Neither step has a
 choice, so they are walked in a loop; only an atomic goal branches, picking a
 head formula, possibly from inside nested brackets, rotating the brackets so
 the head surfaces while everything that used to be outside them moves inside.
-Contexts stay canonical throughout, so pruning any branch that repeats a
-sequent is a plain membership test, and that pruning alone makes it terminate.
+Contexts stay canonical throughout, so pruning a branch that repeats an atomic
+sequent is a plain membership test; a forced step that repeats leads to one,
+and that pruning alone makes it terminate.
 
-Within a query a success is stored when no prune in its subtree hit an
-ancestor: it is then what the search finds from an empty branch, and by
-monotonicity of the loop check the same search reproduces it under any branch
-holding none of its sequents, which is when it is reused.  Verdicts and
-derivations are those of the plain search; only the visits drop.  A reused
-success is shared, so the sequent set of the check is collected over distinct
-derivation nodes, and a set already collected is taken whole.
+Within a query a success at an atomic sequent is stored when no prune in its
+subtree hit an ancestor: it is then what the search finds from an empty
+branch, and by monotonicity of the loop check the same search reproduces it
+under any branch holding none of its sequents, which is when it is reused.
+Verdicts and derivations are those of the plain search that prunes every
+repeated sequent; only the visits differ.
 
 Every formula a search puts into a sequent is a piece of the renamed input,
 whose binders are apart: a universal goal brackets the context with the scope
@@ -86,8 +86,8 @@ class Sequent(Node):
 
 
 class SeenSet(dict):
-    """The sequents on the current branch, each mapped to its depth there (-1
-    for a caller's).  The search pushes a sequent on entry and pops it on any exit
+    """The atomic sequents on the current branch, each mapped to its depth there
+    (-1 for a caller's).  The search pushes one on entry and pops it on any exit
     with ``popitem``, which hashes nothing, so siblings never see each other's."""
 
 
@@ -155,10 +155,11 @@ class _Search:
     """One query's search: it owns its counters, ``stats``, and holds the deadline,
     success cache and items.  ``low`` is the shallowest branch depth a prune hit below.
 
-    ``search`` walks ``Rimp``/``Rforall`` steps in a loop: a frame per atomic sequent.
-    There it tries the heads it can reach in canonical order, outer level first, and
-    enters a bracket whose bound set misses the goal's free variables, rebracketing all
-    outside it (the level's ``outside`` and the bracket's siblings) with that set; first wins."""
+    ``search`` walks ``Rimp``/``Rforall`` steps in a loop, and checks, enters and stores
+    only the atomic sequent, in a frame of its own.  There it tries the heads it can reach
+    in canonical order, outer level first, and enters a bracket whose bound set misses the
+    goal's free variables, rebracketing all outside it (the level's ``outside`` and the
+    bracket's siblings) with that set; first wins."""
 
     def __init__(
         self,
@@ -174,36 +175,37 @@ class _Search:
         self.items: dict[Formula, FormulaItem] = {}  # a hypothesis's item, once per query
 
     def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
-        stats, memo, found, base, outer_low = self.stats, self.memo, None, len(seen), self.low
-        try:
-            while True:  # enter seq; a one-premise rule goes on to its premise
+        stats, memo, hyps, spine, outer_low = self.stats, self.memo, self.items, [], self.low
+        while True:  # enter seq; a forced Rimp/Rforall step goes on to its premise
+            if isinstance(goal := seq.goal, Atom):  # the loop check, where the search branches
                 if seq in seen:
                     stats.prunes += 1
                     self.low = min(self.low, seen[seq])
-                    break
+                    return None
                 if memo and (stored := memo.get(seq)) and seen.keys().isdisjoint(stored.sequents):
                     stats.memo_hits += 1
                     found = stored
                     break
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    raise SearchTimeout(f"no verdict in {stats.visited} visits before the deadline")
-                self.low = seen[seq] = len(seen)
-                stats.visited += 1
-                if len(seen) > stats.max_seen:
-                    stats.max_seen = len(seen)
-                if seq.context.depth > stats.max_depth:
-                    stats.max_depth = seq.context.depth
-                if self.on_visit is not None:
-                    self.on_visit(seq)
-                if isinstance(goal := seq.goal, Imp):
-                    hyp, items = goal.left, self.items
-                    item = items.get(hyp) or items.setdefault(hyp, FormulaItem(hyp))
-                    seq = _sequent(Sequent, insert(seq.context, item), goal.right)
-                    continue
-                if isinstance(goal, Forall):
-                    seq = _sequent(Sequent, bracket(seq.context, goal.scope), goal.body)
-                    continue
-                key, levels = goal._hash, [(seq.context, _EMPTY, (), 0)]
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout(f"no verdict in {stats.visited} visits before the deadline")
+            stats.visited += 1
+            if seq.context.depth > stats.max_depth:
+                stats.max_depth = seq.context.depth
+            if self.on_visit is not None:
+                self.on_visit(seq)
+            if isinstance(goal, Imp):
+                item = hyps.get(goal.left) or hyps.setdefault(goal.left, FormulaItem(goal.left))
+                spine.append((RULE_RIMP, seq))
+                seq = _sequent(Sequent, insert(seq.context, item), goal.right)
+                continue
+            if isinstance(goal, Forall):
+                spine.append((RULE_RFORALL, seq))
+                seq = _sequent(Sequent, bracket(seq.context, goal.scope), goal.body)
+                continue
+            self.low = seen[seq] = len(seen)
+            stats.max_seen = max(stats.max_seen, len(seen))
+            key, levels, found = goal._hash, [(seq.context, _EMPTY, (), 0)], None
+            try:
                 while found is None and levels:
                     level, outside, path, start = levels.pop()
                     items = level.items
@@ -229,16 +231,14 @@ class _Search:
                             levels.append((level, outside, path, index + 1))
                             levels.append((item.content, rotated, path + (item,), 0))
                             break
-                break
-        finally:  # pop this call's entries, deepest first; after an exception found is None
-            while len(seen) > base:
-                seq, here = seen.popitem()
-                if found is not None and not isinstance(seq.goal, Atom):  # a one-premise step
-                    rule = RULE_RIMP if isinstance(seq.goal, Imp) else RULE_RFORALL
-                    found = _derivation(Derivation, rule, seq, (found,))
-                if found is not None and self.low >= here:
-                    memo[seq] = found
+            finally:  # pop seq; the caller's entries stay, also after an exception
+                seen.popitem()
+            if found is not None and self.low >= len(seen):  # seq's depth, now it is popped
+                memo[seq] = found
             self.low = min(self.low, outer_low)
+            break
+        for rule, step in reversed(spine if found else ()):  # the innermost step first
+            found = _derivation(Derivation, rule, step, (found,))
         return found
 
 

@@ -298,12 +298,14 @@ def _open_levels(ctx: Context, goal_fv: frozenset[str], retain_opened: bool):
         stack.extend(reversed(below))
 
 
-def reference_derivable(f: Formula, retain_opened: bool = False):
+def reference_derivable(f: Formula, retain_opened: bool = False, atomic_only: bool = False):
     """``(verdict, visited, derivation)`` of the plain search on the renamed
     ``f``: every sequent is searched afresh, the loop check prunes a sequent
     already on its branch (kept as a persistent frozenset).  With
     ``retain_opened`` an opened bracket also stays among the rotated
-    siblings, an alternate rotation with the same verdicts."""
+    siblings, an alternate rotation with the same verdicts.  With
+    ``atomic_only`` only atomic sequents join the branch, as in the engine, so
+    a repeated forced step is walked again down to its atomic sequent."""
     visited = 0
 
     def search(seq: Sequent, above: frozenset) -> Derivation | None:
@@ -311,7 +313,8 @@ def reference_derivable(f: Formula, retain_opened: bool = False):
         if seq in above:
             return None
         visited += 1
-        above = above | {seq}
+        if not (atomic_only and isinstance(seq.goal, (Imp, Forall))):
+            above = above | {seq}
         ctx, goal = seq.context, seq.goal
         if isinstance(goal, (Imp, Forall)):
             if isinstance(goal, Imp):

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 EDGE_CASES = "tests/test_tokens.py::test_parsers_match_the_reference_on_edge_cases"
+ROTATION = "tests/test_rotation.py"
 
 
 class Mutant(NamedTuple):
@@ -68,6 +69,24 @@ MUTANTS = (
         "    if len(names) == f.nbinders and f.fv.isdisjoint(names):\n",
         "    if f.nbinders <= 1 or len(names) == f.nbinders and f.fv.isdisjoint(names):\n",
         ("tests/test_syntax.py::test_rename_avoids_free_variables",),
+    ),
+    Mutant(  # reuses a success whose derivation holds a sequent of the current branch
+        "memo-ignores-branch",
+        "src/minpl/prover.py",
+        "if memo and (stored := memo.get(seq)) and seen.keys().isdisjoint(stored.sequents):",
+        "if memo and (stored := memo.get(seq)):",
+        ("tests/test_memo.py::test_success_that_pruned_an_ancestor_is_not_reused",
+         "tests/test_memo.py::test_chain_is_decided_over_distinct_nodes",
+         "tests/test_memo.py::test_sets_are_collected_only_for_reused_successes"),
+    ),
+    Mutant(  # head selection never enters a bracket, so no head rotates out of one
+        "no-rotation",
+        "src/minpl/prover.py",
+        "elif not goal.fv & item.bound:",
+        "elif False:",
+        (f"{ROTATION}::test_rotation_witness_is_decided_true[formula]",
+         f"{ROTATION}::test_rotation_witness_is_decided_true[type]",
+         "tests/test_golden_traces.py::test_golden_traces_reproduced"),
     ),
 )
 

@@ -287,11 +287,13 @@ def test_relations_and_renamings_hold_on_generated_formulas(formulas, seed):
             assert not failures, "\n".join(failures)
 
 
-def test_a_depth_capped_search_breaks_a_relation(monkeypatch):
+def test_a_visit_capped_search_breaks_a_relation(monkeypatch):
+    # a search that gives up after 8 visits; a cap on the atomic sequents of the
+    # branch, the seen set, breaks no relation on these formulas, even at 0
     search = _Search.search
 
     def capped(self, seen, seq):
-        return None if len(seen) > 6 else search(self, seen, seq)
+        return None if self.stats.visited > 8 else search(self, seen, seq)
 
     monkeypatch.setattr(_Search, "search", capped)
     failures, _ = broken_relations(corpus_formulas(2500), seed=1, first_only=True)

@@ -264,9 +264,58 @@ def test_search_takes_one_frame_per_branch_sequent(family):
 
         engine = _Search(on_visit=hook)
         engine.search(seen, Sequent(Context(), barendregt_rename(parse_formula(family(n)))))
-        assert engine.stats.max_seen > n, (n, engine.stats)
+        assert engine.stats.visited > n, (n, engine.stats)
         extra.add(most[0])
     assert len(extra) == 1, extra
+
+
+def test_only_atomic_sequents_enter_the_seen_set_and_the_memo(corpus):
+    # the loop check is made where the search branches: a forced step is
+    # visited, yet never entered on the branch nor stored
+    entered, forced = [], []
+
+    class RecordingSeen(SeenSet):
+        def __setitem__(self, s: Sequent, depth: int) -> None:
+            entered.append(s)
+            super().__setitem__(s, depth)
+
+    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
+    roots += [parse_formula(ROTATION_WITNESSES["formula"]), parse_type(ROTATION_WITNESSES["type"])]
+    stored = 0
+    for f in roots + corpus[:200]:
+        engine = _Search(on_visit=lambda s: forced.append(not isinstance(s.goal, Atom)))
+        engine.search(RecordingSeen(), Sequent(Context(), barendregt_rename(f)))
+        assert all(isinstance(s.goal, Atom) for s in entered), str(f)
+        assert all(isinstance(s.goal, Atom) for s in engine.memo), str(f)
+        stored += len(engine.memo)
+    # 639 forced visits, 303 entries and 105 stored successes when written
+    assert sum(forced) > 300 and len(entered) > 150 and stored > 50, (sum(forced), len(entered), stored)
+
+
+def test_a_repeated_rimp_sequent_is_pruned_at_its_atomic_sequent():
+    # G |- Q -> R ends the root's spine; at G |- R the first head, (Q -> R) -> R,
+    # asks for G |- Q -> R again on the same branch.  Its Rimp step is walked a
+    # second time, the one prune falls on G |- R, and S -> R then proves it.
+    f = parse_formula("Q -> ((Q -> R) -> R) -> (Q -> S) -> (S -> R) -> Q -> R")
+    g = "Q, (Q -> R) -> R, Q -> S, S -> R"
+    hits, visits = [], []
+
+    class RecordingSeen(SeenSet):
+        def __contains__(self, s: object) -> bool:
+            hit = super().__contains__(s)
+            hits.extend([s] * hit)
+            return hit
+
+    engine = _Search(on_visit=visits.append)
+    derivation = engine.search(RecordingSeen(), Sequent(Context(), f))
+    assert visits.count(seq(g, "Q -> R")) == 2
+    assert hits == [seq(g, "R")] and engine.stats.prunes == 1
+    # a loop check on every sequent prunes the Rimp sequent itself, one visit
+    # sooner, and finds the same derivation
+    _, ref_visited, ref_derivation = reference_derivable(f)
+    assert derivation_to_json(derivation) == derivation_to_json(ref_derivation)
+    assert engine.stats.visited == ref_visited + 1 == reference_derivable(f, atomic_only=True)[1]
 
 
 # ---------------------------------------------------------------------------
