@@ -290,7 +290,8 @@ def test_only_atomic_sequents_enter_the_seen_set_and_the_memo(corpus):
         assert all(isinstance(s.goal, Atom) for s in engine.memo), str(f)
         stored += len(engine.memo)
     # 639 forced visits, 303 entries and 105 stored successes when written
-    assert sum(forced) > 300 and len(entered) > 150 and stored > 50, (sum(forced), len(entered), stored)
+    counts = (sum(forced), len(entered), stored)
+    assert counts[0] > 300 and counts[1] > 150 and counts[2] > 50, counts
 
 
 def test_a_repeated_rimp_sequent_is_pruned_at_its_atomic_sequent():
@@ -304,7 +305,8 @@ def test_a_repeated_rimp_sequent_is_pruned_at_its_atomic_sequent():
     class RecordingSeen(SeenSet):
         def __contains__(self, s: object) -> bool:
             hit = super().__contains__(s)
-            hits.extend([s] * hit)
+            if hit:
+                hits.append(s)
             return hit
 
     engine = _Search(on_visit=visits.append)
