@@ -7,8 +7,8 @@ choice, so they are walked in a loop; only an atomic goal branches, picking a
 head formula, possibly from inside nested brackets, rotating the brackets so
 the head surfaces while everything that used to be outside them moves inside.
 Contexts stay canonical throughout, so pruning a branch that repeats an atomic
-sequent is a plain membership test; a forced step that repeats leads to one,
-and that pruning alone makes it terminate.
+sequent is a membership test in the query's own branch map, which an exception
+abandons; a forced step that repeats leads to one, and that alone terminates it.
 
 Within a query a success at an atomic sequent is stored when no prune in its
 subtree hit an ancestor: it is then what the search finds from an empty
@@ -86,9 +86,9 @@ class Sequent(Node):
 
 
 class SeenSet(dict):
-    """The atomic sequents on the current branch, each mapped to its depth there
-    (-1 for a caller's).  The search pushes one on entry and pops it on any exit
-    with ``popitem``, which hashes nothing, so siblings never see each other's."""
+    """The atomic sequents on one query's branch, each mapped to its depth there.  The
+    search pushes one on entry and pops it after its heads with ``popitem``, which hashes
+    nothing, so siblings never see each other's; an exception abandons the whole map."""
 
 
 class Derivation(Node):  # no slots, for ``sequents``
@@ -152,8 +152,8 @@ _sequent, _derivation = Sequent.__new__, Derivation.__new__  # X(...) without ty
 
 
 class _Search:
-    """One query's search: it owns its counters, ``stats``, and holds the deadline,
-    success cache and items.  ``low`` is the shallowest branch depth a prune hit below.
+    """One query's search; it owns its counters, ``stats``, branch, ``seen``, deadline, memo
+    and items, all dropped on an exception.  ``low`` is the shallowest depth a prune hit below.
 
     ``search`` walks ``Rimp``/``Rforall`` steps in a loop, and checks, enters and stores
     only the atomic sequent, in a frame of its own.  There it tries the heads it can reach
@@ -171,11 +171,13 @@ class _Search:
         self.deadline = deadline
         self.on_visit = on_visit
         self.low = 0
+        self.seen = SeenSet()
         self.memo: dict[Sequent, Derivation] = {}
         self.items: dict[Formula, FormulaItem] = {}  # a hypothesis's item, once per query
 
-    def search(self, seen: SeenSet, seq: Sequent) -> Optional[Derivation]:
-        stats, memo, hyps, spine, outer_low = self.stats, self.memo, self.items, [], self.low
+    def search(self, seq: Sequent) -> Optional[Derivation]:
+        stats, memo, hyps, seen, spine = self.stats, self.memo, self.items, self.seen, []
+        outer_low = self.low
         while True:  # enter seq; a forced Rimp/Rforall step goes on to its premise
             if isinstance(goal := seq.goal, Atom):  # the loop check, where the search branches
                 if seq in seen:
@@ -205,34 +207,32 @@ class _Search:
             self.low = seen[seq] = len(seen)
             stats.max_seen = max(stats.max_seen, len(seen))
             key, levels, found = goal._hash, [(seq.context, _EMPTY, (), 0)], None
-            try:
-                while found is None and levels:
-                    level, outside, path, start = levels.pop()
-                    items = level.items
-                    for index in range(start, len(items)):
-                        item = items[index]
-                        if isinstance(item, FormulaItem):
-                            head = item.head  # None if not negative; __eq__ only on equal hashes
-                            if not (head is goal or head and head._hash == key and head == goal):
-                                continue
-                            premise_ctx, subs = fuse(level, outside), []
-                            for arg in item.args:
-                                sub = self.search(seen, _sequent(Sequent, premise_ctx, arg))
-                                if sub is None:
-                                    break
-                                subs.append(sub)
-                            else:
-                                found = _derivation(Derivation, RULE_LIMP, seq, tuple(subs),
-                                                    item.formula, path)
+            while found is None and levels:
+                level, outside, path, start = levels.pop()
+                items = level.items
+                for index in range(start, len(items)):
+                    item = items[index]
+                    if isinstance(item, FormulaItem):
+                        head = item.head  # None if not negative; __eq__ only on equal hashes
+                        if not (head is goal or head and head._hash == key and head == goal):
+                            continue
+                        premise_ctx, subs = fuse(level, outside), []
+                        for arg in item.args:
+                            sub = self.search(_sequent(Sequent, premise_ctx, arg))
+                            if sub is None:
                                 break
-                        elif not goal.fv & item.bound:  # enter it; this level resumes after it
-                            siblings = _context(Context, items[:index] + items[index + 1 :])
-                            rotated = bracket(fuse(outside, siblings), item.bound)
-                            levels.append((level, outside, path, index + 1))
-                            levels.append((item.content, rotated, path + (item,), 0))
+                            subs.append(sub)
+                        else:
+                            found = _derivation(Derivation, RULE_LIMP, seq, tuple(subs),
+                                                item.formula, path)
                             break
-            finally:  # pop seq; the caller's entries stay, also after an exception
-                seen.popitem()
+                    elif not goal.fv & item.bound:  # enter it; this level resumes after it
+                        siblings = _context(Context, items[:index] + items[index + 1 :])
+                        rotated = bracket(fuse(outside, siblings), item.bound)
+                        levels.append((level, outside, path, index + 1))
+                        levels.append((item.content, rotated, path + (item,), 0))
+                        break
+            seen.popitem()  # seq, the last entry: each sub-search popped its own
             if found is not None and self.low >= len(seen):  # seq's depth, now it is popped
                 memo[seq] = found
             self.low = min(self.low, outer_low)
@@ -264,7 +264,7 @@ def derivable(
     deadline = None if timeout is None else time.monotonic() + timeout
     engine = _Search(deadline=deadline, on_visit=on_visit)
     start = time.monotonic()
-    derivation = engine.search(SeenSet(), _sequent(Sequent, _EMPTY, renamed))
+    derivation = engine.search(_sequent(Sequent, _EMPTY, renamed))
     engine.stats.elapsed = time.monotonic() - start
     return derivation is not None, engine.stats, derivation
 

@@ -88,6 +88,25 @@ MUTANTS = (
          f"{ROTATION}::test_rotation_witness_is_decided_true[type]",
          "tests/test_golden_traces.py::test_golden_traces_reproduced"),
     ),
+    Mutant(  # an atomic sequent stays on the branch after its frame, so its siblings see it
+        "branch-entry-not-popped",
+        "src/minpl/prover.py",
+        "seen.popitem()  # seq, the last entry: each sub-search popped its own",
+        "pass",
+        ("tests/test_prover.py::test_qbf_encodings_are_decided_as_brute_force_evaluates_them",
+         "tests/test_memo.py::test_memoised_search_matches_plain_search",
+         "tests/test_prover.py::test_search_leaves_the_callers_seen_set_unchanged"),
+    ),
+    Mutant(  # a wrong "no" once the branch holds 3 atomic sequents; no metamorphic relation sees it
+        "branch-cap",
+        "src/minpl/prover.py",
+        "        outer_low = self.low\n",
+        "        outer_low = self.low\n        if len(seen) > 2:\n            return None\n",
+        ("tests/test_prover.py::test_derivable_reported_true[((((P -> Q) -> P) -> P) -> Q) -> Q]",
+         "tests/test_systemf.py::test_inhabited_reported_true[forall X. forall Y. forall Z. "
+         "(((((Y -> X) -> Z) -> ((Y -> Z) -> Z)) -> X) -> X)]",
+         "tests/test_prover.py::test_qbf_encodings_are_decided_as_brute_force_evaluates_them"),
+    ),
 )
 
 

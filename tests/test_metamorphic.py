@@ -292,8 +292,8 @@ def test_a_visit_capped_search_breaks_a_relation(monkeypatch):
     # branch, the seen set, breaks no relation on these formulas, even at 0
     search = _Search.search
 
-    def capped(self, seen, seq):
-        return None if self.stats.visited > 8 else search(self, seen, seq)
+    def capped(self, seq):
+        return None if self.stats.visited > 8 else search(self, seq)
 
     monkeypatch.setattr(_Search, "search", capped)
     failures, _ = broken_relations(corpus_formulas(2500), seed=1, first_only=True)

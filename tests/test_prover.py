@@ -105,58 +105,36 @@ def test_search_right_rules_reach_expected_sequent():
     a = "(forall x. (P(x) -> Q)) -> Q"
     visited = []
     engine = _Search(on_visit=visited.append)
-    engine.search(SeenSet(), seq(a, "forall x. (P(x) -> Q)"))
+    engine.search(seq(a, "forall x. (P(x) -> Q)"))
     assert visited[0] == seq(a, "forall x. (P(x) -> Q)")
     assert visited[1] == seq(a, "P(x) -> Q")
     assert visited[2] == seq(f"{a}, P(x)", "Q")
 
 
-def search(seen: SeenSet, s: Sequent):
-    return _Search().search(seen, s)
-
-
 def test_search_prunes_sequent_already_seen():
     s = seq("Q", "Q")
-    assert search(SeenSet({s: -1}), s) is None
-    assert search(SeenSet(), s) is not None
+    engine = _Search()
+    engine.seen[s] = -1
+    assert engine.search(s) is None
+    assert _Search().search(s) is not None
 
 
-def test_search_leaves_the_callers_seen_set_unchanged():
+def test_search_leaves_the_callers_seen_set_unchanged(corpus):
+    # a finished search pops every entry it made, and only those, from its branch
     s, t = seq("Q", "Q"), seq("Q -> Q", "Q")
-    seen = SeenSet({s: -1})
-    assert search(seen, t) is None
-    assert seen == {s: -1}
-
-
-@pytest.mark.parametrize("error", [SearchTimeout, KeyError])
-def test_an_exception_unwinds_only_the_searchs_own_branch_entries(error):
-    # the search pops its entries off the end of the branch map, so an error
-    # raised mid-search, or mid-spine, must leave the caller's entries, and only them
-    callers = [seq("Q", "Q"), seq("P(x)", "R"), seq("Q -> Q", "Q"), seq("[P(x)]_{x}", "Q")]
-    entries = [(s, -1) for s in callers]
-    # the second root, and its head's argument, each walk a spine of Rimp and Rforall steps
-    forced = "R -> forall z. ((forall x. forall y. (R(y) -> (P(x) -> Q) -> Q)) -> Q) -> Q"
-    for text in (DERIVABLE_FALSE[1], forced):
-        root = Sequent(Context(), barendregt_rename(parse_formula(text)))
+    engine = _Search()
+    engine.seen[s] = -1
+    assert engine.search(t) is None
+    assert engine.seen == {s: -1}
+    # on deep and wide searches too, each left as empty as it started
+    for f in [parse_formula(DERIVABLE_FALSE[1])] + corpus[:200]:
         engine = _Search()
-        engine.search(SeenSet(entries), root)
-        stats = engine.stats
-        assert stats.visited > stats.max_seen - len(entries) > 3  # deep, and some pops
-        for k in range(2, stats.visited + 1):
-            seen, visits = SeenSet(entries), []
-
-            def hook(s: Sequent) -> None:
-                visits.append(s)
-                if len(visits) == k:
-                    raise error(f"visit {k}")
-
-            with pytest.raises(error):
-                _Search(on_visit=hook).search(seen, root)
-            assert list(seen.items()) == entries, (text, k)
+        engine.search(Sequent(Context(), barendregt_rename(f)))
+        assert engine.seen == {} and type(engine.seen) is SeenSet, str(f)
 
 
 def test_search_atom_with_empty_context_fails():
-    assert search(SeenSet(), Sequent(Context(), parse_formula("P"))) is None
+    assert _Search().search(Sequent(Context(), parse_formula("P"))) is None
 
 
 A2 = "(forall x. ((P(x) -> Q) -> Q)) -> Q"
@@ -167,7 +145,7 @@ def test_select_head_degenerate_candidate_premise():
     visited = []
     engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, P(x) -> Q", "Q")
-    found = engine.search(SeenSet(), s)
+    found = engine.search(s)
     assert seq(f"{A2}, P(x) -> Q", "P(x)") in visited
     assert found is None
 
@@ -178,7 +156,7 @@ def test_select_head_never_enters_bracket_capturing_the_goal():
     visited = []
     engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "P(x)")
-    found = engine.search(SeenSet(), s)
+    found = engine.search(s)
     assert found is None
     assert visited == [s]
 
@@ -189,7 +167,7 @@ def test_select_head_rotates_brackets_for_inner_head():
     visited = []
     engine = _Search(on_visit=visited.append)
     s = seq(f"{A2}, [P(x) -> Q]_{{x}}, P(x) -> Q", "Q")
-    engine.search(SeenSet(), s)
+    engine.search(s)
     assert seq(f"{A2}, P(x) -> Q, [P(x) -> Q]_{{x}}", "P(x)") in visited
 
 
@@ -197,14 +175,14 @@ def test_select_head_rotation_keeps_occurrences_separated():
     visited = []
     engine = _Search(on_visit=visited.append)
     s = seq("Q(x), [Q(x) -> P]_{x}", "P")
-    found = engine.search(SeenSet(), s)
+    found = engine.search(s)
     assert found is None
     assert visited == [s, seq("[Q(x)]_{x}, Q(x) -> P", "Q(x)")]
 
 
 def test_select_head_finds_zero_premise_head():
     s = seq("P", "P")
-    derivation = _Search().search(SeenSet(), s)
+    derivation = _Search().search(s)
     assert derivation is not None
     assert derivation.rule == "Limp"
     assert derivation.premises == ()
@@ -253,17 +231,17 @@ def test_search_takes_one_frame_per_branch_sequent(family):
     # Rforall steps, head selection and rotation add none
     extra = set()
     for n in (100, 200):
-        seen, most = SeenSet(), [0]
+        most = [0]
 
         def hook(s: Sequent) -> None:
             frame, frames = sys._getframe(), 0
             while frame is not None:
                 frame, frames = frame.f_back, frames + 1
-            atomic = sum(isinstance(b.goal, Atom) for b in seen)
+            atomic = sum(isinstance(b.goal, Atom) for b in engine.seen)
             most[0] = max(most[0], frames - atomic)
 
         engine = _Search(on_visit=hook)
-        engine.search(seen, Sequent(Context(), barendregt_rename(parse_formula(family(n)))))
+        engine.search(Sequent(Context(), barendregt_rename(parse_formula(family(n)))))
         assert engine.stats.visited > n, (n, engine.stats)
         extra.add(most[0])
     assert len(extra) == 1, extra
@@ -285,7 +263,8 @@ def test_only_atomic_sequents_enter_the_seen_set_and_the_memo(corpus):
     stored = 0
     for f in roots + corpus[:200]:
         engine = _Search(on_visit=lambda s: forced.append(not isinstance(s.goal, Atom)))
-        engine.search(RecordingSeen(), Sequent(Context(), barendregt_rename(f)))
+        engine.seen = RecordingSeen()
+        engine.search(Sequent(Context(), barendregt_rename(f)))
         assert all(isinstance(s.goal, Atom) for s in entered), str(f)
         assert all(isinstance(s.goal, Atom) for s in engine.memo), str(f)
         stored += len(engine.memo)
@@ -310,7 +289,8 @@ def test_a_repeated_rimp_sequent_is_pruned_at_its_atomic_sequent():
             return hit
 
     engine = _Search(on_visit=visits.append)
-    derivation = engine.search(RecordingSeen(), Sequent(Context(), f))
+    engine.seen = RecordingSeen()
+    derivation = engine.search(Sequent(Context(), f))
     assert visits.count(seq(g, "Q -> R")) == 2
     assert hits == [seq(g, "R")] and engine.stats.prunes == 1
     # a loop check on every sequent prunes the Rimp sequent itself, one visit
@@ -392,7 +372,7 @@ def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
         subscripts.clear()
         engine = _Search()
         engine.on_visit = lambda s: subscripts.extend(_bracket_subscripts(s.context))
-        engine.search(SeenSet(), Sequent(Context(), renamed))
+        engine.search(Sequent(Context(), renamed))
         stored = _stored_scope_ids(renamed)
         assert all(id(bound) in stored for bound in subscripts), str(f)
         checked += len(subscripts)

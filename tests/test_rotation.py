@@ -63,8 +63,8 @@ def test_a_search_that_never_rotates_decides_the_witnesses_no(monkeypatch):
     # a success whose head was taken from inside a bracket is dropped
     search = _Search.search
 
-    def unrotated(self, seen, seq):
-        found = search(self, seen, seq)
+    def unrotated(self, seq):
+        found = search(self, seq)
         return None if found is not None and found.rule == RULE_LIMP and found.path else found
 
     monkeypatch.setattr(_Search, "search", unrotated)
