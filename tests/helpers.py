@@ -3,9 +3,10 @@ derivation replay, used by the unit suites and the acceptance gate alike.
 
 Everything here is deliberately written as a separate, simpler route than the
 library code it checks: the rewrite-step enumerator applies the cleaning rules
-literally and the clean form is where its steps end, replay recomputes premises
-from scratch, and the structural references (binders, pieces, scope tables)
-read the nodes that ``subnodes`` walks, not the fields the nodes stored.
+literally and the clean form is where its steps end, ``rule_instances`` spells
+out the rules once, for replay and the reference search alike, and the
+structural references (binders, pieces, scope tables) read the nodes that
+``subnodes`` walks, not the fields the nodes stored.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from minpl.context import (
     Item,
     bracket,
     fuse,
+    normalize,
     parse_context,
 )
 from minpl.oracle import FlatSequent, FreshNames, _apply_renaming, generate_positive
@@ -45,7 +47,7 @@ from minpl.syntax import (
     parse_formula,
     print_formula,
 )
-from minpl.systemf import EPS
+from minpl.systemf import EPS, parse_type
 
 # ---------------------------------------------------------------------------
 # Reported verdicts shared by the prover tests and the acceptance gate
@@ -82,6 +84,14 @@ ROTATION_WITNESSES = {
     "type": "forall Q. forall R. forall K. "
     "((forall X. (X -> R) -> ((X -> Q) -> K) -> K) -> Q) -> (R -> K) -> Q",
 }
+
+
+def published_and_witnesses() -> list[Formula]:
+    """The published formulas, then the published types, then the two rotation
+    witnesses, parsed."""
+    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
+    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
+    return roots + [parse_formula(ROTATION_WITNESSES["formula"]), parse_type(ROTATION_WITNESSES["type"])]
 
 # ---------------------------------------------------------------------------
 # Seeded corpus
@@ -182,14 +192,54 @@ def is_clean(c: Context) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Derivation replay
+# The rules, written once, and their two readers: derivation replay and the
+# reference search, the plain depth-first search with a loop check and no cache
+
+
+def seq(ctx_text: str, goal_text: str) -> Sequent:
+    return Sequent(normalize(parse_context(ctx_text)), parse_formula(goal_text))
+
+
+def rule_instances(seq: Sequent):
+    """Every rule instance at ``seq`` as ``(rule, premises, head, path)``, in
+    the order the engine tries them.  ``Rimp`` and ``Rforall`` stand alone.  At
+    an atomic goal each head that matches it makes a ``Limp`` instance: a
+    level's formulas in item order, then each bracket whose bound set misses
+    the goal's free variables, opened in item order.  Opening one rotates the
+    context outside it in, bracketed with its bound set; ``path`` holds the
+    brackets opened to reach the head."""
+    ctx, goal = seq.context, seq.goal
+    if isinstance(goal, Imp):
+        premise = Sequent(fuse(ctx, Context((FormulaItem(goal.left),))), goal.right)
+        yield RULE_RIMP, (premise,), None, ()
+    elif isinstance(goal, Forall):
+        premise = Sequent(bracket(ctx, frozenset(bound_vars(goal))), goal.body)
+        yield RULE_RFORALL, (premise,), None, ()
+    else:
+        stack = [(ctx, Context(), ())]
+        while stack:
+            level, outside, path = stack.pop()
+            below = []
+            for item in level.items:
+                if isinstance(item, FormulaItem):
+                    head, args = decompose(item.formula)
+                    if head == goal:
+                        premise_ctx = fuse(level, outside)
+                        premises = tuple(Sequent(premise_ctx, arg) for arg in args)
+                        yield RULE_LIMP, premises, item.formula, path
+                elif not goal.fv & item.bound:
+                    siblings = Context(tuple(i for i in level.items if i != item))
+                    rotated = bracket(fuse(outside, siblings), item.bound)
+                    below.append((item.content, rotated, path + (item,)))
+            stack.extend(reversed(below))
 
 
 def replay(d: Derivation) -> None:
-    """Recompute every premise of a derivation from its conclusion and fail
-    on any mismatch; also checks that no sequent repeats along a branch.
+    """Fail unless every node of a derivation is one of the ``rule_instances``
+    at its conclusion, with the same rule, premise conclusions, head and path;
+    also checks that no sequent repeats along a branch.
 
-    A shared subderivation is replayed once: each distinct node's rule is
+    A shared subderivation is replayed once: each distinct node's instance is
     checked when it is first met, and its conclusion against the set of the
     conclusions below it, built bottom-up.  A premise's set is copied into its
     parent's, or taken over by the last parent that reads it.  The walk is on
@@ -205,7 +255,11 @@ def replay(d: Derivation) -> None:
         if not entered:
             if id(node) not in checked:  # a second copy pops after the first is done
                 checked.add(id(node))
-                _check_rule(node)
+                instance = (node.rule, tuple(p.conclusion for p in node.premises), node.head,
+                            node.path)
+                assert instance in rule_instances(node.conclusion), (
+                    f"{node.rule} node does not match a rule instance at {node.conclusion}"
+                )
                 stack.append((node, True))
                 stack += ((premise, False) for premise in node.premises)
             continue
@@ -245,67 +299,13 @@ def distinct_nodes(d: Derivation) -> list[Derivation]:
     return list(seen.values())
 
 
-def _check_rule(d: Derivation) -> None:
-    """Fail unless ``d``'s premises are the ones its rule makes of its conclusion."""
-    ctx, goal = d.conclusion.context, d.conclusion.goal
-    if d.rule == RULE_RIMP:
-        assert isinstance(goal, Imp)
-        premise = Sequent(fuse(ctx, Context((FormulaItem(goal.left),))), goal.right)
-        assert len(d.premises) == 1 and d.premises[0].conclusion == premise
-    elif d.rule == RULE_RFORALL:
-        assert isinstance(goal, Forall)
-        premise = Sequent(bracket(ctx, frozenset(bound_vars(goal))), goal.body)
-        assert len(d.premises) == 1 and d.premises[0].conclusion == premise
-    else:
-        assert d.rule == RULE_LIMP and isinstance(goal, Atom) and d.head is not None
-        level, outside = ctx, Context()
-        crossed: frozenset[str] = frozenset()
-        for b in d.path:
-            assert b in level.items, f"opened bracket missing from its level: {b}"
-            crossed |= b.bound
-            siblings = Context(tuple(i for i in level.items if i != b))
-            outside = bracket(fuse(outside, siblings), b.bound)
-            level = b.content
-        assert not (goal.fv & crossed), "goal has free variables under a crossed bracket"
-        assert FormulaItem(d.head) in level.items, "head not present at the opened level"
-        head, args = decompose(d.head)
-        assert head == goal, "selected head does not match the goal"
-        premise_ctx = fuse(level, outside)
-        assert len(d.premises) == len(args)
-        for child, arg in zip(d.premises, args):
-            assert child.conclusion == Sequent(premise_ctx, arg)
-
-
-# ---------------------------------------------------------------------------
-# Reference search: the plain depth-first search with a loop check, no cache
-
-
-def _open_levels(ctx: Context, goal_fv: frozenset[str], retain_opened: bool):
-    """Every level whose formulas may serve as heads, with the context rotated
-    outside it and the brackets opened to reach it, in the order heads are
-    tried: a level's formulas, then each openable bracket in item order."""
-    stack = [(ctx, Context(), ())]
-    while stack:
-        level, outside, path = stack.pop()
-        yield level, outside, path
-        below = []
-        for b in level.items:
-            if isinstance(b, BracketItem) and not goal_fv & b.bound:
-                siblings = level if retain_opened else Context(
-                    tuple(i for i in level.items if i != b)
-                )
-                below.append((b.content, bracket(fuse(outside, siblings), b.bound), path + (b,)))
-        stack.extend(reversed(below))
-
-
-def reference_derivable(f: Formula, retain_opened: bool = False, atomic_only: bool = False):
+def reference_derivable(f: Formula, atomic_only: bool = False):
     """``(verdict, visited, derivation)`` of the plain search on the renamed
-    ``f``: every sequent is searched afresh, the loop check prunes a sequent
-    already on its branch (kept as a persistent frozenset).  With
-    ``retain_opened`` an opened bracket also stays among the rotated
-    siblings, an alternate rotation with the same verdicts.  With
-    ``atomic_only`` only atomic sequents join the branch, as in the engine, so
-    a repeated forced step is walked again down to its atomic sequent."""
+    ``f``: every sequent is searched afresh, trying its ``rule_instances`` in
+    order, and the loop check prunes a sequent already on its branch (kept as
+    a persistent frozenset).  With ``atomic_only`` only atomic sequents join
+    the branch, as in the engine, so a repeated forced step is walked again
+    down to its atomic sequent."""
     visited = 0
 
     def search(seq: Sequent, above: frozenset) -> Derivation | None:
@@ -315,32 +315,15 @@ def reference_derivable(f: Formula, retain_opened: bool = False, atomic_only: bo
         visited += 1
         if not (atomic_only and isinstance(seq.goal, (Imp, Forall))):
             above = above | {seq}
-        ctx, goal = seq.context, seq.goal
-        if isinstance(goal, (Imp, Forall)):
-            if isinstance(goal, Imp):
-                rule = RULE_RIMP
-                premise = Sequent(fuse(ctx, Context((FormulaItem(goal.left),))), goal.right)
+        for rule, premises, head, path in rule_instances(seq):
+            subs = []
+            for premise in premises:
+                sub = search(premise, above)
+                if sub is None:
+                    break
+                subs.append(sub)
             else:
-                rule = RULE_RFORALL
-                premise = Sequent(bracket(ctx, frozenset(bound_vars(goal))), goal.body)
-            sub = search(premise, above)
-            return None if sub is None else Derivation(rule, seq, (sub,))
-        for level, outside, path in _open_levels(ctx, goal.fv, retain_opened):
-            for item in level.items:
-                if not isinstance(item, FormulaItem):
-                    continue
-                head, args = decompose(item.formula)
-                if head != goal:
-                    continue
-                premise_ctx = fuse(level, outside)
-                subs = []
-                for arg in args:
-                    sub = search(Sequent(premise_ctx, arg), above)
-                    if sub is None:
-                        break
-                    subs.append(sub)
-                else:
-                    return Derivation(RULE_LIMP, seq, tuple(subs), head=item.formula, path=path)
+                return Derivation(rule, seq, tuple(subs), head=head, path=path)
         return None
 
     d = search(Sequent(Context(), barendregt_rename(f)), frozenset())
@@ -697,6 +680,11 @@ class ScopeTable(NamedTuple):
 def left_chain(n: int) -> str:
     """``(...((Q -> Q) -> Q)...) -> Q`` with ``n`` arrows."""
     return "(" * (n - 1) + "Q" + " -> Q)" * (n - 1) + " -> Q"
+
+
+def right_chain(n: int) -> str:
+    """``Q -> ... -> Q`` with ``n`` arrows."""
+    return " -> ".join(["Q"] * (n + 1))
 
 
 def nested_brackets(n: int, kind: str) -> tuple[str, str]:

@@ -7,7 +7,9 @@ For each named mutant (all of them by default) the runner exports ``HEAD``
 with ``git archive`` into a temporary directory, makes the one replacement
 there, and runs the mutant's tests with ``-x``; if they all pass, it runs the
 whole tier-1 suite.  It prints one line per mutant: killed, with the first
-failing test, or survived.  It exits 1 if a mutant survived or did not apply.
+failing test, or survived.  A pytest run that takes longer than ``TIMEOUT``
+seconds is stopped and reported as timed out.  It exits 1 if a mutant
+survived, did not apply or timed out.
 
 Pytest does not collect this file.  ``test_mutants.py`` checks only that each
 entry's text occurs exactly once in its file, so the catalogue cannot rot
@@ -30,6 +32,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 EDGE_CASES = "tests/test_tokens.py::test_parsers_match_the_reference_on_edge_cases"
 ROTATION = "tests/test_rotation.py"
+CONTEXT = "tests/test_context.py"
+GOLDEN = "tests/test_golden_traces.py::test_golden_traces_reproduced"
+TIMEOUT = 300  # seconds for one pytest run; a mutant can make the search spin
 
 
 class Mutant(NamedTuple):
@@ -86,7 +91,7 @@ MUTANTS = (
         "elif False:",
         (f"{ROTATION}::test_rotation_witness_is_decided_true[formula]",
          f"{ROTATION}::test_rotation_witness_is_decided_true[type]",
-         "tests/test_golden_traces.py::test_golden_traces_reproduced"),
+         GOLDEN),
     ),
     Mutant(  # an atomic sequent stays on the branch after its frame, so its siblings see it
         "branch-entry-not-popped",
@@ -107,14 +112,44 @@ MUTANTS = (
          "(((((Y -> X) -> Z) -> ((Y -> Z) -> Z)) -> X) -> X)]",
          "tests/test_prover.py::test_qbf_encodings_are_decided_as_brute_force_evaluates_them"),
     ),
+    Mutant(  # the rotation tests spin under this one; the golden traces fail at once
+        "bracket-keeps-a-hoistable-item",
+        "src/minpl/context.py",
+        "    outside = _context(Context, tuple([i for i in c.items if not i.fv & v]))\n",
+        "    kept = [i for i in c.items if not i.fv & v][:1]  # the first item to hoist stays in\n"
+        "    inside = sorted(inside + kept, key=_key)\n"
+        "    outside = _context(Context, tuple([i for i in c.items if not i.fv & v][1:]))\n",
+        (GOLDEN, f"{CONTEXT}::test_bracket_equals_the_clean_form_of_one_bracket"),
+    ),
+    Mutant(
+        "fuse-keeps-duplicates",
+        "src/minpl/context.py",
+        "    return _canonical(a.items + b.items)",
+        "    return _context(Context, tuple(sorted(a.items + b.items, key=_key)))",
+        (f"{CONTEXT}::test_fuse_collapses_duplicates",
+         f"{CONTEXT}::test_fuse_and_insert_equal_the_clean_form"),
+    ),
+    Mutant(  # the golden traces spin under this one
+        "insert-appends",
+        "src/minpl/context.py",
+        "    out.items = items[:i] + (item,) + items[i:]",
+        "    out.items = items + (item,)",
+        (f"{ROTATION}::test_rotation_witness_derivation_replays[formula]",
+         f"{CONTEXT}::test_fuse_and_insert_equal_the_clean_form"),
+    ),
 )
 
 
-def _pytest(cwd: str, *args: str) -> tuple[int, str]:
-    """Run pytest in ``cwd`` on the package there; its status and the first test it failed."""
+def _pytest(cwd: str, *args: str) -> tuple[int | None, str]:
+    """Run pytest in ``cwd`` on the package there; its status, ``None`` if it ran past
+    ``TIMEOUT``, and the first test it failed."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", *args]
-    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, ""
     lines = done.stdout.splitlines()
     failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
     return done.returncode, (failed or lines or [""])[0 if failed else -1]
@@ -136,6 +171,9 @@ def run(mutant: Mutant) -> bool:
         tier1 = ("--continue-on-collection-errors",)
         for args, where in ((mutant.kills, "listed"), (tier1, "tier-1")):
             status, first = _pytest(tmp, *args)
+            if status is None:
+                print(f"{mutant.name}: the {where} tests timed out after {TIMEOUT} s")
+                return False
             if status == 1:
                 print(f"{mutant.name}: killed by the {where} tests: {first}")
                 return True

@@ -26,10 +26,16 @@ from helpers import (
     left_chain,
     nested_brackets,
     reference_text_trace,
+    right_chain,
 )
 
 INTRO = "((((P -> Q) -> P) -> P) -> Q) -> Q"
 IMPL_EXAMPLE = "((forall x. (P(x) -> ((forall y. (P(y) -> Q)) -> R) -> R)) -> Q) -> Q"
+
+# the published examples, then the rotation witnesses, each with its command
+PUBLISHED_JOBS = [("decide", text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
+PUBLISHED_JOBS += [("inhabit", text) for text in INHABITED_TRUE + INHABITED_FALSE]
+PUBLISHED_JOBS += [("decide", ROTATION_WITNESSES["formula"]), ("inhabit", ROTATION_WITNESSES["type"])]
 
 JSON_KEYS = {
     "input",
@@ -91,10 +97,7 @@ def test_text_trace_uses_rule_names(capsys):
 
 def test_text_trace_is_the_whole_derivation(capsys, corpus):
     # every line of the printed trace, against a renderer that walks the derivation
-    jobs = [("decide", text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    jobs += [("inhabit", text) for text in INHABITED_TRUE + INHABITED_FALSE]
-    jobs += [("decide", ROTATION_WITNESSES["formula"]), ("inhabit", ROTATION_WITNESSES["type"])]
-    jobs += [("decide", print_formula(f)) for f in corpus[:60]]
+    jobs = PUBLISHED_JOBS + [("decide", print_formula(f)) for f in corpus[:60]]
     traced = rotated = 0
     for mode, text in jobs:
         if mode == "decide":
@@ -143,10 +146,7 @@ def test_json_stats_are_the_text_stats_lines(capsys, argv):
 
 
 # Text output is a rendering of the JSON report: the same query answers both ways
-RENDERED_JOBS = [("decide", text) for text in DERIVABLE_TRUE + DERIVABLE_FALSE]
-RENDERED_JOBS += [("inhabit", text) for text in INHABITED_TRUE + INHABITED_FALSE]
-RENDERED_JOBS += [("decide", ROTATION_WITNESSES["formula"]), ("inhabit", ROTATION_WITNESSES["type"])]
-RENDERED_JOBS += [("decide", "P(c) -> P(c)"), ("decide", INTRO)]
+RENDERED_JOBS = PUBLISHED_JOBS + [("decide", "P(c) -> P(c)"), ("decide", INTRO)]
 RENDERED_JOBS += [("normalize", "[Q, P(x)]_{x}, [P(x)]_{x}"), ("normalize", "[]_{v}, P, P")]
 
 
@@ -441,14 +441,10 @@ def fresh_python(*args, env: dict | None = None, **kw) -> subprocess.CompletedPr
     )
 
 
-def chain(n: int) -> str:
-    return " -> ".join(["Q"] * n)
-
-
 @pytest.mark.parametrize("n", [501, 600, 1000, 2000, 25000])
 def test_long_chain_decided_by_cli(tmp_path, n):
     path = tmp_path / "chain.txt"
-    path.write_text(chain(n), encoding="utf-8")
+    path.write_text(right_chain(n - 1), encoding="utf-8")
     child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "derivable"
@@ -458,7 +454,7 @@ def test_timeout_on_a_long_chain_is_one_short_line(tmp_path):
     # the message counts the visits; it used to print the sequent, which
     # recursed once per arrow and ran to 60 KB on a 12,000-term chain
     path = tmp_path / "chain.txt"
-    path.write_text(chain(25000), encoding="utf-8")
+    path.write_text(right_chain(24999), encoding="utf-8")
     child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path), "--timeout", "0")
     assert child.returncode == 3, child.stderr
     [line] = child.stderr.splitlines()
@@ -472,7 +468,7 @@ def test_trace_encoder_takes_one_frame_per_level():
         "import sys\n"
         "from minpl.prover import derivable, derivation_to_json\n"
         "from minpl.syntax import parse_formula\n"
-        f"verdict, _, d = derivable(parse_formula({chain(600)!r}))\n"
+        f"verdict, _, d = derivable(parse_formula({right_chain(599)!r}))\n"
         "sys.setrecursionlimit(700)\n"
         "node, depth, rules = derivation_to_json(d), 0, set()\n"
         "while node['premises']:\n"
@@ -777,14 +773,14 @@ def test_long_chain_decided_as_first_query(n):
         "verdict, _, _ = minpl.derivable(minpl.parse_formula(sys.stdin.read()))\n"
         "print(verdict)"
     )
-    child = fresh_python("-c", code, input=chain(n))
+    child = fresh_python("-c", code, input=right_chain(n - 1))
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "True"
 
 
 def test_unexpected_exception_is_internal_error_not_a_verdict(tmp_path):
     path = tmp_path / "chain.txt"
-    path.write_text(chain(1000), encoding="utf-8")
+    path.write_text(right_chain(999), encoding="utf-8")
     child = fresh_python("-m", "minpl.cli", "decide", "--file", str(path))
     assert child.returncode in (0, 5), child.stderr
     if child.returncode == 0:

@@ -12,7 +12,9 @@ import time
 import pytest
 
 from minpl.oracle import generate_positive
-from minpl.prover import RULE_LIMP, Derivation, derivable, derivation_to_json
+from minpl.context import bracket, parse_context
+from minpl.prover import RULE_LIMP, RULE_RFORALL, RULE_RIMP, Derivation, Sequent, _Search
+from minpl.prover import derivable, derivation_to_json
 from minpl.syntax import parse_formula
 from minpl.systemf import parse_type
 
@@ -24,6 +26,7 @@ from helpers import (
     reference_derivable,
     reference_sequents,
     replay,
+    seq,
 )
 
 
@@ -143,6 +146,26 @@ def test_replay_rejects_a_corrupted_shared_node(corruption):
         bad, message = Derivation(RULE_LIMP, proof.conclusion, (), step), "does not match"
     with pytest.raises(AssertionError, match=message):
         replay(Derivation(RULE_LIMP, top.conclusion, (bad, bad), top.head))
+
+
+@pytest.mark.parametrize("kind", ["rimp-antecedent", "rforall-bound", "limp-path", "limp-arity"])
+def test_replay_rejects_a_node_that_is_no_rule_instance(kind):
+    # every premise is the engine's own derivation, so only the node itself is wrong
+    if kind == "rimp-antecedent":  # Q |- P -> Q over Q |- Q, not over P, Q |- Q
+        node = Derivation(RULE_RIMP, seq("Q", "P -> Q"), (_Search().search(seq("Q", "Q")),))
+    elif kind == "rforall-bound":  # bracketed with {y}, so P(x) is not shut in
+        below = Sequent(bracket(parse_context("P(x)"), {"y"}), parse_formula("P(x) -> P(x)"))
+        node = Derivation(RULE_RFORALL, seq("P(x)", "forall x. (P(x) -> P(x))"),
+                          (_Search().search(below),))
+    elif kind == "limp-path":  # the opened bracket binds the goal's x
+        s = seq("[Q(x)]_{x}", "Q(x)")
+        node = Derivation(RULE_LIMP, s, (), parse_formula("Q(x)"), s.context.items)
+    else:  # the head P -> Q takes one premise, with goal P
+        node = Derivation(RULE_LIMP, seq("P, P -> Q", "Q"), (), parse_formula("P -> Q"))
+    for premise in node.premises:
+        replay(premise)
+    with pytest.raises(AssertionError, match="does not match"):
+        replay(node)
 
 
 def test_chain_derivation_hashes_over_distinct_nodes():

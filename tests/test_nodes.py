@@ -39,6 +39,7 @@ from helpers import (
     ROTATION_WITNESSES,
     corpus_formula,
     formulas,
+    published_and_witnesses,
     random_context,
     reference_depth,
     reference_free_vars,
@@ -331,12 +332,8 @@ def _sealed(x, name: str) -> bool:
 def test_no_twin_is_reachable_from_a_result_and_every_field_is_sealed(corpus):
     twins = _twins()
     assert {Atom._twin, Sequent._twin, FormulaItem._twin, Context._twin} <= twins
-    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
+    roots = published_and_witnesses() + list(corpus[:300])
     roots.append(parse_formula("forall x. (P(f(x)) -> P(f(x)))"))  # a function symbol
-    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    roots.append(parse_type(ROTATION_WITNESSES["type"]))
-    roots += list(corpus[:300])
     reached = []
     for f in roots:
         visited = []

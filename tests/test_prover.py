@@ -33,10 +33,11 @@ from helpers import (
     DERIVABLE_FALSE,
     DERIVABLE_TRUE,
     INHABITED_FALSE,
-    INHABITED_TRUE,
     ROTATION_WITNESSES,
     bound_vars,
     context_formulas,
+    left_chain,
+    published_and_witnesses,
     qbf_formula,
     qbf_value,
     random_bracket_sequent,
@@ -45,11 +46,10 @@ from helpers import (
     reference_derivable,
     reference_scope_table,
     replay,
+    right_chain,
+    seq,
+    subnodes,
 )
-
-
-def seq(ctx_text: str, goal_text: str) -> Sequent:
-    return Sequent(normalize(parse_context(ctx_text)), parse_formula(goal_text))
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +215,8 @@ def _atom_chain(n: int) -> str:
     return " -> ".join(["A0"] + [f"(A{i - 1} -> A{i})" for i in range(1, n + 1)] + [f"A{n}"])
 
 
-def _left_nested(n: int) -> str:
-    # ((...((Q -> Q) -> Q)...) -> Q) with n arrows
-    return "(" * (n - 1) + "Q" + " -> Q)" * (n - 1) + " -> Q"
-
-
-def _right_chain(n: int) -> str:
-    # Q -> ... -> Q with n arrows: n Rimp steps down to one atomic sequent
-    return " -> ".join(["Q"] * (n + 1))
-
-
-@pytest.mark.parametrize("family", [_atom_chain, _left_nested, _right_chain])
+@pytest.mark.parametrize("family", [_atom_chain, left_chain, right_chain],
+                         ids=["_atom_chain", "_left_nested", "_right_chain"])
 def test_search_takes_one_frame_per_branch_sequent(family):
     # only atomic sequents take a frame: at every visit, the frames less the
     # atomic sequents on the branch do not grow with the input, so Rimp and
@@ -258,11 +249,8 @@ def test_only_atomic_sequents_enter_the_seen_set_and_the_memo(corpus):
             entered.append(s)
             super().__setitem__(s, depth)
 
-    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    roots += [parse_formula(ROTATION_WITNESSES["formula"]), parse_type(ROTATION_WITNESSES["type"])]
     stored = 0
-    for f in roots + corpus[:200]:
+    for f in published_and_witnesses() + corpus[:200]:
         engine = _Search(on_visit=lambda s: forced.append(not isinstance(s.goal, Atom)))
         engine.seen = RecordingSeen()
         engine.search(Sequent(Context(), barendregt_rename(f)))
@@ -339,22 +327,8 @@ def test_each_query_builds_one_item_and_decomposition_per_hypothesis(monkeypatch
     assert total > 0
 
 
-def _published_and_witnesses() -> list:
-    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
-    roots.append(parse_type(ROTATION_WITNESSES["type"]))
-    return roots
-
-
 def _bracket_subscripts(c: Context) -> list:
-    out, stack = [], [c]
-    while stack:
-        for item in stack.pop().items:
-            if isinstance(item, BracketItem):
-                out.append(item.bound)
-                stack.append(item.content)
-    return out
+    return [item.bound for item in subnodes(c) if isinstance(item, BracketItem)]
 
 
 def _stored_scope_ids(root) -> set:
@@ -363,7 +337,7 @@ def _stored_scope_ids(root) -> set:
 
 def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
     checked = 0
-    for f in _published_and_witnesses() + corpus[:500]:
+    for f in published_and_witnesses() + corpus[:500]:
         renamed = barendregt_rename(f)
         expected = set(reference_scope_table(renamed).scopes.values())
         subscripts = []
@@ -383,7 +357,7 @@ def test_every_bracket_subscript_is_a_scope_of_the_root(corpus):
 
 def test_formula_items_carry_the_head_and_arguments_of_negative_formulas(corpus):
     negative = other = 0
-    for f in _published_and_witnesses() + corpus[:500]:
+    for f in published_and_witnesses() + corpus[:500]:
         for g in pieces(barendregt_rename(f)):
             item = FormulaItem(g)
             if g.pol & 2:
@@ -424,7 +398,9 @@ def test_a_long_prefix_walks_its_binders_a_constant_number_of_times(monkeypatch)
     assert verdict and stats.visited == n + 2
     verdict, stats, _ = derivable(g, on_visit=seen_g.append)
     assert not verdict and len(found) == 2, len(found)
-    subscripts = [bound for s in seen_g for bound in _bracket_subscripts(s.context)]
+    # subnodes walks the 3,000 binders of each hypothesis, so each distinct context once
+    per_context = {c: _bracket_subscripts(c) for c in {s.context for s in seen_g}}
+    subscripts = [bound for s in seen_g for bound in per_context[s.context]]
     stored = _stored_scope_ids(g)
     assert len(subscripts) > n and all(id(bound) in stored for bound in subscripts)
     check_f, check_g = auditor(f), auditor(g)
@@ -448,10 +424,7 @@ def test_first_sequent_visited_is_the_renamed_input():
     # the CLI's audit is built from this sequent's goal, so derivable alone renames
     clashing = parse_formula("P(x) -> forall x. forall x. (P(x) -> P(x))")
     assert barendregt_rename(clashing) != clashing  # binders clash with each other and with x
-    inputs = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    inputs += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    inputs += [parse_formula(ROTATION_WITNESSES["formula"]), parse_type(ROTATION_WITNESSES["type"])]
-    for f in inputs + [clashing]:
+    for f in published_and_witnesses() + [clashing]:
         visited = []
         derivable(f, on_visit=visited.append)
         assert visited[0] == Sequent(Context(), barendregt_rename(f)), str(f)
@@ -615,15 +588,7 @@ def test_derivation_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# Differential mode and safety rails
-
-
-def test_rotation_modes_agree(corpus):
-    texts = DERIVABLE_TRUE + DERIVABLE_FALSE
-    for f in [parse_formula(t) for t in texts] + corpus[:200]:
-        dissolve, _, _ = derivable(f)
-        retain, _, _ = reference_derivable(f, retain_opened=True)
-        assert dissolve == retain
+# Safety rails
 
 
 def test_timeout_rail_fires_when_exhausted():

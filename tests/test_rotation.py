@@ -9,7 +9,7 @@ from minpl.prover import RULE_LIMP, _Search, derivable, derivation_to_json
 from minpl.syntax import parse_formula
 from minpl.systemf import inhabited, parse_type
 
-from helpers import ROTATION_WITNESSES, reference_derivable, replay
+from helpers import ROTATION_WITNESSES, distinct_nodes, reference_derivable, replay
 
 
 def decided(kind: str):
@@ -21,12 +21,6 @@ def decided(kind: str):
     return t, inhabited(t)
 
 
-def nodes(d):
-    yield d
-    for p in d.premises:
-        yield from nodes(p)
-
-
 @pytest.mark.parametrize("kind", ["formula", "type"])
 def test_rotation_witness_is_decided_true(kind):
     _, (verdict, _, derivation) = decided(kind)
@@ -36,7 +30,7 @@ def test_rotation_witness_is_decided_true(kind):
 @pytest.mark.parametrize("kind", ["formula", "type"])
 def test_rotation_witness_derivation_opens_a_bracket(kind):
     _, (_, _, derivation) = decided(kind)
-    assert any(d.rule == RULE_LIMP and d.path for d in nodes(derivation))
+    assert any(d.rule == RULE_LIMP and d.path for d in distinct_nodes(derivation))
 
 
 @pytest.mark.parametrize("kind", ["formula", "type"])

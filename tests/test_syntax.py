@@ -40,6 +40,7 @@ from helpers import (
     formulas,
     ftypes,
     position_formulas,
+    published_and_witnesses,
     reference_parse,
     reference_polarity,
     reference_print_type,
@@ -609,11 +610,7 @@ def test_stored_scopes_survive_copies_and_pickles(f):
 
 
 def test_stored_scopes_on_the_published_examples_and_witnesses():
-    roots = [parse_formula(t) for t in DERIVABLE_TRUE + DERIVABLE_FALSE]
-    roots += [parse_type(t) for t in INHABITED_TRUE + INHABITED_FALSE]
-    roots.append(parse_formula(ROTATION_WITNESSES["formula"]))
-    roots.append(parse_type(ROTATION_WITNESSES["type"]))
-    assert sum(map(every_scope_matches_the_reference, roots)) > 15
+    assert sum(map(every_scope_matches_the_reference, published_and_witnesses())) > 15
 
 
 def test_pieces_and_scopes_of_long_prefixes_and_left_nesting():
